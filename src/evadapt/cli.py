@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 import yaml
 
-from . import _kernels, events as ev, synth
+from . import events as ev, synth
 from .distill import DistillConfig
 from .encoder import (TrainablePlan, ViTConfig, count_trainable,
                       forward_capture, init_params)
@@ -149,13 +149,42 @@ def predict_masks(params, head: dict[str, np.ndarray],
     final = capture.embeddings[-1].data
     logits = final @ head["head.w"] + head["head.b"][0]
     grid = (logits > 0).reshape(cfg.grid, cfg.grid)
+    # Upsampling keeps 4-connectivity and the raster order in which
+    # components first appear, so token-grid labels upsample to the
+    # pixel-grid labels.
+    labels, count = _label_components(grid)
     ps = cfg.patch_size
-    pixel = np.kron(grid, np.ones((ps, ps), dtype=bool))
-    labels, count = _kernels.label_components(pixel.astype(np.uint8))
-    masks = [labels == i for i in range(1, count + 1)]
+    pixel = np.kron(labels, np.ones((ps, ps), dtype=np.int64))
+    masks = [pixel == i for i in range(1, count + 1)]
     if not masks:
         return None
     return MaskSet(masks=masks)
+
+
+def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components numbered 1.. in order of first raster cell.
+
+    Every cell starts with its raster index and takes the least index of
+    its 4-neighbours until nothing changes; each component then holds its
+    first raster cell's index, and ranking those gives the labels.
+    """
+    H, W = mask.shape
+    big = H * W
+    lab = np.where(mask, np.arange(big).reshape(H, W), big)
+    while True:
+        new = lab.copy()
+        np.minimum(new[1:], lab[:-1], out=new[1:])
+        np.minimum(new[:-1], lab[1:], out=new[:-1])
+        np.minimum(new[:, 1:], lab[:, :-1], out=new[:, 1:])
+        np.minimum(new[:, :-1], lab[:, 1:], out=new[:, :-1])
+        new[~mask] = big
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    firsts = np.unique(lab[mask])
+    labels = np.zeros((H, W), dtype=np.int64)
+    labels[mask] = np.searchsorted(firsts, lab[mask]) + 1
+    return labels, int(firsts.size)
 
 
 def _aggregate(reports: list[MetricsReport]) -> dict:

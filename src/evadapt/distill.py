@@ -140,25 +140,3 @@ def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
         total = term if total is None else total + term
     return total, breakdown
 
-
-def affinity_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
-                  layers) -> Tensor:
-    """Simplified affinity-graph comparator for ablations.
-
-    Per layer: G = row-normalized X X^T; loss is the mean squared
-    difference of the teacher and student G, summed over layers.
-    """
-    total = None
-    for layer in layers:
-        g_t = _affinity(Tensor(teacher.embeddings[layer].data))
-        g_s = _affinity(student.embeddings[layer])
-        term = ((g_t - g_s) ** 2).mean()
-        total = term if total is None else total + term
-    return total
-
-
-def _affinity(x: Tensor) -> Tensor:
-    from .autodiff import matmul
-    g = matmul(x, x.T)
-    row_norm = ((g * g).sum(axis=1, keepdims=True) + 1e-24) ** 0.5
-    return g / row_norm

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 DEFAULT_BINS = 3
 DEFAULT_WINDOW_US = 40_000  # 40 ms
 
@@ -60,7 +58,8 @@ def voxelize(stream, window: tuple[int, int], H: int, W: int,
     """Aggregate in-window events into an H x W x B count volume.
 
     Event at time t lands in bin floor(B*(t-t_start)/(t_end-t_start)),
-    clamped to B-1 at t = t_end. Out-of-window events are skipped.
+    clamped to B-1 at t = t_end. Out-of-window events are skipped; an
+    in-window event outside the H x W grid is an EventFormatError.
     """
     t_start, t_end = window
     if t_end <= t_start:
@@ -68,12 +67,21 @@ def voxelize(stream, window: tuple[int, int], H: int, W: int,
     if B < 1:
         raise ValueError("B must be >= 1")
     ts, xs, ys, ps = _stream_arrays(stream)
-    if ts.size == 0:
-        grid = np.zeros((H, W, B), dtype=np.float64)
-    else:
-        grid = _kernels.voxelize_counts(ts.astype(np.float64), xs, ys, ps,
-                                        float(t_start), float(t_end),
-                                        H, W, B, signed)
+    t0, t1 = float(t_start), float(t_end)
+    tf = ts.astype(np.float64)
+    keep = (tf >= t0) & (tf <= t1)
+    bad = keep & ((xs < 0) | (xs >= W) | (ys < 0) | (ys >= H))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EventFormatError(
+            f"event {i}: coordinates ({xs[i]},{ys[i]}) outside the "
+            f"{H}x{W} grid")
+    b = (B * (tf[keep] - t0) / (t1 - t0)).astype(np.int64)
+    b = np.minimum(b, B - 1)
+    cell = (ys[keep] * W + xs[keep]) * B + b
+    counts = np.bincount(cell, weights=ps[keep] if signed else None,
+                         minlength=H * W * B)
+    grid = counts.astype(np.float64).reshape(H, W, B)
     return EventVolume(grid=grid, window=(t_start, t_end), bins=B)
 
 

@@ -92,19 +92,10 @@ def write_masks(path, masks, ids=None, shape=None):
             fh.write(f"# H={shape[0]} W={shape[1]}\n")
         for mid, mask in zip(ids, masks):
             flat = np.asarray(mask, dtype=bool).ravel()
-            runs = []
-            i = 0
-            n = flat.size
-            while i < n:
-                if flat[i]:
-                    j = i
-                    while j < n and flat[j]:
-                        j += 1
-                    runs.append(f"{i},{j - i}")
-                    i = j
-                else:
-                    i += 1
-            fh.write(f"{mid}: {' '.join(runs)}\n")
+            edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+            runs = " ".join(f"{i},{j - i}" for i, j in
+                            zip(edges[0::2].tolist(), edges[1::2].tolist()))
+            fh.write(f"{mid}: {runs}\n")
 
 
 def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
@@ -125,6 +116,10 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
             flat = np.zeros(shape[0] * shape[1], dtype=bool)
             for run in runs.split():
                 start, length = (int(v) for v in run.split(","))
+                if start < 0 or length < 1 or start + length > flat.size:
+                    raise DumpFormatError(
+                        f"line {lineno}: run {run!r} is empty or outside the "
+                        f"{shape[0]}x{shape[1]} grid")
                 flat[start:start + length] = True
             masks.append(flat.reshape(shape))
             ids.append(int(head))

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 
 @dataclass
 class MaskSet:
@@ -66,21 +64,22 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _overlap_table(gt: MaskSet, pred: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gm = np.stack([m.astype(np.uint8).ravel() for m in gt.masks])
-    pm = np.stack([m.astype(np.uint8).ravel() for m in pred.masks])
-    inter = _kernels.pairwise_mask_overlap(gm, pm)
-    return inter, gm.sum(axis=1), pm.sum(axis=1)
+    """(G, P) intersection counts and the gt and pred mask areas."""
+    shape = gt.masks[0].shape
+    if any(m.shape != shape for m in pred.masks):
+        raise ValueError("gt and pred mask dimensions differ")
+    gm, pm = (np.array([np.ravel(m) for m in s.masks], dtype=bool)
+              .reshape(len(s), gt.masks[0].size) for s in (gt, pred))
+    # one GT row at a time: no int copy of either stack
+    inter = np.stack([np.count_nonzero(pm & g, axis=1) for g in gm])
+    return inter, np.count_nonzero(gm, axis=1), np.count_nonzero(pm, axis=1)
 
 
-def match_instances(gt: MaskSet, pred: MaskSet) -> MatchResult:
-    """Greedy one-to-one matching in descending IoU order."""
-    if len(pred) == 0 or len(gt) == 0:
-        return MatchResult(pairs=[], unmatched_gt=list(range(len(gt))),
-                           unmatched_pred=list(range(len(pred))))
-    inter, ga, pa = _overlap_table(gt, pred)
+def _greedy_match(inter, ga, pa) -> MatchResult:
+    G, P = inter.shape
     candidates = []
-    for g in range(len(gt)):
-        for p in range(len(pred)):
+    for g in range(G):
+        for p in range(P):
             if inter[g, p] > 0:
                 u = ga[g] + pa[p] - inter[g, p]
                 candidates.append((inter[g, p] / u, g, p))
@@ -97,9 +96,17 @@ def match_instances(gt: MaskSet, pred: MaskSet) -> MatchResult:
         used_p.add(p)
     return MatchResult(
         pairs=pairs,
-        unmatched_gt=[g for g in range(len(gt)) if g not in used_g],
-        unmatched_pred=[p for p in range(len(pred)) if p not in used_p],
+        unmatched_gt=[g for g in range(G) if g not in used_g],
+        unmatched_pred=[p for p in range(P) if p not in used_p],
     )
+
+
+def match_instances(gt: MaskSet, pred: MaskSet) -> MatchResult:
+    """Greedy one-to-one matching in descending IoU order."""
+    if len(gt) == 0:
+        return MatchResult(pairs=[], unmatched_gt=[],
+                           unmatched_pred=list(range(len(pred))))
+    return _greedy_match(*_overlap_table(gt, pred))
 
 
 def compute_report(gt: MaskSet, pred: MaskSet,
@@ -110,12 +117,9 @@ def compute_report(gt: MaskSet, pred: MaskSet,
         raise ValueError("ground-truth mask set is empty")
     if aiou_denominator not in ("mask_total", "image_area"):
         raise ValueError(f"unknown aIoU denominator: {aiou_denominator}")
-    match = match_instances(gt, pred)
+    inter, ga, pa = _overlap_table(gt, pred)
+    match = _greedy_match(inter, ga, pa)
     by_gt = {g: (p, v) for g, p, v in match.pairs}
-    if len(pred) > 0:
-        inter, ga, pa = _overlap_table(gt, pred)
-    else:
-        ga = np.array([int(m.sum()) for m in gt.masks])
     instances = []
     ps, rs, ious, areas = [], [], [], []
     for g in range(len(gt)):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .events import Event
 from .metrics import MaskSet
 
@@ -84,30 +83,65 @@ def ground_truth_masks(spec: SceneSpec, t_ms: float) -> MaskSet:
     return MaskSet(masks=masks, ids=ids)
 
 
+def _threshold_crossings(logI: np.ndarray, step_ms: float, theta: float):
+    """Threshold-crossing events of a (T, H, W) log-intensity sequence.
+
+    Each pixel emits whenever its log-intensity sits a full threshold
+    away from the level at its last event, at the linearly interpolated
+    crossing time inside the step. Vectorized over pixels, looping over
+    steps and then over the pixels that still cross. Returns (t, x, y, p)
+    int64 arrays, each pixel's events in emission order.
+    """
+    T, H, W = logI.shape
+    flat = logI.reshape(T, H * W)
+    ref = flat[0].copy()
+    none = np.empty(0, dtype=np.int64)
+    out = [(none, none, none)]
+    for k in range(1, T):
+        prev, cur = flat[k - 1], flat[k]
+        idx = np.flatnonzero(np.abs(cur - ref) >= theta)
+        while idx.size:
+            c, pv = cur[idx], prev[idx]
+            pol = np.where(c - ref[idx] >= theta, 1, -1)
+            target = ref[idx] + np.where(pol == 1, theta, -theta)
+            # c != pv: every step starts within one threshold of the
+            # level, so a pixel that crosses has moved in this step
+            frac = np.clip((target - pv) / (c - pv), 0.0, 1.0)
+            out.append((((k - 1) + frac) * step_ms * 1000.0, idx, pol))
+            ref[idx] = target
+            idx = idx[np.abs(c - target) >= theta]
+    t, pix, p = (np.concatenate(a) for a in zip(*out))
+    return t.astype(np.int64), pix % W, pix // W, p
+
+
 def generate_events(spec: SceneSpec) -> list[Event]:
     """Simulate the event stream over the scene window, sorted by time."""
+    # a pixel emits until it is within one threshold of its level, so a
+    # threshold <= 0 or an infinite log level would never stop emitting
+    if not spec.threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {spec.threshold}")
+    levels = [spec.background] + [s.intensity for s in spec.shapes]
+    if not all(-1.0 < v < np.inf for v in levels):
+        raise ValueError("scene intensities must be finite and above -1")
     n_steps = int(round(spec.window_ms / SIM_STEP_MS)) + 1
     H, W = spec.height, spec.width
     logI = np.empty((n_steps, H, W))
     for k in range(n_steps):
         frame = render_frame(spec, k * SIM_STEP_MS)
         logI[k] = np.log(frame[:, :, 0] + 1.0)
-    cap = 16 * n_steps * H * W
-    out_t = np.empty(cap, dtype=np.int64)
-    out_x = np.empty(cap, dtype=np.int64)
-    out_y = np.empty(cap, dtype=np.int64)
-    out_p = np.empty(cap, dtype=np.int64)
-    n = _kernels.threshold_crossings(logI, SIM_STEP_MS, spec.threshold,
-                                     out_t, out_x, out_y, out_p)
-    events = [Event(t=int(out_t[i]), x=int(out_x[i]), y=int(out_y[i]),
-                    p=int(out_p[i])) for i in range(n)]
+    ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)
     if spec.noise_rate > 0:
         rng = np.random.default_rng(spec.seed)
         n_noise = rng.poisson(spec.noise_rate * spec.window_ms * H * W)
-        for _ in range(n_noise):
-            events.append(Event(
-                t=int(rng.integers(0, int(spec.window_ms * 1000) + 1)),
-                x=int(rng.integers(0, W)), y=int(rng.integers(0, H)),
-                p=int(rng.choice([-1, 1]))))
-    events.sort(key=lambda e: (e.t, e.y, e.x))
-    return events
+        noise = np.empty((n_noise, 4), dtype=np.int64)
+        for i in range(n_noise):
+            noise[i] = (rng.integers(0, int(spec.window_ms * 1000) + 1),
+                        rng.integers(0, W), rng.integers(0, H),
+                        rng.choice([-1, 1]))
+        ts, xs, ys, ps = (np.concatenate([a, noise[:, j]])
+                          for j, a in enumerate((ts, xs, ys, ps)))
+    # stable, so each pixel keeps its own emission order
+    order = np.lexsort((xs, ys, ts))
+    return [Event(t=t, x=x, y=y, p=p) for t, x, y, p in
+            zip(ts[order].tolist(), xs[order].tolist(), ys[order].tolist(),
+                ps[order].tolist())]

@@ -10,7 +10,6 @@ weighted distillation objective. Per-step randomness derives from
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -92,17 +91,6 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray],
         mhat = state.m[name] / (1 - b1 ** t)
         vhat = state.v[name] / (1 - b2 ** t)
         entries[name].data = entries[name].data - lr * mhat / (np.sqrt(vhat) + eps)
-
-
-def frozen_sha(state: TrainState) -> str:
-    """Digest of all non-trainable parameter bytes (frozen invariance check)."""
-    h = hashlib.sha256()
-    entries = state.params.all_entries()
-    for name in sorted(entries):
-        if name not in state.m:
-            h.update(name.encode())
-            h.update(entries[name].data.tobytes())
-    return h.hexdigest()
 
 
 def student_step_loss(teacher_capture, student_params: ViTParams,
@@ -235,15 +223,6 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
                        step=int(meta["step"]))
     mark_trainable(params, plan)
     return state, meta, extra
-
-
-def make_plan(config: ViTConfig, plan: TrainablePlan) -> ViTParams:
-    """Instantiate params for a plan, attaching adapters when asked for."""
-    params = init_params(config)
-    if plan.mode == "lora":
-        sites = lora_sites_for(config, *plan.lora_sites)
-        params = apply_lora(params, plan.lora_rank, sites)
-    return params
 
 
 def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,

@@ -162,3 +162,32 @@ class TestErrorHandling:
         assert main(["eval", "--config", config,
                      "--checkpoint", str(ck)]) == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x,y", [(-1, 0), (4, 0), (0, 3)])
+    def test_voxelize_out_of_grid_event(self, tmp_path, capsys, x, y):
+        # no '# H= W=' header, so only voxelize can catch the coordinates
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text(f"1,0,0,1\n2,{x},{y},1\n")
+        assert main(["voxelize", "--events", str(ev_path),
+                     "--out", str(tmp_path / "v.evdt"), "--height", "3",
+                     "--width", "4", "--t-end", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: event 1:") and err.count("\n") == 1
+
+    def test_eval_run_outside_grid(self, tmp_path, capsys):
+        for d in ("gt", "pred"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "a.rle").write_text("# H=2 W=2\n0: 0,1\n")
+        (tmp_path / "pred" / "a.rle").write_text("# H=2 W=2\n0: 3,5\n")
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+    def test_eval_mask_dimensions_differ(self, tmp_path, capsys):
+        for d, hw in (("gt", "2 W=2"), ("pred", "2 W=3")):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "a.rle").write_text(f"# H={hw}\n0: 0,1\n")
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred")]) == 1
+        assert "dimensions differ" in capsys.readouterr().err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from evadapt.autodiff import Tensor
-from evadapt.distill import (DistillConfig, affinity_loss, distill_loss,
-                             mix_tokens, weighted_layer_loss)
+from evadapt.distill import (DistillConfig, distill_loss, mix_tokens,
+                             weighted_layer_loss)
 from evadapt.encoder import EmbeddingCapture
 from evadapt.significance import token_significance, transition_stack
 
@@ -177,22 +177,3 @@ class TestDistillConfig:
         with pytest.raises(ValueError, match="attention source"):
             DistillConfig(attention_source="oracle")
 
-
-class TestAffinityLoss:
-    def test_identical_zero(self):
-        rng = np.random.default_rng(10)
-        cap = random_capture(rng)
-        assert affinity_loss(cap, cap, (0, 2)).item() == 0.0
-
-    def test_uniform_scaling_cancels(self):
-        rng = np.random.default_rng(11)
-        t = random_capture(rng)
-        s = EmbeddingCapture(
-            embeddings=[Tensor(2.0 * e.data) for e in t.embeddings],
-            attentions=t.attentions)
-        assert affinity_loss(t, s, (0, 1, 2)).item() == pytest.approx(0.0, abs=1e-20)
-
-    def test_distinct_positive(self):
-        rng = np.random.default_rng(12)
-        t, s = random_capture(rng), random_capture(rng)
-        assert affinity_loss(t, s, (1,)).item() > 0

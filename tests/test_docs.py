@@ -26,7 +26,7 @@ def test_relative_links_resolve():
 
 def test_repo_paths_mentioned_in_docs_exist():
     text = "\n".join(d.read_text() for d in DOCS)
-    for rel in ("configs/tiny.yaml", "benchmarks/bench_kernels.py",
+    for rel in ("configs/tiny.yaml", "perfbench/run.py",
                 "tests/test_acceptance.py"):
         assert rel in text
         assert (ROOT / rel).exists(), rel

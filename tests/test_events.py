@@ -40,6 +40,18 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="window"):
             voxelize([], (10, 10), 2, 2)
 
+    @pytest.mark.parametrize("x,y", [(-1, 0), (4, 0), (0, 3)])
+    def test_out_of_grid_event_rejected(self, x, y):
+        # a 3x4 grid: negative x, x == W and y == H; the bad event is third
+        es = [Event(t=1, x=0, y=0, p=1), Event(t=99, x=-5, y=9, p=1),
+              Event(t=2, x=x, y=y, p=1)]
+        with pytest.raises(EventFormatError, match=r"event 2: .*3x4"):
+            voxelize(es, (0, 10), 3, 4)
+
+    def test_out_of_window_event_not_bounds_checked(self):
+        es = [Event(t=99, x=-1, y=7, p=1), Event(t=1, x=1, y=1, p=1)]
+        assert voxelize(es, (0, 10), 2, 2).grid.sum() == 1
+
     def test_signed_accumulation(self):
         es = [Event(t=1, x=0, y=0, p=1), Event(t=2, x=0, y=0, p=-1)]
         v = voxelize(es, (0, 10), 1, 1, B=1, signed=True)

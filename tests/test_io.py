@@ -82,6 +82,19 @@ class TestMaskFiles:
         lines = p.read_text().splitlines()
         assert lines == ["# H=2 W=3", "0: 1,2 5,1"]
 
+    @pytest.mark.parametrize("run", ["3,5", "3,2", "4,1", "-1,2", "1,0", "2,-1"])
+    def test_run_outside_grid_names_line(self, tmp_path, run):
+        p = tmp_path / "m.rle"
+        p.write_text(f"# H=2 W=2\n0: 0,1\n1: {run}\n")
+        with pytest.raises(DumpFormatError, match="line 3"):
+            read_masks(p)
+
+    def test_run_ending_at_grid_end_accepted(self, tmp_path):
+        p = tmp_path / "m.rle"
+        p.write_text("# H=2 W=2\n0: 3,1\n")
+        masks, _, _ = read_masks(p)
+        assert masks[0].sum() == 1 and masks[0][1, 1]
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "m.rle"
         p.write_text("0: 1,2\n")

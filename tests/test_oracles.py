@@ -1,0 +1,337 @@
+"""Vectorized hot paths against the scalar loops they replaced.
+
+Each reference below is the plain per-element loop: per-pixel threshold
+crossings, per-event voxel accumulation, per-cell mask overlap, flood-fill
+component labelling and the RLE while-loop. The vectorized code does the
+same float64 arithmetic elementwise, so every comparison is exact.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from evadapt import cli, io, metrics, synth
+from evadapt.events import Event, voxelize
+
+
+# -- reference loops ---------------------------------------------------------
+
+def ref_threshold_crossings(logI, step_ms, theta):
+    T, H, W = logI.shape
+    out = []
+    for y in range(H):
+        for x in range(W):
+            ref = logI[0, y, x]
+            for k in range(1, T):
+                prev = logI[k - 1, y, x]
+                cur = logI[k, y, x]
+                while True:
+                    diff = cur - ref
+                    if diff >= theta:
+                        pol = 1
+                    elif diff <= -theta:
+                        pol = -1
+                    else:
+                        break
+                    target = ref + (theta if pol == 1 else -theta)
+                    if cur != prev:
+                        frac = (target - prev) / (cur - prev)
+                    else:
+                        frac = 1.0
+                    if frac < 0.0:
+                        frac = 0.0
+                    elif frac > 1.0:
+                        frac = 1.0
+                    out.append(Event(t=int(((k - 1) + frac) * step_ms * 1000.0),
+                                     x=x, y=y, p=pol))
+                    ref = target
+    return out
+
+
+def ref_generate_events(spec):
+    n_steps = int(round(spec.window_ms / synth.SIM_STEP_MS)) + 1
+    H, W = spec.height, spec.width
+    logI = np.empty((n_steps, H, W))
+    for k in range(n_steps):
+        frame = synth.render_frame(spec, k * synth.SIM_STEP_MS)
+        logI[k] = np.log(frame[:, :, 0] + 1.0)
+    events = ref_threshold_crossings(logI, synth.SIM_STEP_MS, spec.threshold)
+    if spec.noise_rate > 0:
+        rng = np.random.default_rng(spec.seed)
+        n_noise = rng.poisson(spec.noise_rate * spec.window_ms * H * W)
+        for _ in range(n_noise):
+            events.append(Event(
+                t=int(rng.integers(0, int(spec.window_ms * 1000) + 1)),
+                x=int(rng.integers(0, W)), y=int(rng.integers(0, H)),
+                p=int(rng.choice([-1, 1]))))
+    events.sort(key=lambda e: (e.t, e.y, e.x))
+    return events
+
+
+def ref_voxelize(events, t_start, t_end, H, W, B, signed):
+    grid = np.zeros((H, W, B), dtype=np.float64)
+    t_start, t_end = float(t_start), float(t_end)
+    span = float(t_end - t_start)
+    for e in events:
+        t = np.float64(e.t)
+        if t < t_start or t > t_end:
+            continue
+        b = int(B * (t - t_start) / span)
+        if b >= B:
+            b = B - 1
+        grid[e.y, e.x, b] += float(e.p) if signed else 1.0
+    return grid
+
+
+def ref_overlap(gt, pred):
+    gm = np.stack([m.astype(np.uint8).ravel() for m in gt])
+    pm = np.stack([m.astype(np.uint8).ravel() for m in pred])
+    inter = np.zeros((len(gt), len(pred)), dtype=np.int64)
+    for g in range(len(gt)):
+        for p in range(len(pred)):
+            s = 0
+            for j in range(gm.shape[1]):
+                if gm[g, j] != 0 and pm[p, j] != 0:
+                    s += 1
+            inter[g, p] = s
+    return inter, gm.sum(axis=1), pm.sum(axis=1)
+
+
+def ref_label_components(mask):
+    H, W = mask.shape
+    labels = np.zeros((H, W), dtype=np.int64)
+    current = 0
+    for y0 in range(H):
+        for x0 in range(W):
+            if not mask[y0, x0] or labels[y0, x0] != 0:
+                continue
+            current += 1
+            labels[y0, x0] = current
+            stack = [(y0, x0)]
+            while stack:
+                y, x = stack.pop()
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if (0 <= ny < H and 0 <= nx < W and mask[ny, nx]
+                            and labels[ny, nx] == 0):
+                        labels[ny, nx] = current
+                        stack.append((ny, nx))
+    return labels, current
+
+
+def ref_write_masks(path, masks, ids, shape):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# H={shape[0]} W={shape[1]}\n")
+        for mid, mask in zip(ids, masks):
+            flat = np.asarray(mask, dtype=bool).ravel()
+            runs = []
+            i = 0
+            n = flat.size
+            while i < n:
+                if flat[i]:
+                    j = i
+                    while j < n and flat[j]:
+                        j += 1
+                    runs.append(f"{i},{j - i}")
+                    i = j
+                else:
+                    i += 1
+            fh.write(f"{mid}: {' '.join(runs)}\n")
+
+
+def stable_sorted(events):
+    return sorted(events, key=lambda e: (e.t, e.y, e.x))
+
+
+# -- strategies ----------------------------------------------------------------
+
+# a few shared levels give flat steps (cur == prev) and jumps of several
+# thresholds inside one step
+LEVELS = [0.0, 0.05, 0.15, 0.3, 0.45, 0.7, 1.0, -0.2]
+
+
+@st.composite
+def log_sequences(draw):
+    T = draw(st.integers(1, 6))
+    H = draw(st.integers(1, 4))
+    W = draw(st.integers(1, 4))
+    level = st.one_of(st.sampled_from(LEVELS),
+                      st.floats(-1.0, 1.5, allow_nan=False))
+    vals = draw(st.lists(level, min_size=T * H * W, max_size=T * H * W))
+    return np.array(vals, dtype=np.float64).reshape(T, H, W)
+
+
+@st.composite
+def scenes(draw):
+    size = draw(st.integers(4, 14))
+    spec = synth.SceneSpec(
+        height=size, width=size,
+        window_ms=float(draw(st.integers(1, 12))),
+        threshold=draw(st.sampled_from([0.05, 0.15, 0.3])),
+        noise_rate=draw(st.sampled_from([0.0, 0.02])),
+        seed=draw(st.integers(0, 100)))
+    for i in range(draw(st.integers(0, 3))):
+        spec.shapes.append(synth.Shape(
+            kind="rectangle" if i % 2 == 0 else "disk",
+            position=(draw(st.floats(0, size)), draw(st.floats(0, size))),
+            size=(draw(st.floats(1, size / 2)), draw(st.floats(1, size / 2))),
+            velocity=(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),
+            intensity=draw(st.floats(0.0, 3.0))))
+    return spec
+
+
+def bool_grids(max_side):
+    return st.integers(1, max_side).flatmap(lambda h: st.integers(
+        1, max_side).flatmap(lambda w: st.lists(
+            st.booleans(), min_size=h * w, max_size=h * w).map(
+            lambda v: np.array(v, dtype=bool).reshape(h, w))))
+
+
+# -- event simulation --------------------------------------------------------
+
+class TestThresholdCrossings:
+    @settings(max_examples=200, deadline=None)
+    @given(log_sequences(), st.sampled_from([0.05, 0.15, 0.3, 0.7]),
+           st.sampled_from([1.0, 0.5]))
+    def test_matches_scalar_loop(self, logI, theta, step_ms):
+        t, x, y, p = synth._threshold_crossings(logI, step_ms, theta)
+        got = [Event(*v) for v in zip(t.tolist(), x.tolist(), y.tolist(),
+                                      p.tolist())]
+        assert stable_sorted(got) == stable_sorted(
+            ref_threshold_crossings(logI, step_ms, theta))
+
+    def test_several_crossings_in_one_step_keep_pixel_order(self):
+        logI = np.array([0.0, 1.0, 1.0, -0.5]).reshape(4, 1, 1)
+        t, _, _, p = synth._threshold_crossings(logI, 1.0, 0.3)
+        ref = ref_threshold_crossings(logI, 1.0, 0.3)
+        assert [(e.t, e.p) for e in ref] == list(zip(t.tolist(), p.tolist()))
+        assert np.count_nonzero(t < 1000) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenes())
+    def test_generate_events_matches_reference(self, spec):
+        assert synth.generate_events(spec) == ref_generate_events(spec)
+
+    def test_generate_events_at_128(self):
+        spec = synth.SceneSpec(
+            height=128, width=128, window_ms=6.0, threshold=0.05,
+            noise_rate=0.001, seed=5,
+            shapes=[synth.Shape("rectangle", (50.0, 60.0), (40.0, 30.0),
+                                (0.8, -0.4), 1.0),
+                    synth.Shape("disk", (70.0, 70.0), (20.0, 0.0),
+                                (-0.6, 0.5), 0.6)])
+        assert synth.generate_events(spec) == ref_generate_events(spec)
+
+
+# -- voxelization --------------------------------------------------------------
+
+def event_stream(seed, H, W, n, window):
+    """Random events whose times reach past both window ends and hit
+    t_end exactly."""
+    rng = np.random.default_rng(seed)
+    t_start, t_end = window
+    ts = rng.integers(max(0, t_start - 10), t_end + 11, n)
+    ts[rng.random(n) < 0.2] = t_end
+    return [Event(t=int(t), x=int(rng.integers(0, W)),
+                  y=int(rng.integers(0, H)), p=int(rng.choice([-1, 1])))
+            for t in ts]
+
+
+class TestVoxelize:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 60), st.integers(0, 50), st.integers(1, 60),
+           st.sampled_from([1, 3, 7]), st.booleans())
+    def test_matches_scalar_loop(self, seed, H, W, n, t_start, span, B,
+                                 signed):
+        window = (t_start, t_start + span)
+        events = event_stream(seed, H, W, n, window)
+        got = voxelize(events, window, H, W, B=B, signed=signed).grid
+        want = ref_voxelize(events, *window, H, W, B, signed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# -- masks -------------------------------------------------------------------
+
+def mask_lists(shape, min_size=0, max_size=4):
+    cells = st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    return st.lists(cells.map(lambda v: np.array(v, dtype=bool).reshape(shape)),
+                    min_size=min_size, max_size=max_size)
+
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+
+
+class TestOverlap:
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(lambda s: st.tuples(mask_lists(s, 1),
+                                              mask_lists(s))))
+    def test_matches_scalar_loop(self, stacks):
+        gt, pred = ([m for m in ms if m.any()] for ms in stacks)
+        assume(gt)
+        inter, ga, pa = metrics._overlap_table(metrics.MaskSet(masks=gt),
+                                               metrics.MaskSet(masks=pred))
+        if pred:
+            r_inter, r_ga, r_pa = ref_overlap(gt, pred)
+        else:
+            r_inter = np.zeros((len(gt), 0), dtype=np.int64)
+            r_ga, r_pa = np.array([m.sum() for m in gt]), np.zeros(0)
+        assert np.array_equal(inter, r_inter)
+        assert np.array_equal(ga, r_ga)
+        assert np.array_equal(pa, r_pa)
+
+
+class TestLabelComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(bool_grids(12))
+    def test_matches_flood_fill(self, grid):
+        labels, count = cli._label_components(grid)
+        r_labels, r_count = ref_label_components(grid)
+        assert count == r_count
+        assert np.array_equal(labels, r_labels)
+
+    @settings(max_examples=50, deadline=None)
+    @given(bool_grids(6), st.integers(1, 4))
+    def test_upsampled_labels_match_pixel_flood_fill(self, grid, ps):
+        labels, count = cli._label_components(grid)
+        pixel = np.kron(grid, np.ones((ps, ps), dtype=bool))
+        r_labels, r_count = ref_label_components(pixel)
+        assert count == r_count
+        assert np.array_equal(np.kron(labels, np.ones((ps, ps), np.int64)),
+                              r_labels)
+
+    def test_u_shapes_merge_late(self):
+        # the U's arms (columns 0 and 4) join only in the last row, and the
+        # bar in column 2 starts between them in raster order: cell (0, 4)
+        # belongs to component 1 though component 2 appears before it
+        grid = np.array([[1, 0, 1, 0, 1],
+                         [1, 0, 1, 0, 1],
+                         [1, 0, 1, 0, 1],
+                         [1, 0, 0, 0, 1],
+                         [1, 1, 1, 1, 1]], dtype=bool)
+        labels, count = cli._label_components(grid)
+        r_labels, r_count = ref_label_components(grid)
+        assert count == r_count == 2
+        assert labels[0, 4] == 1 and labels[0, 2] == 2
+        assert np.array_equal(labels, r_labels)
+
+    def test_empty_grid(self):
+        labels, count = cli._label_components(np.zeros((3, 4), dtype=bool))
+        assert count == 0 and not labels.any()
+
+
+class TestWriteMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(lambda s: st.tuples(st.just(s), mask_lists(s))))
+    def test_matches_while_loop_bytes(self, case):
+        shape, masks = case
+        ids = list(range(len(masks)))
+        with tempfile.TemporaryDirectory() as d:
+            new, ref = os.path.join(d, "new.rle"), os.path.join(d, "ref.rle")
+            io.write_masks(new, masks, ids, shape=shape)
+            ref_write_masks(ref, masks, ids, shape)
+            with open(new, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()

@@ -141,3 +141,15 @@ class TestGenerateEvents:
         vol = voxelize(events, (0, int(spec.window_ms * 1000)),
                        spec.height, spec.width, B=3)
         assert vol.grid.sum() == len(events)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, float("nan")])
+    def test_non_positive_threshold_rejected(self, theta):
+        with pytest.raises(ValueError, match="threshold"):
+            generate_events(simple_scene(threshold=theta))
+
+    @pytest.mark.parametrize("level", [float("inf"), -1.0])
+    def test_infinite_log_intensity_rejected(self, level):
+        spec = simple_scene()
+        spec.shapes[0].intensity = level
+        with pytest.raises(ValueError, match="intensities"):
+            generate_events(spec)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import TrainablePlan, ViTConfig, init_params
 from evadapt.trainer import (FULL_PROFILE, TrainConfig, TrainState,
-                             adam_step, frozen_sha, load_checkpoint, lr_at,
+                             adam_step, load_checkpoint, lr_at,
                              pipeline_grad_check, save_checkpoint, train)
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
@@ -21,6 +23,17 @@ def tiny_data(seed=0, n=2):
 
 def tiny_state(seed=1):
     return TrainState.create(init_params(TINY, seed=seed), PLAN)
+
+
+def frozen_sha(state: TrainState) -> str:
+    """Digest of all non-trainable parameter bytes."""
+    h = hashlib.sha256()
+    entries = state.params.all_entries()
+    for name in sorted(entries):
+        if name not in state.m:
+            h.update(name.encode())
+            h.update(entries[name].data.tobytes())
+    return h.hexdigest()
 
 
 class TestLrSchedule:
