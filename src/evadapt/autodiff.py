@@ -158,7 +158,7 @@ class Tensor:
 
         def bw(g):
             full = np.zeros_like(self.data)
-            full[key] = g
+            np.add.at(full, key, g)  # an index array may repeat an element
             return (full,)
 
         return Tensor._from_op(out_data, (self,), bw)
@@ -322,22 +322,6 @@ def where_rows(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         return (np.where(m, g, 0.0), np.where(m, 0.0, g))
 
     return Tensor._from_op(out_data, (a, b), bw)
-
-
-def concat_rows(tensors: list) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    sizes = [t.shape[0] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-
-    def bw(g):
-        outs = []
-        ofs = 0
-        for s in sizes:
-            outs.append(g[ofs:ofs + s])
-            ofs += s
-        return tuple(outs)
-
-    return Tensor._from_op(out_data, tensors, bw)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -24,82 +24,83 @@ from . import events as ev, synth
 from .distill import DistillConfig
 from .encoder import (TrainablePlan, ViTConfig, count_trainable,
                       forward_capture, init_params)
-from .io import ConfigError, read_dump, read_masks, validate_keys, write_dump, write_masks
+from .io import (ConfigError, DumpFormatError, from_doc, read_dump,
+                 read_masks, write_dump, write_masks)
 from .metrics import MaskSet, MetricsReport, compute_report, report_to_dict
 from .significance import (convergence_diagnostic, token_significance,
                            transition_stack)
 from .trainer import (TrainConfig, TrainState, load_checkpoint,
                       pipeline_grad_check, save_checkpoint, train)
 
-_PLAN_SCHEMA = {"mode": None, "layers": None, "lora_rank": None,
-                "lora_sites": {"kind": None, "layers": None}}
 
-_CONFIG_SCHEMA = {
-    "seed": None,
-    "teacher_seed": None,
-    "out_dir": None,
-    "model": {k: None for k in ("img_size", "patch_size", "in_channels",
-                                "embed_dim", "depth", "num_heads", "mlp_hidden")},
-    "distill": {k: None for k in ("layers", "gammas", "gamma0", "beta",
-                                  "mixing_ratio", "attention_source",
-                                  "rollout_horizon", "seed")},
-    "train": {k: None for k in ("epochs", "steps_per_epoch", "batch_size",
-                                "lr", "decay_factor", "decay_epoch",
-                                "adam_beta1", "adam_beta2", "adam_eps", "seed")},
-    "plan": _PLAN_SCHEMA,
-    "scene": {k: None for k in ("height", "width", "window_ms", "threshold",
-                                "background", "noise_rate", "num_shapes",
-                                "num_samples", "shapes")},
-    "events": {k: None for k in ("bins", "signed", "normalize")},
-}
+@dataclass
+class SceneConfig(synth.SceneSpec):
+    """The `scene` section: each sample's SceneSpec seed comes from the run."""
+    seed: int = field(default=0, init=False)
+    num_shapes: int = 2
+    num_samples: int = 8
+
+    def __post_init__(self):
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+
+
+@dataclass
+class EventsConfig:
+    bins: int = ev.DEFAULT_BINS
+    signed: bool = False
+    normalize: bool = True
+
+    def __post_init__(self):
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
+
+
+@dataclass
+class RunConfig:
+    """A whole run configuration document; its fields are the YAML schema."""
+    seed: int = 0
+    teacher_seed: int = 0
+    out_dir: str = "out"
+    model: ViTConfig = field(default_factory=ViTConfig)
+    distill: DistillConfig = field(default_factory=DistillConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    plan: TrainablePlan = field(default_factory=TrainablePlan)
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    events: EventsConfig = field(default_factory=EventsConfig)
 
 
 def load_config(path) -> dict:
+    """The YAML document at `path`, checked by building its RunConfig."""
+    return load_run(path)[0]
+
+
+def load_run(path) -> tuple[dict, RunConfig]:
+    """A config file's document and RunConfig; train.seed defaults to seed."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    validate_keys(doc, _CONFIG_SCHEMA)
-    return doc
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{path}: {' '.join(str(e).split())}") from None
+    run = from_doc(RunConfig, doc)
+    if "seed" not in doc.get("train", {}):
+        run.train.seed = run.seed
+    return doc, run
 
 
-def _model_config(doc: dict) -> ViTConfig:
-    return ViTConfig(**doc.get("model", {}))
-
-
-def _plan(doc: dict) -> TrainablePlan:
-    p = dict(doc.get("plan", {}))
-    if "layers" in p:
-        p["layers"] = tuple(p["layers"])
-    if "lora_sites" in p:
-        p["lora_sites"] = (p["lora_sites"]["kind"],
-                           tuple(p["lora_sites"]["layers"]))
-    return TrainablePlan(**p)
-
-
-def _distill_config(doc: dict) -> DistillConfig:
-    d = dict(doc.get("distill", {}))
-    if "layers" in d:
-        d["layers"] = tuple(d["layers"])
-    if "gammas" in d:
-        d["gammas"] = tuple(d["gammas"])
-    return DistillConfig(**d)
-
-
-def _scene_spec(doc: dict, seed: int) -> synth.SceneSpec:
-    s = dict(doc.get("scene", {}))
-    num_shapes = s.pop("num_shapes", 2)
-    shape_docs = s.pop("shapes", None)
-    s.pop("num_samples", None)
-    spec = synth.SceneSpec(**s, seed=seed)
-    if shape_docs:
-        spec.shapes = [synth.Shape(**sd) for sd in shape_docs]
-    else:
+def _scene_spec(scene: SceneConfig, seed: int) -> synth.SceneSpec:
+    spec = synth.SceneSpec(**{f.name: getattr(scene, f.name)
+                              for f in fields(synth.SceneSpec)})
+    spec.seed = seed
+    spec.shapes = list(scene.shapes)
+    if not spec.shapes:
         rng = np.random.default_rng(seed)
         H, W = spec.height, spec.width
         # cap the per-window travel at ~15% of the frame so shapes stay visible
         v_max = 0.15 * min(H, W) / max(spec.window_ms, 1.0)
-        for i in range(num_shapes):
+        for i in range(scene.num_shapes):
             kind = "rectangle" if i % 2 == 0 else "disk"
             size = float(rng.uniform(0.15, 0.3) * min(H, W))
             spec.shapes.append(synth.Shape(
@@ -115,20 +116,17 @@ def _scene_spec(doc: dict, seed: int) -> synth.SceneSpec:
 
 
 def make_dataset(doc: dict, n: int, seed: int):
-    """(image, normalized event volume) pairs from jittered scenes."""
-    evc = doc.get("events", {})
-    bins = evc.get("bins", 3)
-    signed = evc.get("signed", False)
-    normalize = evc.get("normalize", True)
+    """(image, event volume, scene) triples from jittered scenes."""
+    run = from_doc(RunConfig, doc)
     samples = []
     for i in range(n):
-        spec = _scene_spec(doc, seed=seed + i)
+        spec = _scene_spec(run.scene, seed=seed + i)
         image = synth.render_frame(spec, spec.window_ms)
         stream = synth.generate_events(spec)
         window = (0, int(spec.window_ms * 1000))
         vol = ev.voxelize(stream, window, spec.height, spec.width,
-                          B=bins, signed=signed)
-        if normalize:
+                          B=run.events.bins, signed=run.events.signed)
+        if run.events.normalize:
             vol = ev.normalize_volume(vol)
         samples.append((image, vol.grid, spec))
     return samples
@@ -206,23 +204,16 @@ def _aggregate(reports: list[MetricsReport]) -> dict:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    doc = load_config(args.config)
-    seed = doc.get("seed", 0)
-    out_dir = args.out or doc.get("out_dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    config = _model_config(doc)
-    plan = _plan(doc)
-    dcfg = _distill_config(doc)
-    tc = dict(doc.get("train", {}))
-    tc.setdefault("seed", seed)
-    tcfg = TrainConfig(**tc)
-    scene = doc.get("scene", {})
-    if scene.get("height", 32) != config.img_size or \
-            scene.get("width", 32) != config.img_size:
+    doc, run = load_run(args.config)
+    seed, config, plan = run.seed, run.model, run.plan
+    if run.scene.height != config.img_size or \
+            run.scene.width != config.img_size:
         raise ConfigError("scene.height/width must equal model.img_size")
-    n_samples = scene.get("num_samples", 8)
-    data = [(img, vol) for img, vol, _ in make_dataset(doc, n_samples, seed)]
-    teacher = init_params(config, seed=doc.get("teacher_seed", 0))
+    out_dir = args.out or run.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    data = [(img, vol) for img, vol, _ in
+            make_dataset(doc, run.scene.num_samples, seed)]
+    teacher = init_params(config, seed=run.teacher_seed)
     student = teacher.copy()
     if plan.mode == "lora":
         from .encoder import apply_lora, lora_sites_for
@@ -230,16 +221,16 @@ def cmd_train(args) -> int:
                              lora_sites_for(config, *plan.lora_sites),
                              seed=seed)
     state = TrainState.create(student, plan)
-    state, history = train(teacher, state, data, tcfg, dcfg)
+    state, history = train(teacher, state, data, run.train, run.distill)
     head = init_head(config.embed_dim, seed)
     ckpt = os.path.join(out_dir, "checkpoint.evdt")
     save_checkpoint(ckpt, state, extra_meta={"seed": seed},
                     extra_tensors=head)
     csv_path = os.path.join(out_dir, "loss.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fields = sorted({k for row in history for k in row},
-                        key=lambda k: (k != "step", k))
-        w = csv.DictWriter(fh, fieldnames=fields)
+        columns = sorted({k for row in history for k in row},
+                         key=lambda k: (k != "step", k))
+        w = csv.DictWriter(fh, fieldnames=columns)
         w.writeheader()
         w.writerows(history)
     with open(os.path.join(out_dir, "config.resolved.yaml"), "w",
@@ -253,21 +244,21 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.pred_dir:
         return _eval_mask_dirs(args)
-    if not args.checkpoint:
-        print("eval: need --checkpoint or --pred-dir", file=sys.stderr)
+    if not (args.checkpoint and args.config):
+        print("eval: need --checkpoint with --config, or --pred-dir",
+              file=sys.stderr)
         return 2
-    doc = load_config(args.config)
+    doc, run = load_run(args.config)
     state, meta, extra = load_checkpoint(args.checkpoint)
-    config = state.params.config
-    if _model_config(doc) != config:
+    if run.model != state.params.config:
         raise ConfigError("config/checkpoint model shapes differ")
-    head = {"head.w": extra["head.w"].astype(np.float64),
-            "head.b": extra["head.b"].astype(np.float64)}
-    seed = doc.get("seed", 0)
-    n = doc.get("scene", {}).get("num_samples", 8)
+    if "head.w" not in extra or "head.b" not in extra:
+        raise DumpFormatError("checkpoint lacks the mask head head.w/head.b")
+    head = {k: extra[k].astype(np.float64) for k in ("head.w", "head.b")}
     reports = []
     per_frame = []
-    for i, (image, vol, spec) in enumerate(make_dataset(doc, n, seed)):
+    samples = make_dataset(doc, run.scene.num_samples, run.seed)
+    for i, (image, vol, spec) in enumerate(samples):
         gt = synth.ground_truth_masks(spec, spec.window_ms)
         pred = predict_masks(state.params, head, vol)
         if pred is None:
@@ -361,7 +352,7 @@ _PARAM_ROWS = [
 
 def cmd_params(args) -> int:
     if args.config:
-        config = _model_config(load_config(args.config))
+        config = load_run(args.config)[1].model
     else:
         from .encoder import VIT_B
         config = VIT_B
@@ -398,8 +389,8 @@ def cmd_voxelize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc = load_config(args.config) if args.config else {}
-    spec = _scene_spec(doc, seed=args.seed)
+    run = load_run(args.config)[1] if args.config else RunConfig()
+    spec = _scene_spec(run.scene, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     frame = synth.render_frame(spec, spec.window_ms)
     stream = synth.generate_events(spec)
@@ -410,25 +401,22 @@ def cmd_synth(args) -> int:
     write_masks(os.path.join(args.out, "masks.rle"), masks.masks, masks.ids,
                 shape=(spec.height, spec.width))
     with open(os.path.join(args.out, "scene.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump({"scene": {
-            "height": spec.height, "width": spec.width,
-            "window_ms": spec.window_ms, "threshold": spec.threshold,
-            "background": spec.background, "noise_rate": spec.noise_rate,
-            "shapes": [asdict(s) for s in spec.shapes],
-        }, "seed": spec.seed}, fh, sort_keys=True)
+        scene = asdict(spec)
+        seed = scene.pop("seed")
+        yaml.safe_dump({"scene": scene, "seed": seed}, fh, sort_keys=True)
     print(f"wrote sample to {args.out}: {len(stream)} events, "
           f"{len(masks)} masks")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    doc = load_config(args.config) if args.config else {}
-    config = _model_config(doc) if doc.get("model") else ViTConfig(
+    doc, run = load_run(args.config) if args.config else ({}, RunConfig())
+    config = run.model if doc.get("model") else ViTConfig(
         img_size=8, patch_size=4, embed_dim=8, depth=2, num_heads=2,
         mlp_hidden=16)
-    plan = _plan(doc) if doc.get("plan") else TrainablePlan(
+    plan = run.plan if doc.get("plan") else TrainablePlan(
         mode="embed+mlps", layers=(1, 2))
-    dcfg = _distill_config(doc) if doc.get("distill") else DistillConfig(
+    dcfg = run.distill if doc.get("distill") else DistillConfig(
         layers=(0, 1, 2), gammas=(0.5, 1.0), mixing_ratio=0.25)
     err = pipeline_grad_check(config, plan, dcfg, seed=args.seed,
                               step=args.step)

@@ -24,8 +24,8 @@ ATTENTION_SOURCES = ("teacher", "student", "teacher_single_layer", "uniform")
 
 @dataclass
 class DistillConfig:
-    layers: tuple = (0, 3, 6, 9, 12)
-    gammas: tuple = (0.1, 0.4, 0.7, 1.0)   # for the nonzero layers, in order
+    layers: tuple[int, ...] = (0, 3, 6, 9, 12)
+    gammas: tuple[float, ...] = (0.1, 0.4, 0.7, 1.0)   # for the nonzero layers, in order
     gamma0: float = 1.0                     # layer-0 weight, always uniform
     beta: float = 0.5
     mixing_ratio: float = 0.1
@@ -36,6 +36,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.attention_source not in ATTENTION_SOURCES:
             raise ValueError(f"unknown attention source: {self.attention_source}")
+        if any(s < 0 for s in self.layers):
+            raise ValueError("layers must be >= 0")
         if not 0.0 <= self.mixing_ratio <= 1.0:
             raise ValueError("mixing_ratio must lie in [0, 1]")
         nonzero = [s for s in self.layers if s != 0]

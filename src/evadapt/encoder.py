@@ -14,7 +14,7 @@ as an alternative to full fine-tuning of a site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,15 @@ class ViTConfig:
     mlp_hidden: int | None = None  # defaults to 4 * embed_dim
 
     def __post_init__(self):
+        if self.mlp_hidden is None:
+            object.__setattr__(self, "mlp_hidden", 4 * self.embed_dim)
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.img_size % self.patch_size != 0:
             raise ValueError("img_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
-        if self.mlp_hidden is None:
-            object.__setattr__(self, "mlp_hidden", 4 * self.embed_dim)
 
     @property
     def grid(self) -> int:
@@ -68,9 +71,9 @@ class TrainablePlan:
     matching the fine-tuning baselines.
     """
     mode: str = "embed+mlps"
-    layers: tuple = (3, 6, 9, 12)
+    layers: tuple[int, ...] = (3, 6, 9, 12)
     lora_rank: int = 16
-    lora_sites: tuple = ("mlps", (3, 6, 9, 12))
+    lora_sites: tuple[str, tuple[int, ...]] = ("mlps", (3, 6, 9, 12))
 
     def validate(self, config: ViTConfig):
         modes = {"none", "embed", "embed+mlps", "embed+blocks",

@@ -16,12 +16,20 @@ Tensor dump layout (all multi-byte integers little-endian):
 
 Mask files are text RLE over row-major cells: one instance per line,
 "id: start,len start,len ...".
+
+Run configurations and checkpoint metadata are plain mappings that
+`from_doc` turns into the dataclasses they describe.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
 import struct
+import types
+import typing
 
 import numpy as np
 
@@ -56,26 +64,32 @@ def write_dump(path, tensors: dict[str, np.ndarray], meta: dict | None = None):
 
 def read_dump(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise DumpFormatError(f"truncated {what}")
+            return fh.read(n)
+
         if fh.read(4) != MAGIC:
             raise DumpFormatError("bad magic bytes")
-        version, meta_len = struct.unpack("<HI", fh.read(6))
+        version, meta_len = struct.unpack("<HI", read(6, "header"))
         if version != VERSION:
             raise DumpFormatError(f"unsupported version {version}")
-        meta = json.loads(fh.read(meta_len)) if meta_len else {}
-        (count,) = struct.unpack("<I", fh.read(4))
+        meta = json.loads(read(meta_len, "metadata")) if meta_len else {}
+        (count,) = struct.unpack("<I", read(4, "entry count"))
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            code, rank = struct.unpack("<BB", fh.read(2))
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", read(2, f"name of entry {i}"))
+            name = read(name_len, f"name of entry {i}").decode()
+            code, rank = struct.unpack("<BB", read(2, f"dtype of '{name}'"))
             if code not in _DTYPES:
                 raise DumpFormatError(f"unknown dtype code {code}")
-            dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+            dims = struct.unpack(f"<{rank}Q",
+                                 read(8 * rank, f"dims of '{name}'"))
             dt = _DTYPES[code]
-            n = int(np.prod(dims)) if dims else 1
-            payload = fh.read(n * dt.itemsize)
-            if len(payload) != n * dt.itemsize:
-                raise DumpFormatError(f"truncated payload for '{name}'")
+            payload = read(math.prod(dims) * dt.itemsize,
+                           f"payload for '{name}'")
             tensors[name] = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
     return tensors, meta
 
@@ -134,12 +148,59 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_keys(doc: dict, allowed: dict, path: str = ""):
-    """Reject unknown keys recursively; `allowed` maps key -> sub-schema/None."""
+def from_doc(cls, doc, where: str = ""):
+    """Build dataclass `cls` from the mapping `doc` found at dotted `where`.
+
+    The init fields are the allowed keys and their annotations the types.
+    Every error, the class's own ValueError/TypeError too, names the key.
+    """
+    if not isinstance(doc, dict):
+        raise _mistyped(where or "config", "a mapping", doc)
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    kwargs = {}
     for key, value in doc.items():
-        here = f"{path}.{key}" if path else key
-        if key not in allowed:
+        here = f"{where}.{key}" if where else str(key)
+        if key not in names:
             raise ConfigError(f"unknown config key: {here}")
-        sub = allowed[key]
-        if isinstance(sub, dict) and isinstance(value, dict):
-            validate_keys(value, sub, here)
+        kwargs[key] = _convert(hints[key], value, here)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        # "epochs must be >= 1" from section train -> "train.epochs must ..."
+        sep = "." if where and str(e).split(" ")[0] in names else ": "
+        raise ConfigError(f"{where or 'config'}{sep}{e}") from None
+
+
+def _convert(tp, value, where: str):
+    """`value` as a `tp`: lists become tuples, mappings dataclasses, and an
+    int is taken where a float belongs (but a bool is not an int)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _convert(args[0], value, where)
+    if dataclasses.is_dataclass(tp):
+        return from_doc(tp, value, where)
+    if tp is not tuple and origin not in (tuple, list):
+        if tp is float and type(value) is int:
+            return float(value)
+        if type(value) is not tp:
+            raise _mistyped(where, tp.__name__, value)
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise _mistyped(where, "a list", value)
+    if not args:  # bare tuple: nested lists become tuples too
+        return tuple(_convert(tuple, v, where) if isinstance(v, list) else v
+                     for v in value)
+    if origin is list or args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    elif len(args) != len(value):
+        raise ConfigError(f"{where}: expected {len(args)} items, "
+                          f"got {len(value)}")
+    items = [_convert(t, v, f"{where}[{i}]")
+             for i, (t, v) in enumerate(zip(args, value))]
+    return items if origin is list else tuple(items)
+
+
+def _mistyped(where: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"{where}: expected {expected}, "
+                       f"got {type(value).__name__}")

@@ -19,7 +19,7 @@ from .distill import DistillConfig, distill_loss, mix_tokens
 from .encoder import (TrainablePlan, ViTConfig, ViTParams, apply_lora,
                       embed_image, forward_tokens, init_params,
                       lora_sites_for, mark_trainable, trainable_names)
-from .io import read_dump, write_dump
+from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 
 @dataclass
@@ -36,6 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "steps_per_epoch", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.decay_epoch > self.epochs:
@@ -164,13 +167,6 @@ def train(teacher: ViTParams, state: TrainState, data: list,
 
 # -- checkpointing ----------------------------------------------------------
 
-def _plan_meta(plan: TrainablePlan) -> dict:
-    d = asdict(plan)
-    d["layers"] = list(d["layers"])
-    d["lora_sites"] = [d["lora_sites"][0], list(d["lora_sites"][1])]
-    return d
-
-
 def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
                     extra_tensors: dict | None = None):
     tensors: dict[str, np.ndarray] = {}
@@ -183,7 +179,7 @@ def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
         tensors.update(extra_tensors)
     meta = {
         "model": asdict(state.params.config),
-        "plan": _plan_meta(state.plan),
+        "plan": asdict(state.plan),
         "step": state.step,
         "lora_sites": sorted(state.params.lora),
     }
@@ -195,34 +191,35 @@ def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
 def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     """Returns (state, meta, extra tensors not consumed by the state)."""
     tensors, meta = read_dump(path)
-    config = ViTConfig(**meta["model"])
-    pm = dict(meta["plan"])
-    pm["layers"] = tuple(pm["layers"])
-    pm["lora_sites"] = (pm["lora_sites"][0], tuple(pm["lora_sites"][1]))
-    plan = TrainablePlan(**pm)
+    missing = [k for k in ("model", "plan", "step") if k not in meta]
+    if missing:
+        raise DumpFormatError(
+            f"checkpoint metadata lacks {', '.join(missing)}")
+    config = from_doc(ViTConfig, meta["model"], "model")
+    plan = from_doc(TrainablePlan, meta["plan"], "plan")
     params = init_params(config, seed=0)
     if meta.get("lora_sites"):
-        params = apply_lora(params, pm["lora_rank"], meta["lora_sites"])
-    extra = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
+        params = apply_lora(params, plan.lora_rank, meta["lora_sites"])
     entries = params.all_entries()
-    for name, arr in tensors.items():
-        if name.startswith("param."):
-            key = name[len("param."):]
-            if key not in entries:
-                raise ValueError(f"checkpoint parameter '{key}' not in model")
-            entries[key].data = arr.astype(np.float64)
-        elif name.startswith("adam.m."):
-            m[name[len("adam.m."):]] = arr.astype(np.float64)
-        elif name.startswith("adam.v."):
-            v[name[len("adam.v."):]] = arr.astype(np.float64)
-        else:
-            extra[name] = arr
-    state = TrainState(params=params, plan=plan, m=m, v=v,
+    names = trainable_names(config, plan)
+    wanted = [f"param.{n}" for n in entries] + \
+        [f"adam.{mv}.{n}" for mv in "mv" for n in names]
+    missing = [w for w in wanted if w not in tensors]
+    if missing:
+        raise DumpFormatError(f"checkpoint lacks {', '.join(missing)}")
+    got = {w: tensors.pop(w).astype(np.float64) for w in wanted}
+    stray = [n for n in tensors if n.startswith(("param.", "adam."))]
+    if stray:
+        raise DumpFormatError(
+            f"checkpoint entries not in the model: {', '.join(stray)}")
+    for name, t in entries.items():
+        t.data = got[f"param.{name}"]
+    state = TrainState(params=params, plan=plan,
+                       m={n: got[f"adam.m.{n}"] for n in names},
+                       v={n: got[f"adam.v.{n}"] for n in names},
                        step=int(meta["step"]))
     mark_trainable(params, plan)
-    return state, meta, extra
+    return state, meta, tensors
 
 
 def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,

@@ -17,6 +17,18 @@ def naive_matmul(a, b):
     return out
 
 
+class TestIndexing:
+    def test_repeated_index_accumulates(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        x[[0, 2, 0]].sum().backward()
+        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_basic_index_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        (x[1, 1:] * 2.0).sum().backward()
+        assert np.array_equal(x.grad, [[0, 0, 0], [0, 2, 2]])
+
+
 class TestMatmul:
     def test_identity(self):
         m = np.array([[2.0, 3.0], [4.0, 5.0]])

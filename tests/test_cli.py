@@ -1,11 +1,16 @@
+import copy
 import json
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from evadapt.cli import main
-from evadapt.io import read_dump, write_dump, write_masks
+from evadapt.cli import RunConfig, load_config, load_run, main
+from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
 
 TINY_DOC = {
     "seed": 0,
@@ -156,6 +161,73 @@ class TestErrorHandling:
         assert main(["train", "--config", str(p)]) == 1
         assert "model.imgsize" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("train.steps_per_epoch", 0),
+        ("train.epochs", 0),
+        ("train.batch_size", 0),
+        ("train.lr", "abc"),
+        ("model.patch_size", 0),
+        ("scene.num_samples", 0),
+        ("events.bins", 0),
+        ("distill.layers", 3),
+        ("distill.layers", [0, -1, 2]),
+        ("scene.seed", 1),
+        ("scene.shapes", [{"kind": "disk"}]),
+        ("plan.lora_sites", {"kind": "mlps", "layers": [1]}),
+        ("model", [8, 4]),
+        ("config", [1, 2]),
+    ])
+    def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
+        doc = copy.deepcopy(TINY_DOC)
+        doc["events"] = {"bins": 3}
+        if key == "config":
+            doc = value
+        elif "." in key:
+            section, name = key.split(".")
+            doc[section][name] = value
+        else:
+            doc[key] = value
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(p),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_yaml_syntax_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text("seed: [1\n")
+        assert main(["train", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+    def test_truncated_checkpoint(self, tmp_path, config, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        ck = out / "checkpoint.evdt"
+        ck.write_bytes(ck.read_bytes()[:7])
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: truncated header\n"
+
+    def test_eval_checkpoint_needs_config(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path / "c.evdt")]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_eval_checkpoint_without_head(self, tmp_path, config, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        ck = out / "checkpoint.evdt"
+        tensors, meta = read_dump(ck)
+        del tensors["head.b"]
+        write_dump(ck, tensors, meta=meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
+        err = capsys.readouterr().err
+        assert "head.b" in err and err.count("\n") == 1
+
     def test_bad_checkpoint_magic(self, tmp_path, config, capsys):
         ck = tmp_path / "bad.evdt"
         ck.write_bytes(b"JUNKJUNKJUNK")
@@ -191,3 +263,68 @@ class TestErrorHandling:
         assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
                      "--pred-dir", str(tmp_path / "pred")]) == 1
         assert "dimensions differ" in capsys.readouterr().err
+
+
+def _keys(cls) -> set:
+    """Every field name of a dataclass and the dataclasses nested in it."""
+    keys = set()
+    for f in fields(cls):
+        keys.add(f.name)
+        tp = get_type_hints(cls)[f.name]
+        for t in (tp, *get_args(tp)):
+            if is_dataclass(t):
+                keys |= _keys(t)
+    return keys
+
+
+KEYS = sorted(_keys(RunConfig) | {"bogus"})
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+           | st.sampled_from(["", "abc", "lora", "mlps", "teacher", "disk"]))
+FLAT = st.dictionaries(st.sampled_from(KEYS), SCALARS, max_size=3)
+SECTIONS = st.sampled_from([f.name for f in fields(RunConfig)])
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=5),
+    max_leaves=25)
+
+
+class TestRunConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCS)
+    def test_fuzz_raises_only_config_error(self, doc):
+        try:
+            assert isinstance(from_doc(RunConfig, doc), RunConfig)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(SECTIONS, st.dictionaries(
+        st.sampled_from(KEYS), SCALARS | st.lists(SCALARS | FLAT, max_size=3),
+        max_size=4), max_size=3))
+    def test_fuzz_sections_raise_only_config_error(self, doc):
+        try:
+            from_doc(RunConfig, doc)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parent.parent
+                        / "configs").glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_configs_build(self, path):
+        doc, run = load_run(path)
+        assert doc == load_config(path)
+        assert run.train.seed == doc.get("train", {}).get("seed", run.seed)
+        assert run.model.img_size == run.scene.height == run.scene.width
+
+    def test_train_seed_defaults_to_run_seed(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("seed: 5\ntrain: {lr: 0.5}\n")
+        assert load_run(p)[1].train.seed == 5
+        p.write_text("seed: 5\ntrain: {seed: 2}\n")
+        assert load_run(p)[1].train.seed == 2
+
+    def test_lora_sites_list_form(self):
+        run = from_doc(RunConfig, {"plan": {"mode": "lora",
+                                            "lora_sites": ["blocks", [1, 2]]}})
+        assert run.plan.lora_sites == ("blocks", (1, 2))

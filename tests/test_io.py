@@ -1,8 +1,11 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from evadapt.io import (ConfigError, DumpFormatError, read_dump, read_masks,
-                        validate_keys, write_dump, write_masks)
+from evadapt.io import (ConfigError, DumpFormatError, from_doc, read_dump,
+                        read_masks, write_dump, write_masks)
 
 
 class TestTensorDump:
@@ -57,6 +60,44 @@ class TestTensorDump:
         with pytest.raises(DumpFormatError, match="truncated"):
             read_dump(p)
 
+    def test_seven_byte_file(self, tmp_path):
+        p = tmp_path / "d.evdt"
+        write_dump(p, {"x": np.zeros(2)})
+        p.write_bytes(p.read_bytes()[:7])
+        with pytest.raises(DumpFormatError, match="truncated header"):
+            read_dump(p)
+
+    def test_dims_beyond_file_end(self, tmp_path):
+        # a corrupt dim must not make the reader ask for 2**64 bytes
+        p = tmp_path / "d.evdt"
+        write_dump(p, {"x": np.zeros(2)})
+        raw = bytearray(p.read_bytes())
+        raw[-24:-16] = b"\xff" * 8
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DumpFormatError, match="truncated payload"):
+            read_dump(p)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from([np.float32, np.float64]),
+                              st.lists(st.integers(0, 3), max_size=3)),
+                    max_size=3),
+           st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+           st.data())
+    def test_any_prefix_raises_only_format_error(self, tmp_path, entries,
+                                                 meta, data):
+        p = tmp_path / "d.evdt"
+        write_dump(p, {f"t{i}é": np.ones(dims, dtype)
+                       for i, (dtype, dims) in enumerate(entries)}, meta=meta)
+        raw = p.read_bytes()
+        cut = data.draw(st.integers(0, len(raw)))
+        p.write_bytes(raw[:cut])
+        if cut == len(raw):
+            assert len(read_dump(p)[0]) == len(entries)
+        else:
+            with pytest.raises(DumpFormatError):
+                read_dump(p)
+
     def test_integer_tensor_rejected(self, tmp_path):
         with pytest.raises(DumpFormatError, match="dtype"):
             write_dump(tmp_path / "d.evdt", {"x": np.arange(3)})
@@ -108,16 +149,68 @@ class TestMaskFiles:
             read_masks(p)
 
 
-class TestConfigValidation:
-    SCHEMA = {"a": None, "nest": {"x": None, "y": {"deep": None}}}
+@dataclass
+class Deep:
+    deep: int = 0
 
+
+@dataclass
+class Nest:
+    x: float = 0.0
+    y: Deep = field(default_factory=Deep)
+
+
+@dataclass
+class Doc:
+    a: int = 0
+    nest: Nest = field(default_factory=Nest)
+    pair: tuple[str, tuple[int, ...]] = ("k", ())
+    nests: list[Nest] = field(default_factory=list)
+    limit: int | None = None
+    loose: tuple = ()
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError("a must be >= 0")
+
+
+class TestConfigValidation:
     def test_valid_passes(self):
-        validate_keys({"a": 1, "nest": {"x": 2, "y": {"deep": 3}}}, self.SCHEMA)
+        got = from_doc(Doc, {"a": 1, "nest": {"x": 2, "y": {"deep": 3}},
+                             "pair": ["m", [1, 2]], "nests": [{"x": 0.5}],
+                             "limit": 4, "loose": [1, ["s", [2]]]})
+        assert got == Doc(a=1, nest=Nest(x=2.0, y=Deep(deep=3)),
+                          pair=("m", (1, 2)), nests=[Nest(x=0.5)], limit=4,
+                          loose=(1, ("s", (2,))))
+        assert type(got.nest.x) is float
+        assert from_doc(Doc, {"limit": None}).limit is None
 
     def test_unknown_top_level(self):
         with pytest.raises(ConfigError, match="unknown config key: b"):
-            validate_keys({"b": 1}, self.SCHEMA)
+            from_doc(Doc, {"b": 1})
 
     def test_unknown_nested_names_dotted_path(self):
         with pytest.raises(ConfigError, match="nest.y.wrong"):
-            validate_keys({"nest": {"y": {"wrong": 1}}}, self.SCHEMA)
+            from_doc(Doc, {"nest": {"y": {"wrong": 1}}})
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"a": True}, "a: expected int, got bool"),
+        ({"a": 1.5}, "a: expected int, got float"),
+        ({"nest": {"x": "abc"}}, "nest.x: expected float, got str"),
+        ({"nest": [1]}, "nest: expected a mapping, got list"),
+        ({"pair": "m"}, "pair: expected a list, got str"),
+        ({"pair": ["m"]}, "pair: expected 2 items, got 1"),
+        ({"pair": ["m", [1, "2"]]}, r"pair\[1\]\[1\]: expected int"),
+        ({"nests": [{"y": {"deep": None}}]}, r"nests\[0\].y.deep: expected"),
+        ({"limit": 2.0}, "limit: expected int"),
+        ({"a": -1}, "a must be >= 0"),
+    ])
+    def test_mistyped_value_names_key(self, doc, where):
+        with pytest.raises(ConfigError, match=where):
+            from_doc(Doc, doc, "")
+
+    def test_section_check_names_section(self):
+        with pytest.raises(ConfigError, match=r"^run.a must be >= 0$"):
+            from_doc(Doc, {"a": -1}, "run")
+        with pytest.raises(ConfigError, match="^run: expected a mapping"):
+            from_doc(Doc, 3, "run")

@@ -6,6 +6,7 @@ import pytest
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import TrainablePlan, ViTConfig, init_params
+from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (FULL_PROFILE, TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
                              pipeline_grad_check, save_checkpoint, train)
@@ -190,6 +191,45 @@ class TestCheckpointResume:
         for name, t in state.params.all_entries().items():
             assert np.array_equal(loaded.params.all_entries()[name].data,
                                   t.data), name
+
+
+    @pytest.mark.parametrize("dropped", [
+        ["param.block.1.mlp1.w"],
+        ["param.pos", "param.block.2.ln1.g"],
+        ["adam.m.embed.w"],
+        ["adam.v.block.2.mlp2.b", "adam.m.block.1.mlp1.b"],
+    ])
+    def test_missing_entries_listed(self, tmp_path, dropped):
+        # these used to load silently: a parameter kept its seed-0 init
+        # values, a parameter without Adam moments was never updated
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        for name in dropped:
+            del tensors[name]
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(DumpFormatError) as exc:
+            load_checkpoint(ck)
+        msg = str(exc.value)
+        assert msg.startswith("checkpoint lacks ")
+        assert sorted(msg[len("checkpoint lacks "):].split(", ")) == \
+            sorted(dropped)
+
+    def test_stray_entry_rejected(self, tmp_path):
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state(), extra_tensors={
+            "adam.m.pos": np.zeros((4, 8)), "head.w": np.ones(8)})
+        with pytest.raises(DumpFormatError, match="not in the model: adam.m.pos"):
+            load_checkpoint(ck)
+
+    def test_missing_metadata_named(self, tmp_path):
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        del meta["plan"]
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(DumpFormatError, match="metadata lacks plan"):
+            load_checkpoint(ck)
 
 
 class TestPipelineGradCheck:
