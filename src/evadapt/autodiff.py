@@ -155,10 +155,15 @@ class Tensor:
 
     def __getitem__(self, key):
         out_data = self.data[key]
+        basic = all(isinstance(k, (int, np.integer, slice))
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def bw(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)  # an index array may repeat an element
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)  # an index array may repeat an element
             return (full,)
 
         return Tensor._from_op(out_data, (self,), bw)
@@ -217,9 +222,7 @@ class Tensor:
             for p, g in zip(node._parents, grads):
                 if not p.requires_grad:
                     continue
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-                p.grad = p.grad + g
+                p.grad = g if p.grad is None else p.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -240,12 +243,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        if a.ndim == 2 and b.ndim == 2:
-            return (g @ b.data.T, a.data.T @ g)
-        # batched case: contract over the batch axes for 2-d operands
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        # a frozen operand gets no gradient: backward() skips it anyway
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return (ga, gb)
 
     return Tensor._from_op(out_data, (a, b), bw)
 
@@ -254,9 +258,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by row-max subtraction."""
     x = _wrap(x)
     check_finite(x.data, "softmax input")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)   # fresh buffer
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -296,12 +300,12 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU; the backward differentiates the approximation."""
     x = _wrap(x)
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    th = np.tanh(u)
+    x2 = x.data * x.data     # cube as x2 * x: numpy's pow is generic and slow
+    th = np.tanh(_GELU_C * (x.data + 0.044715 * (x2 * x.data)))
     out_data = 0.5 * x.data * (1.0 + th)
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
         d = 0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th ** 2) * du
         return (g * d,)
 

@@ -41,6 +41,7 @@ class SceneConfig(synth.SceneSpec):
     num_samples: int = 8
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
 
@@ -81,9 +82,11 @@ def load_run(path) -> tuple[dict, RunConfig]:
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: {' '.join(str(e).split())}") from None
+    if doc is None:  # an empty file
+        doc = {}
     run = from_doc(RunConfig, doc)
     if "seed" not in doc.get("train", {}):
         run.train.seed = run.seed

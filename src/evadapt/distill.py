@@ -10,7 +10,7 @@ treated as constants regardless of which network's attention sourced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class DistillConfig:
     mixing_ratio: float = 0.1
     attention_source: str = "teacher"
     rollout_horizon: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.attention_source not in ATTENTION_SOURCES:

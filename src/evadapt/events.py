@@ -108,13 +108,21 @@ def read_events(path) -> tuple[list[Event], tuple[int, int] | None]:
     dims = None
     last_t = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise EventFormatError(f"byte {e.start}: not UTF-8") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 m = _HEADER_RE.search(line)
                 if m:
+                    if events or dims is not None:
+                        raise EventFormatError(
+                            f"line {lineno}: a second header, or a header "
+                            f"after the first event")
                     dims = (int(m.group(1)), int(m.group(2)))
                 continue
             parts = line.split(",")

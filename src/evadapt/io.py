@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import types
 import typing
@@ -37,6 +38,7 @@ MAGIC = b"EVDT"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_MASK_HEADER = re.compile(r"#\s*H=(\d+)\s+W=(\d+)")
 
 
 class DumpFormatError(ValueError):
@@ -113,30 +115,45 @@ def write_masks(path, masks, ids=None, shape=None):
 
 
 def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
+    """Parse an RLE mask file; errors raise DumpFormatError naming the line."""
     shape = None
     masks, ids = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DumpFormatError(f"byte {e.start}: not UTF-8") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                parts = dict(p.split("=") for p in line[1:].split())
-                shape = (int(parts["H"]), int(parts["W"]))
+                m = _MASK_HEADER.fullmatch(line)
+                if m is None or shape is not None:
+                    raise DumpFormatError(
+                        f"line {lineno}: expected one '# H=.. W=..' header")
+                shape = (int(m.group(1)), int(m.group(2)))
                 continue
             if shape is None:
                 raise DumpFormatError("mask file missing '# H=.. W=..' header")
-            head, _, runs = line.partition(":")
+            head, _, body = line.partition(":")
+            try:
+                mid = int(head)
+                runs = [[int(v) for v in run.split(",")]
+                        for run in body.split()]
+            except ValueError:
+                raise DumpFormatError(
+                    f"line {lineno}: expected 'id: start,len ...'") from None
             flat = np.zeros(shape[0] * shape[1], dtype=bool)
-            for run in runs.split():
-                start, length = (int(v) for v in run.split(","))
-                if start < 0 or length < 1 or start + length > flat.size:
+            for run in runs:
+                if (len(run) != 2 or run[0] < 0 or run[1] < 1
+                        or sum(run) > flat.size):
                     raise DumpFormatError(
-                        f"line {lineno}: run {run!r} is empty or outside the "
-                        f"{shape[0]}x{shape[1]} grid")
-                flat[start:start + length] = True
+                        f"line {lineno}: run {run} is not a nonempty start,len "
+                        f"inside the {shape[0]}x{shape[1]} grid")
+                flat[run[0]:sum(run)] = True
             masks.append(flat.reshape(shape))
-            ids.append(int(head))
+            ids.append(mid)
     if shape is None:
         raise DumpFormatError("empty mask file")
     return masks, ids, shape

@@ -29,19 +29,32 @@ class SignificanceVector:
 
 
 def transition_stack(attentions: list[np.ndarray]) -> list[np.ndarray]:
-    """Transpose head-averaged attention matrices into transition matrices."""
+    """Transpose head-averaged attention matrices into transition matrices.
+
+    The transitions are transposed views of the attention arrays, not copies.
+    """
     stack = []
     for a in attentions:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"attention matrix must be square, got {a.shape}")
-        stack.append(a.T.copy())
+        stack.append(a.T)
     return stack
 
 
 def _check_range(name, v):
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
+
+
+def _layers(stack: list[np.ndarray], s: int,
+            horizon: int | None = None) -> list[np.ndarray]:
+    """P^(s) .. P^(n), truncated to `horizon` layers when it is set."""
+    n = len(stack)
+    if not 1 <= s <= n:
+        raise ValueError(f"source layer {s} out of range 1..{n}")
+    mats = stack[s - 1:]
+    return mats if horizon is None else mats[:horizon]
 
 
 def transition_exact(stack: list[np.ndarray], s: int,
@@ -51,24 +64,19 @@ def transition_exact(stack: list[np.ndarray], s: int,
     Returns the left-to-right product over i = s..n of
     (alpha_i * P^(i) + (1 - alpha_i) * I).
     """
-    n = len(stack)
-    if not 1 <= s <= n:
-        raise ValueError(f"source layer {s} out of range 1..{n}")
-    if len(alphas) != n - s + 1:
-        raise ValueError(f"need {n - s + 1} alphas, got {len(alphas)}")
+    mats = _layers(stack, s)
+    if len(alphas) != len(mats):
+        raise ValueError(f"need {len(mats)} alphas, got {len(alphas)}")
     k = stack[0].shape[0]
     out = np.eye(k)
-    for p, a in zip(stack[s - 1:], alphas):
+    for p, a in zip(mats, alphas):
         _check_range("alpha", a)
         out = out @ (a * p + (1.0 - a) * np.eye(k))
     return out
 
 
-def _product(stack: list[np.ndarray], s: int, horizon: int | None = None) -> np.ndarray:
-    mats = stack[s - 1:]
-    if horizon is not None:
-        mats = mats[:horizon]
-    out = np.eye(stack[0].shape[0])
+def _product(mats: list[np.ndarray], k: int) -> np.ndarray:
+    out = np.eye(k)
     for p in mats:
         out = out @ p
     return out
@@ -81,24 +89,10 @@ def transition_approx(stack: list[np.ndarray], s: int,
 
     horizon, when set, truncates the product to that many layers past s.
     """
-    n = len(stack)
-    if not 1 <= s <= n:
-        raise ValueError(f"source layer {s} out of range 1..{n}")
+    mats = _layers(stack, s, horizon)
     _check_range("beta", beta)
     k = stack[0].shape[0]
-    return beta * _product(stack, s, horizon) + (1.0 - beta) * np.eye(k)
-
-
-def _project(h: np.ndarray, e: np.ndarray | None) -> np.ndarray:
-    k = h.shape[0]
-    if e is None:
-        e = np.ones(k)
-    e = np.asarray(e, dtype=np.float64)
-    if np.any(e < 0):
-        raise ValueError("importance vector e must be nonnegative")
-    if e.shape != (k,):
-        raise ValueError(f"e must have length {k}")
-    return h @ e
+    return beta * _product(mats, k) + (1.0 - beta) * np.eye(k)
 
 
 def token_significance(stack: list[np.ndarray], s: int,
@@ -106,20 +100,35 @@ def token_significance(stack: list[np.ndarray], s: int,
                        e: np.ndarray | None = None,
                        horizon: int | None = None,
                        attention_source: str = "teacher") -> SignificanceVector:
-    """Per-token weight of layer-s tokens on the final layer's output."""
-    h = transition_approx(stack, s, beta, horizon)
-    return SignificanceVector(values=_project(h, e), source_layer=s,
-                              beta=beta, attention_source=attention_source)
+    """Per-token weight of layer-s tokens on the final layer's output.
+
+    Equals transition_approx(stack, s, beta, horizon) @ e, evaluated right
+    to left as one matrix-vector product per layer: O(n k^2), not O(n k^3).
+    """
+    mats = _layers(stack, s, horizon)
+    _check_range("beta", beta)
+    k = stack[0].shape[0]
+    e = np.ones(k) if e is None else np.asarray(e, dtype=np.float64)
+    if np.any(e < 0):
+        raise ValueError("importance vector e must be nonnegative")
+    if e.shape != (k,):
+        raise ValueError(f"e must have length {k}")
+    v = e
+    for p in reversed(mats):
+        v = p @ v
+    return SignificanceVector(values=beta * v + (1.0 - beta) * e,
+                              source_layer=s, beta=beta,
+                              attention_source=attention_source)
 
 
 def significance_single_layer(attn: np.ndarray, beta: float = DEFAULT_BETA,
                               e: np.ndarray | None = None,
                               source_layer: int = 0) -> SignificanceVector:
     """Single-layer variant: only that layer's attention enters the product."""
-    stack = transition_stack([attn])
-    h = transition_approx(stack, 1, beta)
-    return SignificanceVector(values=_project(h, e), source_layer=source_layer,
-                              beta=beta, attention_source="teacher_single_layer")
+    sig = token_significance(transition_stack([attn]), 1, beta, e,
+                             attention_source="teacher_single_layer")
+    sig.source_layer = source_layer
+    return sig
 
 
 def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:
@@ -130,7 +139,7 @@ def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:
     """
     if not stack:
         raise ValueError("stack must be nonempty")
-    full = _product(stack, 1)
+    full = _product(stack, stack[0].shape[0])
     out = np.empty(len(stack))
     prefix = np.eye(stack[0].shape[0])
     for i, p in enumerate(stack):

@@ -53,6 +53,13 @@ class SceneSpec:
     noise_rate: float = 0.0     # expected noise events per pixel per ms
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("height", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.window_ms > 0:
+            raise ValueError("window_ms must be > 0")
+
 
 def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
     """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""

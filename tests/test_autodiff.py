@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evadapt.autodiff import (NonFiniteError, Tensor, grad_check, matmul,
-                              softmax_rows)
+from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, gelu,
+                              grad_check, matmul, softmax_rows)
 
 
 def naive_matmul(a, b):
@@ -27,6 +27,32 @@ class TestIndexing:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         (x[1, 1:] * 2.0).sum().backward()
         assert np.array_equal(x.grad, [[0, 0, 0], [0, 2, 2]])
+
+
+    @pytest.mark.parametrize("key", [
+        1, -2, slice(1, 3), (1, slice(None, None, 2)), (0, 2),
+        ([0, 2, 0],), (slice(None), [1, 1, 3]),
+    ], ids=["int", "negative-int", "slice", "tuple", "int-tuple",
+            "repeated-array", "slice-and-repeated-array"])
+    def test_key_gradient(self, key):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal(np.shape(x.data[key])))
+        (x[key] * w).sum().backward()
+        want = np.zeros((3, 4))
+        np.add.at(want, key, w.data)
+        assert np.array_equal(x.grad, want)
+        assert grad_check(lambda: (x[key] * w).sum(), [x]) <= 1e-8
+
+    def test_int_key_on_transposed_view(self):
+        # the attention block indexes q, k, v out of a transposed view
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        y = x.transpose((1, 0, 2))
+        (y[0] * 2.0 + y[2]).sum().backward()
+        want = np.zeros((2, 3, 4))
+        want[:, 0] = 2.0
+        want[:, 2] = 1.0
+        assert np.array_equal(x.grad, want)
 
 
 class TestMatmul:
@@ -62,7 +88,56 @@ class TestMatmul:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1, np.abs(want).max())
 
 
+    @pytest.mark.parametrize("frozen", ["left", "right"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_frozen_operand_gets_no_gradient(self, frozen, batched):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((2, 3, 4) if batched else (3, 4)),
+                   requires_grad=frozen == "right")
+        b = Tensor(rng.standard_normal((4, 2)), requires_grad=frozen == "left")
+        w = Tensor(rng.standard_normal((2, 3, 2) if batched else (3, 2)))
+        out = matmul(a, b)
+        # the frozen side's gradient GEMM is skipped, not computed and dropped
+        grads = out._backward(w.data)
+        assert (grads[0] is None) == (frozen == "left")
+        assert (grads[1] is None) == (frozen == "right")
+        (out * w).sum().backward()
+        trained, fixed = (b, a) if frozen == "left" else (a, b)
+        assert fixed.grad is None
+        assert grad_check(lambda: (matmul(a, b) * w).sum(), [trained]) <= 1e-8
+
+
+class TestGelu:
+    def test_close_to_pow_formula(self):
+        x = np.concatenate([np.random.default_rng(6).uniform(-10, 10, 20000),
+                            [0.0, -0.0, 1e-300, -3.0, 1e3, -1e3]])
+        got = gelu(Tensor(x)).data
+        want = 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x ** 3)))
+        err = np.abs(got - want)
+        # in the negative tail 1 + tanh cancels, so the output's own ulp is
+        # meaningless there; |x| bounds the output and sets the scale
+        assert np.all(err <= 4 * np.spacing(np.abs(x)))
+        pos = x >= 0
+        assert np.all(err[pos] <= 4 * np.spacing(np.abs(want[pos])))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.uniform(-4, 4, (3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)))
+        assert grad_check(lambda: (gelu(x) * w).sum(), [x]) <= 1e-8
+
+
 class TestSoftmax:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_out_of_place(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(tuple(rng.integers(1, 6, rng.integers(1, 4))))
+        z = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert softmax_rows(Tensor(x)).data.tobytes() == want.tobytes()
+
     def test_symmetric_row(self):
         out = softmax_rows(Tensor([[0.0, 0.0]])).data
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)

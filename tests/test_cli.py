@@ -176,6 +176,10 @@ class TestErrorHandling:
         ("plan.lora_sites", {"kind": "mlps", "layers": [1]}),
         ("model", [8, 4]),
         ("config", [1, 2]),
+        ("scene.height", 0),
+        ("scene.width", 0),
+        ("scene.window_ms", 0),
+        ("distill.seed", 7),
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)
@@ -194,6 +198,28 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_synth_empty_scene_rejected(self, tmp_path, capsys):
+        p = tmp_path / "empty.yaml"
+        p.write_text(yaml.safe_dump({"scene": {"height": 0, "width": 0}}))
+        assert main(["synth", "--config", str(p),
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scene.height must be >= 1\n"
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text", ["0\n", "false\n", '""\n'])
+    def test_falsy_document_not_a_mapping(self, tmp_path, capsys, text):
+        p = tmp_path / "falsy.yaml"
+        p.write_text(text)
+        assert main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "expected a mapping" in err and err.count("\n") == 1
+
+    def test_empty_file_is_empty_mapping(self, tmp_path):
+        p = tmp_path / "empty.yaml"
+        p.write_text("")
+        assert load_run(p)[0] == {}
 
     def test_yaml_syntax_error(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"

@@ -128,6 +128,15 @@ class TestReadEvents:
         with pytest.raises(EventFormatError, match="out of bounds"):
             read_events(p)
 
+    @pytest.mark.parametrize("text", ["5,3,3,1\n# H=4 W=4\n6,0,0,1\n",
+                                      "# H=4 W=4\n# H=8 W=8\n5,6,6,1\n"])
+    def test_late_or_second_header_rejected(self, tmp_path, text):
+        # events read before a late header would escape its bounds check
+        p = tmp_path / "e.txt"
+        p.write_text(text)
+        with pytest.raises(EventFormatError, match="line 2"):
+            read_events(p)
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("1,2,3\n")

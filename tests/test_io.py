@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from evadapt.events import Event, EventFormatError, read_events, write_events
 from evadapt.io import (ConfigError, DumpFormatError, from_doc, read_dump,
                         read_masks, write_dump, write_masks)
 
@@ -147,6 +148,67 @@ class TestMaskFiles:
         p.write_text("")
         with pytest.raises(DumpFormatError, match="empty"):
             read_masks(p)
+
+
+# bytes the text formats give meaning to, plus any byte at all
+_BYTES = st.sampled_from(list(b"0123456789,:#HW= -\n\r")) | st.integers(0, 255)
+
+
+def _mutate(data, raw: bytes) -> bytes:
+    """raw with up to four bytes replaced, deleted or inserted, then cut."""
+    b = bytearray(raw)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(b)))
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "insert" or i == len(b):
+            b.insert(i, data.draw(_BYTES))
+        elif op == "replace":
+            b[i] = data.draw(_BYTES)
+        else:
+            del b[i]
+    return bytes(b[:data.draw(st.integers(0, len(b)))])
+
+
+class TestTextFormatFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 3), st.data())
+    def test_mutated_masks_raise_only_format_error(self, tmp_path, H, W, n,
+                                                    data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        p = tmp_path / "m.rle"
+        write_masks(p, [rng.random((H, W)) < 0.5 for _ in range(n)],
+                    shape=(H, W))
+        p.write_bytes(_mutate(data, p.read_bytes()))
+        try:
+            masks, ids, shape = read_masks(p)
+        except DumpFormatError:
+            return
+        assert len(ids) == len(masks)
+        assert all(m.shape == shape and m.dtype == bool for m in masks)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3),
+                              st.integers(0, 3), st.sampled_from([-1, 1])),
+                    max_size=5),
+           st.booleans(), st.data())
+    def test_mutated_events_raise_only_format_error(self, tmp_path, rows,
+                                                     header, data):
+        p = tmp_path / "e.txt"
+        write_events(p, [Event(*r) for r in sorted(rows)],
+                     dims=(4, 4) if header else None)
+        p.write_bytes(_mutate(data, p.read_bytes()))
+        try:
+            events, dims = read_events(p)
+        except EventFormatError:
+            return
+        ts = [e.t for e in events]
+        assert ts == sorted(ts) and all(t >= 0 for t in ts)
+        assert all(e.p in (-1, 1) for e in events)
+        if dims is not None:
+            assert all(0 <= e.x < dims[1] and 0 <= e.y < dims[0]
+                       for e in events)
 
 
 @dataclass

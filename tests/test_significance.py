@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evadapt.significance import (convergence_diagnostic,
                                   significance_single_layer,
@@ -146,6 +147,27 @@ class TestTokenSignificance:
         want = (stack[0] @ stack[1] @ stack[2]) @ np.ones(3)
         assert np.allclose(trunc, want, atol=1e-14)
         assert not np.allclose(trunc, full, atol=1e-6)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 6),
+           st.floats(0.0, 1.0, allow_subnormal=False),
+           st.sampled_from([None, 1, "past top"]))
+    def test_matvec_matches_matrix_form(self, seed, k, depth, beta, horizon):
+        rng = np.random.default_rng(seed)
+        stack = transition_stack(random_attention_stack(rng, k, depth))
+        e = rng.random(k) * rng.integers(0, 2, k)   # nonuniform, some zeros
+        for s in range(1, depth + 1):
+            h = depth + 3 if horizon == "past top" else horizon
+            got = token_significance(stack, s, beta, e=e, horizon=h).values
+            want = transition_approx(stack, s, beta, h) @ e
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_stack_is_views_of_the_attention(self):
+        attn = [np.array([[0.25, 0.75], [0.5, 0.5]])]
+        stack = transition_stack(attn)
+        assert np.shares_memory(stack[0], attn[0])
+        assert np.array_equal(stack[0], attn[0].T)
 
 
 class TestSingleLayer:
