@@ -23,7 +23,7 @@ import yaml
 from . import events as ev, synth
 from .distill import DistillConfig
 from .encoder import (TrainablePlan, ViTConfig, count_trainable,
-                      forward_capture, init_params)
+                      forward_capture, init_params, trainable_shapes)
 from .io import (ConfigError, DumpFormatError, from_doc, read_dump,
                  read_masks, write_dump, write_masks)
 from .metrics import MaskSet, MetricsReport, compute_report, report_to_dict
@@ -69,6 +69,12 @@ class RunConfig:
     plan: TrainablePlan = field(default_factory=TrainablePlan)
     scene: SceneConfig = field(default_factory=SceneConfig)
     events: EventsConfig = field(default_factory=EventsConfig)
+
+    def __post_init__(self):
+        try:
+            trainable_shapes(self.model, self.plan)
+        except ValueError as e:  # a layer the model does not have
+            raise ConfigError(f"plan.{e}") from None
 
 
 def load_config(path) -> dict:
@@ -217,13 +223,7 @@ def cmd_train(args) -> int:
     data = [(img, vol) for img, vol, _ in
             make_dataset(doc, run.scene.num_samples, seed)]
     teacher = init_params(config, seed=run.teacher_seed)
-    student = teacher.copy()
-    if plan.mode == "lora":
-        from .encoder import apply_lora, lora_sites_for
-        student = apply_lora(student, plan.lora_rank,
-                             lora_sites_for(config, *plan.lora_sites),
-                             seed=seed)
-    state = TrainState.create(student, plan)
+    state = TrainState.create(teacher.copy(), plan, seed=seed)
     state, history = train(teacher, state, data, run.train, run.distill)
     head = init_head(config.embed_dim, seed)
     ckpt = os.path.join(out_dir, "checkpoint.evdt")
@@ -245,11 +245,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.pred_dir:
+    if args.gt_dir and args.pred_dir:
         return _eval_mask_dirs(args)
-    if not (args.checkpoint and args.config):
-        print("eval: need --checkpoint with --config, or --pred-dir",
-              file=sys.stderr)
+    if args.gt_dir or args.pred_dir or not (args.checkpoint and args.config):
+        print("eval: need --checkpoint with --config, or --gt-dir with "
+              "--pred-dir", file=sys.stderr)
         return 2
     doc, run = load_run(args.config)
     state, meta, extra = load_checkpoint(args.checkpoint)
@@ -317,6 +317,10 @@ def cmd_significance(args) -> int:
         print("significance: dump must hold equal-size square matrices",
               file=sys.stderr)
         return 2
+    for name, m in tensors.items():
+        if not np.all(np.isfinite(m) & (m >= 0)):
+            raise DumpFormatError(f"{args.attn}: entry '{name}' holds a "
+                                  "negative or non-finite attention value")
     stack = transition_stack([m.astype(np.float64) for m in mats])
     sig = token_significance(stack, args.layer, args.beta)
     diag = convergence_diagnostic(stack)

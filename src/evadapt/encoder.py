@@ -14,6 +14,7 @@ as an alternative to full fine-tuning of a site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -59,12 +60,28 @@ VIT_B = ViTConfig(img_size=512, patch_size=16, embed_dim=768, depth=12,
                   num_heads=12, mlp_hidden=3072)
 
 
+# the block parts each group kind trains; LoRA adapts only the affine ones
+GROUPS = {"mlps": ("mlp1", "mlp2"),
+          "blocks": ("qkv", "proj", "mlp1", "mlp2", "ln1", "ln2")}
+
+# mode -> (whole-model entries, group kind, layer set): the layer set is
+# none, the plan's `layers`, every block, or the blocks of `lora_sites`,
+# which also names the group kind
+PLAN_MODES = {
+    "none": ((), None, "none"),
+    "embed": (("embed",), None, "none"),
+    "embed+mlps": (("embed",), "mlps", "layers"),
+    "embed+blocks": (("embed",), "blocks", "layers"),
+    "embed+all_mlps": (("embed",), "mlps", "every"),
+    "all": (("pos", "embed"), "blocks", "every"),
+    "lora": (("embed",), None, "lora_sites"),
+}
+
+
 @dataclass
 class TrainablePlan:
-    """Which parameters a training run may update.
+    """Which parameters a training run may update (see PLAN_MODES).
 
-    mode: none | embed | embed+mlps | embed+blocks | embed+all_mlps | all
-          | lora
     layers: 1-based block indices for embed+mlps / embed+blocks.
     lora_rank / lora_sites: for mode "lora"; sites is ("mlps", layers) or
     ("blocks", layers). The embed map stays fully trainable under lora,
@@ -75,28 +92,15 @@ class TrainablePlan:
     lora_rank: int = 16
     lora_sites: tuple[str, tuple[int, ...]] = ("mlps", (3, 6, 9, 12))
 
-    def validate(self, config: ViTConfig):
-        modes = {"none", "embed", "embed+mlps", "embed+blocks",
-                 "embed+all_mlps", "all", "lora"}
-        if self.mode not in modes:
-            raise ValueError(f"unknown plan mode: {self.mode}")
-        layers = self.layers if self.mode in ("embed+mlps", "embed+blocks") \
-            else (self.lora_sites[1] if self.mode == "lora" else ())
-        for i in layers:
-            if not 1 <= i <= config.depth:
-                raise ValueError(f"layer index {i} out of range 1..{config.depth}")
-        if self.mode == "lora" and self.lora_rank < 1:
-            raise ValueError("lora rank must be >= 1")
-
-
-# parameter names of the affine maps inside block i
-def _block_affines(i: int) -> list[str]:
-    return [f"block.{i}.qkv", f"block.{i}.proj",
-            f"block.{i}.mlp1", f"block.{i}.mlp2"]
-
-
-def _mlp_affines(i: int) -> list[str]:
-    return [f"block.{i}.mlp1", f"block.{i}.mlp2"]
+    def __post_init__(self):
+        if self.mode not in PLAN_MODES:
+            raise ValueError(f"mode must be one of {', '.join(PLAN_MODES)}, "
+                             f"got {self.mode!r}")
+        if self.lora_rank < 1:
+            raise ValueError("lora_rank must be >= 1")
+        if self.lora_sites[0] not in GROUPS:
+            raise ValueError(f"lora_sites kind must be one of "
+                             f"{', '.join(GROUPS)}, got {self.lora_sites[0]!r}")
 
 
 @dataclass
@@ -104,9 +108,6 @@ class ViTParams:
     config: ViTConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
     lora: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
 
     def copy(self) -> "ViTParams":
         p = ViTParams(self.config)
@@ -136,18 +137,30 @@ def affine_shapes(config: ViTConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
-def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTParams:
-    rng = np.random.default_rng(seed)
-    p = ViTParams(config)
-    t = p.tensors
+def param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every base parameter, in init_params order."""
+    c = config.embed_dim
+    shapes = {}
     for name, (din, dout) in affine_shapes(config).items():
-        t[f"{name}.w"] = Tensor(rng.normal(0.0, scale, (din, dout)))
-        t[f"{name}.b"] = Tensor(np.zeros(dout))
-    t["pos"] = Tensor(rng.normal(0.0, scale, (config.tokens, config.embed_dim)))
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (din, dout), (dout,)
+    shapes["pos"] = (config.tokens, c)
     for i in range(1, config.depth + 1):
         for ln in ("ln1", "ln2"):
-            t[f"block.{i}.{ln}.g"] = Tensor(np.ones(config.embed_dim))
-            t[f"block.{i}.{ln}.b"] = Tensor(np.zeros(config.embed_dim))
+            shapes[f"block.{i}.{ln}.g"] = shapes[f"block.{i}.{ln}.b"] = (c,)
+    return shapes
+
+
+def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTParams:
+    """Weights and pos ~ N(0, scale^2) drawn in order, gains 1, biases 0."""
+    rng = np.random.default_rng(seed)
+    p = ViTParams(config)
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".g"):
+            p.tensors[name] = Tensor(np.ones(shape))
+        elif name.endswith(".b"):
+            p.tensors[name] = Tensor(np.zeros(shape))
+        else:
+            p.tensors[name] = Tensor(rng.normal(0.0, scale, shape))
     return p
 
 
@@ -174,83 +187,45 @@ def apply_lora(params: ViTParams, rank: int, sites: list[str],
     return out
 
 
-def lora_sites_for(config: ViTConfig, kind: str, layers) -> list[str]:
-    if kind == "mlps":
-        return [n for i in layers for n in _mlp_affines(i)]
-    if kind == "blocks":
-        return [n for i in layers for n in _block_affines(i)]
-    raise ValueError(f"unknown lora site kind: {kind}")
+def trainable_shapes(config: ViTConfig,
+                     plan: TrainablePlan) -> dict[str, tuple[int, ...]]:
+    """Shape of every entry the plan trains, adapter factors included.
 
-
-def trainable_names(config: ViTConfig, plan: TrainablePlan) -> list[str]:
-    """Names of trainable entries (weights/biases, or adapter factors)."""
-    plan.validate(config)
-    embed = ["embed.w", "embed.b"]
-    if plan.mode == "none":
-        return []
-    if plan.mode == "embed":
-        return embed
-    if plan.mode == "embed+mlps":
-        return embed + [f"{n}.{s}" for i in plan.layers
-                        for n in _mlp_affines(i) for s in ("w", "b")]
-    if plan.mode == "embed+all_mlps":
-        return embed + [f"{n}.{s}" for i in range(1, config.depth + 1)
-                        for n in _mlp_affines(i) for s in ("w", "b")]
-    if plan.mode == "embed+blocks":
-        names = list(embed)
-        for i in plan.layers:
-            for n in _block_affines(i):
-                names += [f"{n}.w", f"{n}.b"]
-            for ln in ("ln1", "ln2"):
-                names += [f"block.{i}.{ln}.g", f"block.{i}.{ln}.b"]
-        return names
-    if plan.mode == "all":
-        names = ["pos"] + embed
-        for i in range(1, config.depth + 1):
-            for n in _block_affines(i):
-                names += [f"{n}.w", f"{n}.b"]
-            for ln in ("ln1", "ln2"):
-                names += [f"block.{i}.{ln}.g", f"block.{i}.{ln}.b"]
-        return names
-    # lora: embed fully trainable, adapter factors at the sites
-    sites = lora_sites_for(config, *plan.lora_sites)
-    return embed + [f"{s}.lora_a" for s in sites] + [f"{s}.lora_b" for s in sites]
+    A LoRA plan trains (rank, in) `.lora_a` and (out, rank) `.lora_b`
+    factors at its sites instead of their weights and biases.
+    """
+    whole, kind, layer_set = PLAN_MODES[plan.mode]
+    if layer_set == "lora_sites":
+        kind, layers = plan.lora_sites
+    else:
+        layers = {"none": (), "layers": plan.layers,
+                  "every": range(1, config.depth + 1)}[layer_set]
+    for i in layers:
+        if not 1 <= i <= config.depth:
+            raise ValueError(f"{layer_set}: layer {i} out of range "
+                             f"1..{config.depth}")
+    parts = [f"block.{i}.{part}" for i in layers for part in GROUPS[kind]]
+    shapes = param_shapes(config)
+    if plan.mode == "lora":
+        affine, r = affine_shapes(config), plan.lora_rank
+        sites = [s for s in parts if s in affine]
+        return {"embed.w": shapes["embed.w"], "embed.b": shapes["embed.b"],
+                **{f"{s}.lora_a": (r, affine[s][0]) for s in sites},
+                **{f"{s}.lora_b": (affine[s][1], r) for s in sites}}
+    # a part is `pos` itself, or an affine map (.w, .b) or layernorm (.g, .b)
+    return {n: shapes[n] for part in whole + tuple(parts)
+            for n in (part, f"{part}.w", f"{part}.g", f"{part}.b")
+            if n in shapes}
 
 
 def count_trainable(config: ViTConfig, plan: TrainablePlan) -> int:
     """Exact number of scalars trainable under the plan."""
-    plan.validate(config)
-    shapes = affine_shapes(config)
-    c = config.embed_dim
-
-    def affine_count(name):
-        din, dout = shapes[name]
-        return din * dout + dout
-
-    if plan.mode == "lora":
-        sites = lora_sites_for(config, *plan.lora_sites)
-        n = affine_count("embed")
-        for s in sites:
-            din, dout = shapes[s]
-            n += plan.lora_rank * (din + dout)
-        return n
-
-    total = 0
-    for name in trainable_names(config, plan):
-        if name == "pos":
-            total += config.tokens * c
-        elif name.endswith(".g") or name.endswith(".b") and ".ln" in name:
-            total += c
-        else:
-            base, leaf = name.rsplit(".", 1)
-            din, dout = shapes[base]
-            total += din * dout if leaf == "w" else dout
-    return total
+    return sum(math.prod(s) for s in trainable_shapes(config, plan).values())
 
 
 def mark_trainable(params: ViTParams, plan: TrainablePlan):
     """Set requires_grad exactly on the plan's entries; clears all others."""
-    wanted = set(trainable_names(params.config, plan))
+    wanted = set(trainable_shapes(params.config, plan))
     for name, t in params.all_entries().items():
         t.requires_grad = name in wanted
         t.grad = None

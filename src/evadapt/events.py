@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BINS = 3
-DEFAULT_WINDOW_US = 40_000  # 40 ms
 
 
 class EventFormatError(ValueError):
@@ -41,10 +40,6 @@ class EventVolume:
 
 
 def _stream_arrays(stream):
-    if isinstance(stream, np.ndarray):
-        a = stream
-        return (a[:, 0].astype(np.int64), a[:, 1].astype(np.int64),
-                a[:, 2].astype(np.int64), a[:, 3].astype(np.float64))
     events = list(stream)
     ts = np.array([e.t for e in events], dtype=np.int64)
     xs = np.array([e.x for e in events], dtype=np.int64)

@@ -183,6 +183,8 @@ def from_doc(cls, doc, where: str = ""):
         kwargs[key] = _convert(hints[key], value, here)
     try:
         return cls(**kwargs)
+    except ConfigError:  # a check that names its own key
+        raise
     except (TypeError, ValueError) as e:
         # "epochs must be >= 1" from section train -> "train.epochs must ..."
         sep = "." if where and str(e).split(" ")[0] in names else ": "

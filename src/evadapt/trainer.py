@@ -18,7 +18,7 @@ from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, mix_tokens
 from .encoder import (TrainablePlan, ViTConfig, ViTParams, apply_lora,
                       embed_image, forward_tokens, init_params,
-                      lora_sites_for, mark_trainable, trainable_names)
+                      mark_trainable, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 
@@ -67,13 +67,19 @@ class TrainState:
     step: int = 0
 
     @classmethod
-    def create(cls, params: ViTParams, plan: TrainablePlan) -> "TrainState":
+    def create(cls, params: ViTParams, plan: TrainablePlan,
+               seed: int = 0) -> "TrainState":
+        """Zeroed Adam moments for the plan's entries; a LoRA plan first
+        attaches its adapters to a copy of `params`, drawn from `seed`."""
+        shapes = trainable_shapes(params.config, plan)
+        if plan.mode == "lora":
+            sites = [n.removesuffix(".lora_a") for n in shapes
+                     if n.endswith(".lora_a")]
+            params = apply_lora(params, plan.lora_rank, sites, seed=seed)
         mark_trainable(params, plan)
-        names = trainable_names(params.config, plan)
-        entries = params.all_entries()
         return cls(params=params, plan=plan,
-                   m={n: np.zeros_like(entries[n].data) for n in names},
-                   v={n: np.zeros_like(entries[n].data) for n in names})
+                   m={n: np.zeros(s) for n, s in shapes.items()},
+                   v={n: np.zeros(s) for n, s in shapes.items()})
 
 
 def adam_step(state: TrainState, grads: dict[str, np.ndarray],
@@ -181,7 +187,6 @@ def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
         "model": asdict(state.params.config),
         "plan": asdict(state.plan),
         "step": state.step,
-        "lora_sites": sorted(state.params.lora),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -197,13 +202,10 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
             f"checkpoint metadata lacks {', '.join(missing)}")
     config = from_doc(ViTConfig, meta["model"], "model")
     plan = from_doc(TrainablePlan, meta["plan"], "plan")
-    params = init_params(config, seed=0)
-    if meta.get("lora_sites"):
-        params = apply_lora(params, plan.lora_rank, meta["lora_sites"])
-    entries = params.all_entries()
-    names = trainable_names(config, plan)
+    state = TrainState.create(init_params(config, seed=0), plan)
+    entries = state.params.all_entries()
     wanted = [f"param.{n}" for n in entries] + \
-        [f"adam.{mv}.{n}" for mv in "mv" for n in names]
+        [f"adam.{mv}.{n}" for mv in "mv" for n in state.m]
     missing = [w for w in wanted if w not in tensors]
     if missing:
         raise DumpFormatError(f"checkpoint lacks {', '.join(missing)}")
@@ -214,11 +216,9 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
             f"checkpoint entries not in the model: {', '.join(stray)}")
     for name, t in entries.items():
         t.data = got[f"param.{name}"]
-    state = TrainState(params=params, plan=plan,
-                       m={n: got[f"adam.m.{n}"] for n in names},
-                       v={n: got[f"adam.v.{n}"] for n in names},
-                       step=int(meta["step"]))
-    mark_trainable(params, plan)
+    state.m = {n: got[f"adam.m.{n}"] for n in state.m}
+    state.v = {n: got[f"adam.v.{n}"] for n in state.v}
+    state.step = int(meta["step"])
     return state, meta, tensors
 
 
@@ -231,13 +231,9 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
     # break the symmetric init so gradients are informative
     for t in teacher.tensors.values():
         t.data = t.data + rng.normal(0, 0.05, t.data.shape)
-    student = init_params(config, seed=seed + 1)
-    if plan.mode == "lora":
-        student = apply_lora(student,
-                             plan.lora_rank,
-                             lora_sites_for(config, *plan.lora_sites),
-                             seed=seed)
-    mark_trainable(student, plan)
+    state = TrainState.create(init_params(config, seed=seed + 1), plan,
+                              seed=seed)
+    student = state.params
     H = W = config.img_size
     image = rng.random((H, W, config.in_channels))
     volume = rng.random((H, W, config.in_channels))
@@ -250,5 +246,4 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
         return loss
 
     entries = student.all_entries()
-    params = [entries[n] for n in trainable_names(config, plan)]
-    return grad_check(f, params, step=step)
+    return grad_check(f, [entries[n] for n in state.m], step=step)

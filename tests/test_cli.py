@@ -53,6 +53,24 @@ class TestTrainEval:
             assert 0.0 <= agg[k] <= 1.0
         assert len(got["frames"]) == 2
 
+    def test_lora_end_to_end(self, tmp_path, capsys):
+        doc = copy.deepcopy(TINY_DOC)
+        doc["plan"] = {"mode": "lora", "lora_rank": 2,
+                       "lora_sites": ["blocks", [1, 2]]}
+        config = tmp_path / "lora.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        tensors, meta = read_dump(out / "checkpoint.evdt")
+        assert "lora_sites" not in meta
+        assert "param.block.2.qkv.lora_a" in tensors
+        assert tensors["adam.m.block.1.proj.lora_b"].shape == (8, 2)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config),
+                     "--checkpoint", str(out / "checkpoint.evdt"),
+                     "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["aggregate"]["frames"] == 2
+
     def test_mismatched_shapes_rejected(self, tmp_path, config, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", config, "--out", str(out)]) == 0
@@ -91,6 +109,15 @@ class TestEvalMaskDirs:
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--pred-dir", "--gt-dir"])
+    def test_one_mask_dir_is_usage_error(self, tmp_path, capsys, flag):
+        # --pred-dir alone used to list the working directory and end in
+        # a TypeError traceback
+        (tmp_path / "a.rle").write_text("# H=2 W=2\n0: 0,1\n")
+        assert main(["eval", flag, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eval: need ") and err.count("\n") == 1
+
 
 class TestSignificance:
     def test_csv_output(self, tmp_path, capsys):
@@ -120,6 +147,23 @@ class TestSignificance:
         write_dump(dump, {"x": np.zeros((2, 3))})
         assert main(["significance", "--attn", str(dump)]) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
+    def test_bad_attention_names_entry(self, tmp_path, capsys, bad):
+        # NaN used to write nan weights and a negative entry all-zero
+        # weights, both with exit status 0
+        a = np.full((3, 3), 1 / 3)
+        b = a.copy()
+        b[2, 1] = bad
+        dump = tmp_path / "attn.evdt"
+        write_dump(dump, {"layer_1": a, "layer_2": b})
+        out = tmp_path / "sig.csv"
+        assert main(["significance", "--attn", str(dump),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'layer_2'" in err and "non-finite" in err
+        assert not out.exists()
+
 
 class TestSynthAndVoxelize:
     def test_synth_then_voxelize(self, tmp_path, capsys):
@@ -144,6 +188,14 @@ class TestParamsAndGradcheck:
         assert "590592" in out
         assert "57259776" in out
         assert "1082112" in out
+
+    def test_params_rejects_bogus_plan(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("plan: {mode: bogus}\n")
+        assert main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan.mode must be one of ")
+        assert err.count("\n") == 1
 
     def test_gradcheck_default(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
@@ -180,6 +232,10 @@ class TestErrorHandling:
         ("scene.width", 0),
         ("scene.window_ms", 0),
         ("distill.seed", 7),
+        ("plan.mode", "bogus"),
+        ("plan.layers", [5]),
+        ("plan.lora_rank", 0),
+        ("plan.lora_sites", ["heads", [1]]),
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)
@@ -198,6 +254,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+        assert not (tmp_path / "run").exists()
 
     def test_synth_empty_scene_rejected(self, tmp_path, capsys):
         p = tmp_path / "empty.yaml"
@@ -354,3 +411,22 @@ class TestRunConfig:
         run = from_doc(RunConfig, {"plan": {"mode": "lora",
                                             "lora_sites": ["blocks", [1, 2]]}})
         assert run.plan.lora_sites == ("blocks", (1, 2))
+
+    @pytest.mark.parametrize("plan,message", [
+        ({"mode": "lora", "lora_sites": ["mlps", [1, 3]]},
+         "plan.lora_sites: layer 3 out of range 1..2"),
+        ({"mode": "embed+blocks", "layers": [0]},
+         "plan.layers: layer 0 out of range 1..2"),
+        ({}, "plan.layers: layer 3 out of range 1..2"),
+    ])
+    def test_plan_blocks_checked_against_depth(self, plan, message):
+        doc = {"model": TINY_DOC["model"], "plan": plan}
+        with pytest.raises(ConfigError) as exc:
+            from_doc(RunConfig, doc)
+        assert str(exc.value) == message
+
+    def test_unused_plan_layers_not_checked(self):
+        # embed+all_mlps trains every block whatever `layers` holds
+        doc = {"model": TINY_DOC["model"],
+               "plan": {"mode": "embed+all_mlps", "layers": [9]}}
+        assert from_doc(RunConfig, doc).plan.layers == (9,)

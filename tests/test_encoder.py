@@ -5,7 +5,7 @@ from evadapt.autodiff import Tensor
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, mark_trainable,
-                             trainable_names)
+                             trainable_shapes)
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -108,6 +108,25 @@ class TestCountTrainable:
             count_trainable(TINY, TrainablePlan(mode="embed+mlps", layers=(9,)))
 
 
+class TestTrainableShapes:
+    def test_order_and_shapes(self):
+        blocks = trainable_shapes(TINY, TrainablePlan(mode="embed+blocks",
+                                                      layers=(2,)))
+        assert list(blocks) == ["embed.w", "embed.b"] + [
+            f"block.2.{n}" for n in ("qkv.w", "qkv.b", "proj.w", "proj.b",
+                                     "mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b",
+                                     "ln1.g", "ln1.b", "ln2.g", "ln2.b")]
+        assert blocks["embed.w"] == (48, 8) and blocks["block.2.qkv.b"] == (24,)
+        assert list(trainable_shapes(TINY, TrainablePlan(mode="all")))[:3] == \
+            ["pos", "embed.w", "embed.b"]
+        assert trainable_shapes(TINY, TrainablePlan(mode="none")) == {}
+        lora = TrainablePlan(mode="lora", lora_rank=3, lora_sites=("mlps", (2,)))
+        assert trainable_shapes(TINY, lora) == {
+            "embed.w": (48, 8), "embed.b": (8,),
+            "block.2.mlp1.lora_a": (3, 8), "block.2.mlp2.lora_a": (3, 16),
+            "block.2.mlp1.lora_b": (16, 3), "block.2.mlp2.lora_b": (8, 3)}
+
+
 class TestLora:
     def test_zero_init_preserves_function(self, params):
         img = np.random.default_rng(4).random((8, 8, 3))
@@ -137,7 +156,7 @@ class TestMarkTrainable:
     def test_exact_marking(self, params):
         plan = TrainablePlan(mode="embed+mlps", layers=(2,))
         mark_trainable(params, plan)
-        wanted = set(trainable_names(TINY, plan))
+        wanted = set(trainable_shapes(TINY, plan))
         for name, t in params.all_entries().items():
             assert t.requires_grad == (name in wanted)
 

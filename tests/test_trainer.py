@@ -139,6 +139,27 @@ class TestTrainLoop:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("plan", [
+    TrainablePlan(mode=m, layers=(2,))
+    for m in ("none", "embed", "embed+mlps", "embed+blocks",
+              "embed+all_mlps", "all")
+] + [TrainablePlan(mode="lora", lora_rank=2, lora_sites=(k, (1, 2)))
+     for k in ("mlps", "blocks")], ids=lambda p: f"{p.mode}-{p.lora_sites[0]}")
+def test_create_marks_exactly_the_moment_entries(plan):
+    state = TrainState.create(init_params(TINY, seed=0), plan)
+    entries = state.params.all_entries()
+    assert [n for n, t in entries.items() if t.requires_grad] == \
+        [n for n in entries if n in state.m]
+    assert all(state.m[n].shape == entries[n].data.shape for n in state.m)
+
+
+def test_create_draws_adapters_from_seed():
+    plan = TrainablePlan(mode="lora", lora_rank=2, lora_sites=("mlps", (1,)))
+    a = [TrainState.create(init_params(TINY, seed=0), plan, seed=s)
+         .params.lora["block.1.mlp1"][0].data for s in (3, 3, 4)]
+    assert np.array_equal(a[0], a[1]) and not np.array_equal(a[0], a[2])
+
+
 class TestCheckpointResume:
     def test_bitwise_resume(self, tmp_path):
         data = tiny_data()
@@ -181,16 +202,38 @@ class TestCheckpointResume:
     def test_lora_round_trip(self, tmp_path):
         plan = TrainablePlan(mode="lora", lora_rank=2,
                              lora_sites=("mlps", (1,)))
-        from evadapt.encoder import apply_lora, lora_sites_for
-        params = apply_lora(init_params(TINY, seed=2), 2,
-                            lora_sites_for(TINY, "mlps", (1,)), seed=2)
-        state = TrainState.create(params, plan)
+        state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
+        assert sorted(state.params.lora) == ["block.1.mlp1", "block.1.mlp2"]
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, state)
         loaded, _, _ = load_checkpoint(ck)
         for name, t in state.params.all_entries().items():
             assert np.array_equal(loaded.params.all_entries()[name].data,
                                   t.data), name
+
+    @pytest.mark.parametrize("layers", [(1,), (2, 1)])
+    def test_lora_resave_byte_identical(self, tmp_path, layers):
+        # the reload used to attach adapters in sorted-name order, so the
+        # saved entries came back in another order than they were created
+        plan = TrainablePlan(mode="lora", lora_rank=2,
+                             lora_sites=("blocks", layers))
+        state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
+        first, second = tmp_path / "a.evdt", tmp_path / "b.evdt"
+        save_checkpoint(first, state)
+        save_checkpoint(second, load_checkpoint(first)[0])
+        assert first.read_bytes() == second.read_bytes()
+        assert "lora_sites" not in read_dump(first)[1]
+
+    def test_legacy_lora_sites_key_loads(self, tmp_path):
+        plan = TrainablePlan(mode="lora", lora_rank=2,
+                             lora_sites=("blocks", (2,)))
+        state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, state, extra_meta={
+            "lora_sites": sorted(state.params.lora)})
+        loaded, _, _ = load_checkpoint(ck)
+        assert list(loaded.params.all_entries()) == \
+            list(state.params.all_entries())
 
 
     @pytest.mark.parametrize("dropped", [
