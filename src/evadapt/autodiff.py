@@ -37,7 +37,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -84,7 +85,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def bw(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         return Tensor._from_op(out_data, (self, other), bw)
 
@@ -105,8 +107,10 @@ class Tensor:
 
         def bw(g):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._from_op(out_data, (self, other), bw)
@@ -135,35 +139,9 @@ class Tensor:
 
     # -- shaping -----------------------------------------------------------
 
-    def reshape(self, *shape):
-        old = self.shape
-        out_data = self.data.reshape(*shape)
-        return Tensor._from_op(out_data, (self,), lambda g: (g.reshape(old),))
-
     @property
     def T(self):
         return Tensor._from_op(self.data.T, (self,), lambda g: (g.T,))
-
-    def transpose(self, axes):
-        inv = np.argsort(axes)
-        out_data = self.data.transpose(axes)
-        return Tensor._from_op(out_data, (self,),
-                               lambda g: (g.transpose(inv),))
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-        basic = all(isinstance(k, (int, np.integer, slice))
-                    for k in (key if isinstance(key, tuple) else (key,)))
-
-        def bw(g):
-            full = np.zeros_like(self.data)
-            if basic:
-                full[key] = g
-            else:
-                np.add.at(full, key, g)  # an index array may repeat an element
-            return (full,)
-
-        return Tensor._from_op(out_data, (self,), bw)
 
     # -- reductions --------------------------------------------------------
 
@@ -193,6 +171,13 @@ class Tensor:
     # -- backward ----------------------------------------------------------
 
     def backward(self):
+        """Backpropagate from this scalar, once.
+
+        Leaves (tensors no op produced) keep their accumulated `.grad`.
+        Every other node drops its `.grad`, parents and backward function
+        as soon as it has passed its gradient on, so the graph's arrays are
+        freed while backward runs and the graph cannot be walked again.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         check_finite(self.data, "loss")
@@ -212,14 +197,19 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
                 continue
-            grads = node._backward(node.grad)
-            for p, g in zip(node._parents, grads):
-                if not p.requires_grad:
-                    continue
-                p.grad = g if p.grad is None else p.grad + g
+            if node.grad is not None:
+                grads = node._backward(node.grad)
+                for p, g in zip(node._parents, grads):
+                    if p.requires_grad:
+                        p.grad = g if p.grad is None else p.grad + g
+                grads = g = None    # hold no gradient past its use
+            node.grad = None
+            node._parents = ()
+            node._backward = None
 
     def zero_grad(self):
         self.grad = None
@@ -233,7 +223,7 @@ def _wrap(x) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    if a.shape[-1] != b.shape[0 if b.ndim == 2 else -2]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
         )
@@ -251,19 +241,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), bw)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by row-max subtraction."""
-    x = _wrap(x)
-    check_finite(x.data, "softmax input")
-    s = x.data - x.data.max(axis=-1, keepdims=True)   # fresh buffer
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: (n, in) rows, an (in, out) map, an (out,) bias."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ValueError(
+            f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
 
     def bw(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
-    return Tensor._from_op(s, (x,), bw)
+    return Tensor._from_op(out_data, (x, w, b), bw)
+
+
+def attention(qkv: Tensor, num_heads: int):
+    """Multi-head self-attention over (k, 3c) rows that hold q | k | v.
+
+    One node for q·kᵀ, the 1/sqrt(dh) scale, the row softmax, ·v and the
+    merge of the heads. Returns the (k, c) output and the head-averaged
+    (k, k) attention map, a constant. Backward keeps only qkv and the
+    probabilities; see docs/EQUATIONS.md for its formulas.
+    """
+    qkv = _wrap(qkv)
+    if qkv.ndim != 2 or num_heads < 1 or qkv.shape[1] % (3 * num_heads):
+        raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v "
+                         f"of {num_heads} heads")
+    k, nh = qkv.shape[0], num_heads
+    c = qkv.shape[1] // 3
+    dh = c // nh
+    scale = 1.0 / np.sqrt(dh)
+    q, kk, v = qkv.data.reshape(k, 3, nh, dh).transpose(1, 2, 0, 3)
+    p = q @ kk.transpose(0, 2, 1)                       # (nh, k, k)
+    p *= scale
+    check_finite(p, "softmax input")
+    p -= p.max(axis=-1, keepdims=True)                  # stable row softmax
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = (p @ v).transpose(1, 0, 2).reshape(k, c)
+
+    def bw(g):
+        go = g.reshape(k, nh, dh).transpose(1, 0, 2)    # (nh, k, dh)
+        grad = np.empty((k, 3, nh, dh))
+        gq, gk, gv = grad.transpose(1, 2, 0, 3)
+        gv[...] = np.swapaxes(p, -1, -2) @ go
+        gs = go @ np.swapaxes(v, -1, -2)                # dL/dP
+        gs -= (gs * p).sum(axis=-1, keepdims=True)      # softmax Jacobian
+        gs *= p
+        gs *= scale
+        gq[...] = gs @ kk
+        gk[...] = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 2, 1)
+        return (grad.reshape(k, 3 * c),)
+
+    return Tensor._from_op(out_data, (qkv,), bw), p.mean(axis=0)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -277,15 +311,19 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
-        n = x.data.shape[-1]
-        gxhat = g * gain.data
-        gx = inv / n * (
-            n * gxhat
-            - gxhat.sum(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True)
-        )
-        ggain = _unbroadcast(g * xhat, gain.shape)
-        gbias = _unbroadcast(g, bias.shape)
+        gx = ggain = gbias = None
+        if x.requires_grad:
+            n = x.data.shape[-1]
+            gxhat = g * gain.data
+            gx = inv / n * (
+                n * gxhat
+                - gxhat.sum(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True)
+            )
+        if gain.requires_grad:
+            ggain = _unbroadcast(g * xhat, gain.shape)
+        if bias.requires_grad:
+            gbias = _unbroadcast(g, bias.shape)
         return (gx, ggain, gbias)
 
     return Tensor._from_op(out_data, (x, gain, bias), bw)
@@ -295,16 +333,38 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU; the backward differentiates the approximation."""
+    """tanh-approximation GELU; the backward differentiates the approximation.
+
+    Both directions evaluate 0.5 x (1 + th), th = tanh(c (x + 0.044715 x³)),
+    and its derivative in the textbook operation order, through in-place
+    temporaries.
+    """
     x = _wrap(x)
-    x2 = x.data * x.data     # cube as x2 * x: numpy's pow is generic and slow
-    th = np.tanh(_GELU_C * (x.data + 0.044715 * (x2 * x.data)))
-    out_data = 0.5 * x.data * (1.0 + th)
+    xd = x.data
+    x2 = xd * xd             # cube as x2 * x: numpy's pow is generic and slow
+    th = x2 * xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out_data = xd * 0.5
+    out_data *= th + 1.0
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        d = 0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th ** 2) * du
-        return (g * d,)
+        # d = 0.5 (1 + th) + 0.5 x (1 - th²) du,  du = c (1 + 3 · 0.044715 x²)
+        du = x2 * (3 * 0.044715)
+        du += 1.0
+        du *= _GELU_C
+        right = xd * 0.5
+        sech2 = np.square(th)
+        np.subtract(1.0, sech2, out=sech2)
+        right *= sech2
+        right *= du
+        d = th + 1.0
+        d *= 0.5
+        d += right
+        d *= g
+        return (d,)
 
     return Tensor._from_op(out_data, (x,), bw)
 

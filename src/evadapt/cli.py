@@ -317,10 +317,18 @@ def cmd_significance(args) -> int:
         print("significance: dump must hold equal-size square matrices",
               file=sys.stderr)
         return 2
+    # float32 storage (or a float32 softmax) leaves each row at most about
+    # k float32 epsilons away from 1
+    tol = len(mats[0]) * np.finfo(np.float32).eps
     for name, m in tensors.items():
         if not np.all(np.isfinite(m) & (m >= 0)):
             raise DumpFormatError(f"{args.attn}: entry '{name}' holds a "
                                   "negative or non-finite attention value")
+        sums = m.sum(axis=1, dtype=np.float64)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+        if bad.size:
+            raise DumpFormatError(f"{args.attn}: entry '{name}' row {bad[0]} "
+                                  f"sums to {sums[bad[0]]:.9g}, not 1")
     stack = transition_stack([m.astype(np.float64) for m in mats])
     sig = token_significance(stack, args.layer, args.beta)
     diag = convergence_diagnostic(stack)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layernorm, matmul, softmax_rows
+from .autodiff import Tensor, affine, attention, gelu, layernorm, matmul
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def _effective_weight(params: ViTParams, site: str) -> Tensor:
 
 
 def _affine(params: ViTParams, site: str, x: Tensor) -> Tensor:
-    return matmul(x, _effective_weight(params, site)) + params.tensors[f"{site}.b"]
+    return affine(x, _effective_weight(params, site), params.tensors[f"{site}.b"])
 
 
 def patch_tokens(config: ViTConfig, image: np.ndarray) -> np.ndarray:
@@ -270,19 +270,9 @@ def embed_image(params: ViTParams, image: np.ndarray) -> Tensor:
 
 
 def _attention(params: ViTParams, i: int, x: Tensor):
-    cfg = params.config
-    k, c, nh = cfg.tokens, cfg.embed_dim, cfg.num_heads
-    dh = c // nh
     qkv = _affine(params, f"block.{i}.qkv", x)            # (k, 3c)
-    qkv = qkv.reshape(k, 3, nh, dh).transpose((1, 2, 0, 3))  # (3, nh, k, dh)
-    q, kk, v = qkv[0], qkv[1], qkv[2]
-    logits = matmul(q, kk.transpose((0, 2, 1))) * (1.0 / np.sqrt(dh))
-    attn = softmax_rows(logits)                            # (nh, k, k)
-    head_avg = attn.data.mean(axis=0)
-    out = matmul(attn, v)                                  # (nh, k, dh)
-    out = out.transpose((1, 0, 2)).reshape(k, c)
-    out = _affine(params, f"block.{i}.proj", out)
-    return out, head_avg, attn
+    out, head_avg = attention(qkv, params.config.num_heads)
+    return _affine(params, f"block.{i}.proj", out), head_avg
 
 
 def forward_tokens(params: ViTParams, tokens: Tensor) -> EmbeddingCapture:
@@ -298,7 +288,7 @@ def forward_tokens(params: ViTParams, tokens: Tensor) -> EmbeddingCapture:
     for i in range(1, cfg.depth + 1):
         t = params.tensors
         h = layernorm(x, t[f"block.{i}.ln1.g"], t[f"block.{i}.ln1.b"])
-        a_out, head_avg, _ = _attention(params, i, h)
+        a_out, head_avg = _attention(params, i, h)
         x = x + a_out
         h = layernorm(x, t[f"block.{i}.ln2.g"], t[f"block.{i}.ln2.b"])
         m = _affine(params, f"block.{i}.mlp2", gelu(_affine(params, f"block.{i}.mlp1", h)))

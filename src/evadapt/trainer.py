@@ -18,7 +18,7 @@ from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, mix_tokens
 from .encoder import (TrainablePlan, ViTConfig, ViTParams, apply_lora,
                       embed_image, forward_tokens, init_params,
-                      mark_trainable, trainable_shapes)
+                      mark_trainable, param_shapes, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 
@@ -73,13 +73,17 @@ class TrainState:
         attaches its adapters to a copy of `params`, drawn from `seed`."""
         shapes = trainable_shapes(params.config, plan)
         if plan.mode == "lora":
-            sites = [n.removesuffix(".lora_a") for n in shapes
-                     if n.endswith(".lora_a")]
-            params = apply_lora(params, plan.lora_rank, sites, seed=seed)
+            params = apply_lora(params, plan.lora_rank, _adapter_sites(shapes),
+                                seed=seed)
         mark_trainable(params, plan)
         return cls(params=params, plan=plan,
                    m={n: np.zeros(s) for n, s in shapes.items()},
                    v={n: np.zeros(s) for n, s in shapes.items()})
+
+
+def _adapter_sites(shapes: dict) -> list[str]:
+    """The LoRA sites among trainable_shapes' entries, in plan order."""
+    return [n.removesuffix(".lora_a") for n in shapes if n.endswith(".lora_a")]
 
 
 def adam_step(state: TrainState, grads: dict[str, np.ndarray],
@@ -194,7 +198,10 @@ def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
 
 
 def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
-    """Returns (state, meta, extra tensors not consumed by the state)."""
+    """Returns (state, meta, extra tensors not consumed by the state).
+
+    The model is built from the file's own arrays; nothing is drawn.
+    """
     tensors, meta = read_dump(path)
     missing = [k for k in ("model", "plan", "step") if k not in meta]
     if missing:
@@ -202,24 +209,38 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
             f"checkpoint metadata lacks {', '.join(missing)}")
     config = from_doc(ViTConfig, meta["model"], "model")
     plan = from_doc(TrainablePlan, meta["plan"], "plan")
-    state = TrainState.create(init_params(config, seed=0), plan)
-    entries = state.params.all_entries()
-    wanted = [f"param.{n}" for n in entries] + \
-        [f"adam.{mv}.{n}" for mv in "mv" for n in state.m]
+    base, shapes = param_shapes(config), trainable_shapes(config, plan)
+    sites = _adapter_sites(shapes)
+    # entry -> shape, in all_entries order and then the moments' order
+    wanted = {f"param.{n}": s for n, s in base.items()}
+    wanted.update({f"param.{n}": shapes[n] for site in sites
+                   for n in (f"{site}.lora_a", f"{site}.lora_b")})
+    wanted.update({f"adam.{mv}.{n}": s for mv in "mv"
+                   for n, s in shapes.items()})
     missing = [w for w in wanted if w not in tensors]
     if missing:
         raise DumpFormatError(f"checkpoint lacks {', '.join(missing)}")
-    got = {w: tensors.pop(w).astype(np.float64) for w in wanted}
+    got = {w: tensors.pop(w).astype(np.float64, copy=False) for w in wanted}
     stray = [n for n in tensors if n.startswith(("param.", "adam."))]
     if stray:
         raise DumpFormatError(
             f"checkpoint entries not in the model: {', '.join(stray)}")
-    for name, t in entries.items():
-        t.data = got[f"param.{name}"]
-    state.m = {n: got[f"adam.m.{n}"] for n in state.m}
-    state.v = {n: got[f"adam.v.{n}"] for n in state.v}
-    state.step = int(meta["step"])
-    return state, meta, tensors
+    wrong = [f"{w} {got[w].shape} (model {s})" for w, s in wanted.items()
+             if got[w].shape != s]
+    if wrong:
+        raise DumpFormatError(
+            f"checkpoint entry shapes differ: {', '.join(wrong)}")
+    params = ViTParams(config)
+    params.tensors = {n: Tensor(got[f"param.{n}"]) for n in base}
+    params.lora = {site: (Tensor(got[f"param.{site}.lora_a"]),
+                          Tensor(got[f"param.{site}.lora_b"]))
+                   for site in sites}
+    mark_trainable(params, plan)
+    return (TrainState(params=params, plan=plan,
+                       m={n: got[f"adam.m.{n}"] for n in shapes},
+                       v={n: got[f"adam.v.{n}"] for n in shapes},
+                       step=int(meta["step"])),
+            meta, tensors)
 
 
 def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,

@@ -165,6 +165,43 @@ class TestSignificance:
         assert not out.exists()
 
 
+    def test_rows_not_summing_to_one_named(self, tmp_path, capsys):
+        # a uniform layer plus an all-zero layer used to write weights
+        # summing to 1.5 for 3 tokens and exit 0
+        dump = tmp_path / "attn.evdt"
+        write_dump(dump, {"layer_1": np.full((3, 3), 1 / 3),
+                          "layer_2": np.zeros((3, 3))})
+        out = tmp_path / "sig.csv"
+        assert main(["significance", "--attn", str(dump),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'layer_2' row 0 sums to 0" in err
+        assert not out.exists()
+
+    def test_names_the_first_bad_row(self, tmp_path, capsys):
+        a = np.full((3, 3), 1 / 3)
+        a[2] = [0.5, 0.25, 0.3]
+        dump = tmp_path / "attn.evdt"
+        write_dump(dump, {"layer_1": a})
+        assert main(["significance", "--attn", str(dump)]) == 1
+        assert "'layer_1' row 2 sums to 1.05," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3, 64])
+    def test_float32_softmax_rows_accepted(self, tmp_path, k):
+        rng = np.random.default_rng(k)
+        e = np.exp(rng.standard_normal((2, k, k)) * 4)
+        e32 = e[1].astype(np.float32)
+        dump = tmp_path / "attn.evdt"
+        write_dump(dump, {
+            "uniform": np.full((k, k), 1 / k, dtype=np.float32),
+            "stored": (e[0] / e[0].sum(axis=1, keepdims=True)).astype(np.float32),
+            "computed": e32 / e32.sum(axis=1, keepdims=True)})
+        assert all(m.dtype == np.float32 for m in read_dump(dump)[0].values())
+        assert main(["significance", "--attn", str(dump), "--out",
+                     str(tmp_path / "sig.csv")]) == 0
+
+
 class TestSynthAndVoxelize:
     def test_synth_then_voxelize(self, tmp_path, capsys):
         sample = tmp_path / "sample"

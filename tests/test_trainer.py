@@ -1,11 +1,14 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+from evadapt import trainer
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
-from evadapt.encoder import TrainablePlan, ViTConfig, init_params
+from evadapt.encoder import (PLAN_MODES, TrainablePlan, ViTConfig,
+                             forward_capture, init_params)
 from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (FULL_PROFILE, TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
@@ -265,6 +268,62 @@ class TestCheckpointResume:
         with pytest.raises(DumpFormatError, match="not in the model: adam.m.pos"):
             load_checkpoint(ck)
 
+    @pytest.mark.parametrize("plan", [PLAN, TrainablePlan(
+        mode="lora", lora_rank=2, lora_sites=("blocks", (2, 1)))],
+        ids=["dense", "lora"])
+    def test_load_draws_no_model(self, tmp_path, monkeypatch, plan):
+        state = TrainState.create(init_params(TINY, seed=3), plan, seed=3)
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, state)
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a throwaway model")
+
+        monkeypatch.setattr(trainer, "init_params", drawn)
+        monkeypatch.setattr(trainer, "apply_lora", drawn)
+        loaded, _, _ = load_checkpoint(ck)
+        want = state.params.all_entries()
+        got = loaded.params.all_entries()
+        assert list(got) == list(want)
+        for name, t in want.items():
+            assert got[name].data.tobytes() == t.data.tobytes(), name
+            assert got[name].requires_grad == (name in state.m), name
+        assert list(loaded.m) == list(state.m)
+
+    def test_float32_entries_load_as_float64(self, tmp_path):
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        write_dump(ck, {n: a.astype(np.float32) for n, a in tensors.items()},
+                   meta=meta)
+        loaded, _, _ = load_checkpoint(ck)
+        for name, a in tensors.items():
+            kind, _, entry = name.partition(".")
+            got = (loaded.params.all_entries()[entry].data if kind == "param"
+                   else getattr(loaded, entry[0])[entry[2:]])
+            assert got.dtype == np.float64
+            assert np.array_equal(got, a.astype(np.float32)), name
+
+    def test_wrong_shape_named(self, tmp_path):
+        # a (1,) bias used to load and then broadcast silently
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        tensors["param.block.1.mlp2.b"] = np.zeros(1)
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(DumpFormatError,
+                           match=r"param\.block\.1\.mlp2\.b \(1,\) \(model \(8,\)\)"):
+            load_checkpoint(ck)
+
+    def test_non_finite_parameter_fails_load(self, tmp_path):
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        tensors["param.pos"][1, 2] = np.nan
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(NonFiniteError):
+            load_checkpoint(ck)
+
     def test_missing_metadata_named(self, tmp_path):
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, tiny_state())
@@ -276,6 +335,14 @@ class TestCheckpointResume:
 
 
 class TestPipelineGradCheck:
+    @pytest.mark.parametrize("mode", list(PLAN_MODES))
+    def test_every_plan_mode(self, mode):
+        # blocks trained whole or through adapters put the fused attention
+        # node's qkv gradient on the checked path
+        plan = TrainablePlan(mode=mode, layers=(1, 2), lora_rank=2,
+                             lora_sites=("blocks", (1, 2)))
+        assert pipeline_grad_check(TINY, plan, DCFG, seed=2) <= 1e-4
+
     def test_dense_plan(self):
         err = pipeline_grad_check(TINY, PLAN, DCFG, seed=0)
         assert err <= 1e-4
@@ -285,3 +352,17 @@ class TestPipelineGradCheck:
                              lora_sites=("mlps", (1, 2)))
         err = pipeline_grad_check(TINY, plan, DCFG, seed=1)
         assert err <= 1e-4
+
+
+def test_backward_frees_the_graph_and_keeps_leaf_grads():
+    state = TrainState.create(init_params(TINY, seed=4),
+                              TrainablePlan(mode="all"))
+    rng = np.random.default_rng(4)
+    cap = forward_capture(state.params, rng.random((8, 8, 3)))
+    refs = [weakref.ref(x) for x in cap.embeddings]
+    loss = (cap.embeddings[-1] ** 2.0).mean()
+    del cap
+    loss.backward()
+    assert [r() for r in refs] == [None] * len(refs)
+    entries = state.params.all_entries()
+    assert all(entries[n].grad is not None for n in state.m)
