@@ -22,7 +22,7 @@ def _as_array(x) -> np.ndarray:
 
 
 def check_finite(a: np.ndarray, what: str = "value"):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite {what} encountered")
 
 
@@ -259,13 +259,22 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x, w, b), bw)
 
 
+# Elements in one cache-resident tile: 2**16 float64 values, 512 KiB.
+# attention and gelu run their elementwise passes tile by tile, so each
+# pass reads and writes cache instead of memory.
+TILE = 1 << 16
+
+
 def attention(qkv: Tensor, num_heads: int):
     """Multi-head self-attention over (k, 3c) rows that hold q | k | v.
 
     One node for q·kᵀ, the 1/sqrt(dh) scale, the row softmax, ·v and the
     merge of the heads. Returns the (k, c) output and the head-averaged
-    (k, k) attention map, a constant. Backward keeps only qkv and the
-    probabilities; see docs/EQUATIONS.md for its formulas.
+    (k, k) attention map, a constant. The forward runs in head groups and
+    row tiles of about TILE elements, bitwise equal to whole-array passes.
+    Backward keeps only qkv and the probabilities; a frozen qkv keeps
+    nothing and never holds every head's (k, k) logits at once. See
+    docs/EQUATIONS.md for the tiling and the backward formulas.
     """
     qkv = _wrap(qkv)
     if qkv.ndim != 2 or num_heads < 1 or qkv.shape[1] % (3 * num_heads):
@@ -276,13 +285,32 @@ def attention(qkv: Tensor, num_heads: int):
     dh = c // nh
     scale = 1.0 / np.sqrt(dh)
     q, kk, v = qkv.data.reshape(k, 3, nh, dh).transpose(1, 2, 0, 3)
-    p = q @ kk.transpose(0, 2, 1)                       # (nh, k, k)
-    p *= scale
-    check_finite(p, "softmax input")
-    p -= p.max(axis=-1, keepdims=True)                  # stable row softmax
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = (p @ v).transpose(1, 0, 2).reshape(k, c)
+    kt = kk.transpose(0, 2, 1)
+    group = max(1, TILE // (k * k))        # heads whose logits fill a tile
+    rows = max(1, TILE // (group * k))     # a group's rows per tile
+    # every head's probabilities when backward needs them, else one
+    # group's, reused by the next group
+    keep = qkv.requires_grad
+    p = np.empty((nh if keep else min(group, nh), k, k))
+    o = np.empty((nh, k, dh))
+    head_sum = np.zeros((k, k))
+    for h in range(0, nh, group):
+        hs = slice(h, h + group)
+        pg = p[hs] if keep else p[:len(q[hs])]
+        np.matmul(q[hs], kt[hs], out=pg)
+        for r in range(0, k, rows):
+            t = pg[:, r:r + rows]
+            t *= scale
+            check_finite(t, "softmax input")
+            t -= t.max(axis=-1, keepdims=True)  # stable row softmax
+            np.exp(t, out=t)
+            t /= t.sum(axis=-1, keepdims=True)
+            tile_sum = head_sum[r:r + rows]
+            for head in t:                      # the mean's head order
+                tile_sum += head
+        np.matmul(pg, v[hs], out=o[hs])
+    out_data = o.transpose(1, 0, 2).reshape(k, c)
+    head_sum /= nh
 
     def bw(g):
         go = g.reshape(k, nh, dh).transpose(1, 0, 2)    # (nh, k, dh)
@@ -297,7 +325,7 @@ def attention(qkv: Tensor, num_heads: int):
         gk[...] = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 2, 1)
         return (grad.reshape(k, 3 * c),)
 
-    return Tensor._from_op(out_data, (qkv,), bw), p.mean(axis=0)
+    return Tensor._from_op(out_data, (qkv,), bw), head_sum
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -337,18 +365,34 @@ def gelu(x: Tensor) -> Tensor:
 
     Both directions evaluate 0.5 x (1 + th), th = tanh(c (x + 0.044715 x³)),
     and its derivative in the textbook operation order, through in-place
-    temporaries.
+    temporaries. The forward runs on tiles of TILE elements. Backward
+    keeps x² and th whole; a frozen input keeps nothing.
     """
     x = _wrap(x)
     xd = x.data
-    x2 = xd * xd             # cube as x2 * x: numpy's pow is generic and slow
-    th = x2 * xd
-    th *= 0.044715
-    th += xd
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    out_data = xd * 0.5
-    out_data *= th + 1.0
+    # the output outlives the scratch; allocated first, it does not pin
+    # the heap above the freed scratch (eval-pipeline's peak RSS read
+    # 3.5 MB higher the other way round)
+    out_data = np.empty(xd.shape)
+    keep = x.requires_grad          # backward reads x² and th whole
+    tile = min(TILE, xd.size)
+    x2 = np.empty(xd.shape if keep else tile)
+    th = np.empty(xd.shape if keep else tile)
+    th1 = np.empty(tile)
+    xf, of = xd.reshape(-1), out_data.reshape(-1)
+    x2f, thf = x2.reshape(-1), th.reshape(-1)
+    for i in range(0, xf.size, TILE):
+        xt, ot = xf[i:i + TILE], of[i:i + TILE]
+        j, n = (i if keep else 0), xt.size
+        a, t = x2f[j:j + n], thf[j:j + n]
+        np.multiply(xt, xt, out=a)  # cube as x2 * x: numpy's pow is slow
+        np.multiply(a, xt, out=t)
+        t *= 0.044715
+        t += xt
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        np.multiply(xt, 0.5, out=ot)
+        ot *= np.add(t, 1.0, out=th1[:n])
 
     def bw(g):
         # d = 0.5 (1 + th) + 0.5 x (1 - th²) du,  du = c (1 + 3 · 0.044715 x²)

@@ -230,6 +230,10 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     if wrong:
         raise DumpFormatError(
             f"checkpoint entry shapes differ: {', '.join(wrong)}")
+    bad = [w for w, a in got.items() if not np.isfinite(a).all()]
+    if bad:
+        raise DumpFormatError(
+            f"checkpoint entries not finite: {', '.join(bad)}")
     params = ViTParams(config)
     params.tensors = {n: Tensor(got[f"param.{n}"]) for n in base}
     params.lora = {site: (Tensor(got[f"param.{site}.lora_a"]),

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evadapt import autodiff
 from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, affine,
                               attention, gelu, grad_check, layernorm, matmul)
 
@@ -27,11 +29,12 @@ def stack_qkv(q, k, v):
     return np.concatenate([merge(q), merge(k), merge(v)], axis=1)
 
 
-def old_attention_chain(qkv, nh, g):
+def old_attention_chain(qkv, nh, g=None):
     """The separate-node attention this package used before the fused
     node, in plain numpy: reshape/transpose/index nodes, matmul, a scale
     node, softmax_rows, matmul, transpose/reshape. Returns the output,
-    the head-averaged map and the qkv gradient for upstream g."""
+    the head-averaged map and the qkv gradient for upstream g (None
+    without g)."""
     k, c = qkv.shape[0], qkv.shape[1] // 3
     dh = c // nh
     scale = 1.0 / np.sqrt(dh)
@@ -43,6 +46,8 @@ def old_attention_chain(qkv, nh, g):
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
     out = (p @ v).transpose((1, 0, 2)).reshape(k, c)
+    if g is None:
+        return out, p.mean(axis=0), None
     go = g.reshape(k, nh, dh).transpose((1, 0, 2))
     gp = go @ np.swapaxes(v, -1, -2)
     gv = np.swapaxes(p, -1, -2) @ go
@@ -57,6 +62,25 @@ def old_attention_chain(qkv, nh, g):
         parts.append(full)
     total = parts[0] + parts[1] + parts[2]
     return out, p.mean(axis=0), total.transpose((2, 0, 1, 3)).reshape(k, 3 * c)
+
+
+def gelu_chain(x, g):
+    """GELU's value and its gradient for upstream g, out of place."""
+    x2 = x * x
+    th = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+    d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du
+    return 0.5 * x * (1.0 + th), g * d
+
+
+def traced_peak(f):
+    """Peak bytes numpy and Python allocate while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAffine:
@@ -252,21 +276,134 @@ class TestGelu:
         rng = np.random.default_rng(8)
         x = np.concatenate([rng.uniform(-10, 10, 500), [0.0, -0.0, -3.0]])
         g = rng.standard_normal(x.shape)
-        x2 = x * x
-        th = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du
+        want, want_grad = gelu_chain(x, g)
         t = Tensor(x, requires_grad=True)
         out = gelu(t)
-        assert out.data.tobytes() == (0.5 * x * (1.0 + th)).tobytes()
+        assert out.data.tobytes() == want.tobytes()
         (out * Tensor(g)).sum().backward()
-        assert t.grad.tobytes() == (g * d).tobytes()
+        assert t.grad.tobytes() == want_grad.tobytes()
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.uniform(-4, 4, (3, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 5)))
         assert grad_check(lambda: (gelu(x) * w).sum(), [x]) <= 1e-8
+
+
+class TestTiling:
+    """attention and gelu run their forward on tiles of autodiff.TILE
+    elements. A small TILE makes tiny inputs span several head groups and
+    row tiles; the results must be those of the untiled chains, bit for
+    bit."""
+
+    # k = 5, 5 heads: TILE 60 gives groups of 2, 2 and 1 heads, one tile
+    # each; TILE 12 gives one head per group in row tiles of 2, 2 and 1
+    K, NH, DH = 5, 5, 3
+
+    @staticmethod
+    def count_tiles(monkeypatch):
+        calls = []
+
+        def counted(a, what="value"):
+            if what == "softmax input":
+                calls.append(a.shape)
+            check_finite(a, what)
+
+        check_finite = autodiff.check_finite
+        monkeypatch.setattr(autodiff, "check_finite", counted)
+        return calls
+
+    @pytest.mark.parametrize("tile, tiles", [(1, 25), (12, 15), (60, 3),
+                                             (1 << 16, 1)])
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_attention_bitwise_equal_to_untiled(self, monkeypatch, tile,
+                                                tiles, trained):
+        monkeypatch.setattr(autodiff, "TILE", tile)
+        calls = self.count_tiles(monkeypatch)
+        rng = np.random.default_rng(19)
+        qkv = rng.standard_normal((self.K, 3 * self.NH * self.DH))
+        g = rng.standard_normal((self.K, self.NH * self.DH))
+        t = Tensor(qkv, requires_grad=trained)
+        out, head_avg = attention(t, self.NH)
+        assert len(calls) == tiles
+        want_out, want_avg, want_grad = old_attention_chain(qkv, self.NH, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert head_avg.tobytes() == want_avg.tobytes()
+        if trained:
+            (out * Tensor(g)).sum().backward()
+            assert t.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(23,), (4, 9), (2, 3, 5)])
+    @pytest.mark.parametrize("tile", [1, 7, 1 << 16])
+    def test_gelu_bitwise_equal_to_untiled(self, monkeypatch, shape, tile):
+        monkeypatch.setattr(autodiff, "TILE", tile)
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-6, 6, shape)
+        g = rng.standard_normal(shape)
+        want, want_grad = gelu_chain(x, g)
+        assert gelu(Tensor(x)).data.tobytes() == want.tobytes()
+        t = Tensor(x, requires_grad=True)
+        out = gelu(t)
+        assert out.data.tobytes() == want.tobytes()
+        (out * Tensor(g)).sum().backward()
+        assert t.grad.tobytes() == want_grad.tobytes()
+
+    def test_gelu_of_a_strided_view(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "TILE", 7)
+        x = np.random.default_rng(21).uniform(-6, 6, (6, 4)).T
+        assert gelu(Tensor(x)).data.tobytes() == \
+            gelu_chain(x, x)[0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_logit_in_last_tile_rejected(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "TILE", 12)
+        calls = self.count_tiles(monkeypatch)
+        rng = np.random.default_rng(22)
+        q, kk, v = rng.standard_normal((3, self.NH, self.K, self.DH))
+        q[-1, -1], kk[-1, -1] = 1e200, 1e200   # last head, last query row
+        qkv = Tensor(stack_qkv(q, kk, v))
+        with pytest.raises(NonFiniteError, match="softmax input"):
+            attention(qkv, self.NH)
+        assert len(calls) == 15              # every tile before it passed
+
+
+class TestTilingMemory:
+    def test_frozen_attention_never_holds_every_heads_logits(self):
+        k, nh, dh = 512, 8, 8
+        qkv = Tensor(np.random.default_rng(23).standard_normal(
+            (k, 3 * nh * dh)))
+        peak = traced_peak(lambda: attention(qkv, nh))
+        assert peak < nh * k * k * 8
+
+    def test_trained_attention_keeps_every_heads_probabilities(self):
+        k, nh, dh = 512, 8, 8
+        qkv = Tensor(np.random.default_rng(23).standard_normal(
+            (k, 3 * nh * dh)), requires_grad=True)
+        assert traced_peak(lambda: attention(qkv, nh)) >= nh * k * k * 8
+
+    def test_frozen_gelu_keeps_no_full_size_temporaries(self):
+        # x² and th are each as large as x: keeping either one whole would
+        # take the peak past twice x's size
+        x = Tensor(np.random.default_rng(24).uniform(-6, 6, (512, 1024)))
+        out = []
+        peak = traced_peak(lambda: out.append(gelu(x)))
+        assert peak < 2 * x.data.nbytes
+        assert out[0]._backward is None
+
+    def test_trained_gelu_keeps_its_temporaries(self):
+        x = Tensor(np.random.default_rng(24).uniform(-6, 6, (512, 1024)),
+                   requires_grad=True)
+        assert traced_peak(lambda: gelu(x)) >= 3 * x.data.nbytes
+
+
+def test_vitb_block_shape_bitwise_equal_to_untiled():
+    # the frozen teacher's shape: 1024 tokens, width 768, 12 heads, and
+    # the real TILE, so each head runs alone in 16 row tiles of 64 rows
+    qkv = np.random.default_rng(25).standard_normal((1024, 3 * 768)) * 0.5
+    want_out, want_avg, _ = old_attention_chain(qkv, 12)
+    out, head_avg = attention(Tensor(qkv), 12)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert head_avg.tobytes() == want_avg.tobytes()
 
 
 def attention_map(logits_q, logits_k):

@@ -316,13 +316,43 @@ class TestCheckpointResume:
             load_checkpoint(ck)
 
     def test_non_finite_parameter_fails_load(self, tmp_path):
+        # used to fail with Tensor's generic "non-finite tensor data"
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, tiny_state())
         tensors, meta = read_dump(ck)
         tensors["param.pos"][1, 2] = np.nan
         write_dump(ck, tensors, meta=meta)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(DumpFormatError,
+                           match=r"^checkpoint entries not finite: param\.pos$"):
             load_checkpoint(ck)
+
+    @pytest.mark.parametrize("bad", [
+        ["adam.m.embed.w"],
+        ["adam.v.block.2.mlp2.b", "param.block.1.mlp1.w"],
+    ])
+    def test_non_finite_entries_named(self, tmp_path, bad):
+        # a NaN Adam moment used to load silently and surface only as a
+        # non-finite update at the next step
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        for name in bad:
+            tensors[name].reshape(-1)[-1] = np.inf if "adam.v" in name \
+                else np.nan
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(DumpFormatError) as exc:
+            load_checkpoint(ck)
+        msg = str(exc.value)
+        assert msg.startswith("checkpoint entries not finite: ")
+        assert sorted(msg.split(": ", 1)[1].split(", ")) == sorted(bad)
+
+    def test_non_finite_extra_tensor_rides_along(self, tmp_path):
+        # unprefixed entries belong to the caller, not the model
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state(),
+                        extra_tensors={"head.w": np.array([np.nan, 1.0])})
+        _, _, extra = load_checkpoint(ck)
+        assert np.isnan(extra["head.w"][0])
 
     def test_missing_metadata_named(self, tmp_path):
         ck = tmp_path / "ck.evdt"
