@@ -392,7 +392,7 @@ def cmd_voxelize(args) -> int:
         dims = (args.height, args.width)
     t_start = args.t_start
     t_end = args.t_end if args.t_end is not None else \
-        (stream[-1].t if stream else t_start + 1)
+        (int(stream.t[-1]) if len(stream) else t_start + 1)
     vol = ev.voxelize(stream, (t_start, t_end), dims[0], dims[1],
                       B=args.bins, signed=args.signed)
     if args.normalize:

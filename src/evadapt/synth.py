@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Event
+from .events import EventStream
 from .metrics import MaskSet
 
 SIM_STEP_MS = 1.0
@@ -31,7 +31,7 @@ class Shape:
     def footprint(self, H: int, W: int, t_ms: float) -> np.ndarray:
         cx = self.position[0] + self.velocity[0] * t_ms
         cy = self.position[1] + self.velocity[1] * t_ms
-        ys, xs = np.mgrid[0:H, 0:W]
+        ys, xs = np.ogrid[0:H, 0:W]
         if self.kind == "rectangle":
             w, h = self.size
             return ((np.abs(xs - cx) <= w / 2.0)
@@ -61,14 +61,19 @@ class SceneSpec:
             raise ValueError("window_ms must be > 0")
 
 
-def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
-    """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
+def _render_plane(spec: SceneSpec, t_ms: float, out: np.ndarray) -> None:
+    """Rasterize the scene's (H, W) intensity plane at time t into out."""
     if not 0.0 <= t_ms <= spec.window_ms:
         raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
-    frame = np.full((spec.height, spec.width), spec.background, dtype=np.float64)
+    out.fill(spec.background)
     for shape in spec.shapes:
-        fp = shape.footprint(spec.height, spec.width, t_ms)
-        frame[fp] = shape.intensity
+        out[shape.footprint(spec.height, spec.width, t_ms)] = shape.intensity
+
+
+def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
+    """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
+    frame = np.empty((spec.height, spec.width))
+    _render_plane(spec, t_ms, frame)
     return np.repeat(frame[:, :, None], 3, axis=2)
 
 
@@ -121,7 +126,7 @@ def _threshold_crossings(logI: np.ndarray, step_ms: float, theta: float):
     return t.astype(np.int64), pix % W, pix // W, p
 
 
-def generate_events(spec: SceneSpec) -> list[Event]:
+def generate_events(spec: SceneSpec) -> EventStream:
     """Simulate the event stream over the scene window, sorted by time."""
     # a pixel emits until it is within one threshold of its level, so a
     # threshold <= 0 or an infinite log level would never stop emitting
@@ -133,9 +138,10 @@ def generate_events(spec: SceneSpec) -> list[Event]:
     n_steps = int(round(spec.window_ms / SIM_STEP_MS)) + 1
     H, W = spec.height, spec.width
     logI = np.empty((n_steps, H, W))
-    for k in range(n_steps):
-        frame = render_frame(spec, k * SIM_STEP_MS)
-        logI[k] = np.log(frame[:, :, 0] + 1.0)
+    for k, plane in enumerate(logI):
+        _render_plane(spec, k * SIM_STEP_MS, plane)
+        plane += 1.0
+        np.log(plane, out=plane)
     ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)
     if spec.noise_rate > 0:
         rng = np.random.default_rng(spec.seed)
@@ -149,6 +155,4 @@ def generate_events(spec: SceneSpec) -> list[Event]:
                           for j, a in enumerate((ts, xs, ys, ps)))
     # stable, so each pixel keeps its own emission order
     order = np.lexsort((xs, ys, ts))
-    return [Event(t=t, x=x, y=y, p=p) for t, x, y, p in
-            zip(ts[order].tolist(), xs[order].tolist(), ys[order].tolist(),
-                ps[order].tolist())]
+    return EventStream(ts[order], xs[order], ys[order], ps[order])

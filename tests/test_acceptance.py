@@ -13,7 +13,7 @@ from evadapt.autodiff import Tensor
 from evadapt.distill import DistillConfig, distill_loss, mix_tokens
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, count_trainable,
                              forward_capture, forward_tokens, init_params)
-from evadapt.events import Event, voxelize
+from evadapt.events import EventStream, voxelize
 from evadapt.metrics import MaskSet, compute_report, iou, match_instances
 from evadapt.significance import (convergence_diagnostic, token_significance,
                                   transition_approx, transition_exact,
@@ -273,16 +273,16 @@ def test_09_reduction_identities():
 def test_10_event_pipeline_and_resume(tmp_path):
     rng = np.random.default_rng(6)
     ts = np.sort(rng.integers(0, 40_001, 200))
-    stream = [Event(t=int(ts[i]), x=int(rng.integers(0, 6)),
-                    y=int(rng.integers(0, 6)), p=int(rng.choice([-1, 1])))
-              for i in range(200)]
+    stream = EventStream(ts, rng.integers(0, 6, 200), rng.integers(0, 6, 200),
+                         rng.choice([-1, 1], 200))
     v = voxelize(stream, (0, 40_000), 6, 6, B=3)
     assert v.grid.sum() == 200
     off = 5_000_000
-    shifted = [Event(t=e.t + off, x=e.x, y=e.y, p=e.p) for e in stream]
+    shifted = EventStream(stream.t + off, stream.x, stream.y, stream.p)
     v2 = voxelize(shifted, (off, 40_000 + off), 6, 6, B=3)
     assert np.array_equal(v.grid, v2.grid)
-    one = voxelize([Event(t=20_000, x=3, y=5, p=1)], (0, 40_000), 8, 8, B=3)
+    one = voxelize(EventStream([20_000], [3], [5], [1]), (0, 40_000), 8, 8,
+                   B=3)
     assert one.grid[5, 3, 1] == 1.0 and one.grid.sum() == 1.0
 
     data = [(rng.random((8, 8, 3)), rng.random((8, 8, 3)))

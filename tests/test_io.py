@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from evadapt.events import Event, EventFormatError, read_events, write_events
+from evadapt.events import (EventFormatError, EventStream, read_events,
+                            write_events)
 from evadapt.io import (ConfigError, DumpFormatError, from_doc, read_dump,
                         read_masks, write_dump, write_masks)
 
@@ -196,19 +197,18 @@ class TestTextFormatFuzz:
     def test_mutated_events_raise_only_format_error(self, tmp_path, rows,
                                                      header, data):
         p = tmp_path / "e.txt"
-        write_events(p, [Event(*r) for r in sorted(rows)],
-                     dims=(4, 4) if header else None)
+        cols = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
+        write_events(p, EventStream(*cols), dims=(4, 4) if header else None)
         p.write_bytes(_mutate(data, p.read_bytes()))
         try:
             events, dims = read_events(p)
         except EventFormatError:
             return
-        ts = [e.t for e in events]
-        assert ts == sorted(ts) and all(t >= 0 for t in ts)
-        assert all(e.p in (-1, 1) for e in events)
+        assert (np.diff(events.t) >= 0).all() and (events.t >= 0).all()
+        assert np.isin(events.p, [-1, 1]).all()
         if dims is not None:
-            assert all(0 <= e.x < dims[1] and 0 <= e.y < dims[0]
-                       for e in events)
+            assert ((0 <= events.x) & (events.x < dims[1])
+                    & (0 <= events.y) & (events.y < dims[0])).all()
 
 
 @dataclass

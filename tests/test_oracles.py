@@ -1,19 +1,24 @@
 """Vectorized hot paths against the scalar loops they replaced.
 
 Each reference below is the plain per-element loop: per-pixel threshold
-crossings, per-event voxel accumulation, per-cell mask overlap, flood-fill
-component labelling and the RLE while-loop. The vectorized code does the
-same float64 arithmetic elementwise, so every comparison is exact.
+crossings, per-event voxel accumulation, the per-line event text parser
+and writer, per-cell mask overlap, flood-fill component labelling and the
+RLE while-loop. The vectorized code does the same float64 arithmetic
+elementwise, so every comparison is exact. Reference events are
+(t, x, y, p) tuples.
 """
 
 import os
+import re
 import tempfile
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from evadapt import cli, io, metrics, synth
-from evadapt.events import Event, voxelize
+from evadapt.events import (EventFormatError, EventStream, read_events,
+                            voxelize, write_events)
+from test_io import _mutate
 
 
 # -- reference loops ---------------------------------------------------------
@@ -44,8 +49,8 @@ def ref_threshold_crossings(logI, step_ms, theta):
                         frac = 0.0
                     elif frac > 1.0:
                         frac = 1.0
-                    out.append(Event(t=int(((k - 1) + frac) * step_ms * 1000.0),
-                                     x=x, y=y, p=pol))
+                    out.append((int(((k - 1) + frac) * step_ms * 1000.0),
+                                x, y, pol))
                     ref = target
     return out
 
@@ -62,27 +67,83 @@ def ref_generate_events(spec):
         rng = np.random.default_rng(spec.seed)
         n_noise = rng.poisson(spec.noise_rate * spec.window_ms * H * W)
         for _ in range(n_noise):
-            events.append(Event(
-                t=int(rng.integers(0, int(spec.window_ms * 1000) + 1)),
-                x=int(rng.integers(0, W)), y=int(rng.integers(0, H)),
-                p=int(rng.choice([-1, 1]))))
-    events.sort(key=lambda e: (e.t, e.y, e.x))
-    return events
+            events.append(
+                (int(rng.integers(0, int(spec.window_ms * 1000) + 1)),
+                 int(rng.integers(0, W)), int(rng.integers(0, H)),
+                 int(rng.choice([-1, 1]))))
+    return stable_sorted(events)
 
 
 def ref_voxelize(events, t_start, t_end, H, W, B, signed):
     grid = np.zeros((H, W, B), dtype=np.float64)
     t_start, t_end = float(t_start), float(t_end)
     span = float(t_end - t_start)
-    for e in events:
-        t = np.float64(e.t)
+    for t, x, y, p in events:
+        t = np.float64(t)
         if t < t_start or t > t_end:
             continue
         b = int(B * (t - t_start) / span)
         if b >= B:
             b = B - 1
-        grid[e.y, e.x, b] += float(e.p) if signed else 1.0
+        grid[y, x, b] += float(p) if signed else 1.0
     return grid
+
+
+_HEADER_RE = re.compile(r"#\s*H=(\d+)\s+W=(\d+)")
+
+
+def ref_read_events(path):
+    events = []
+    dims = None
+    last_t = None
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise EventFormatError(f"byte {e.start}: not UTF-8") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = _HEADER_RE.search(line)
+                if m:
+                    if events or dims is not None:
+                        raise EventFormatError(
+                            f"line {lineno}: a second header, or a header "
+                            f"after the first event")
+                    dims = (int(m.group(1)), int(m.group(2)))
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise EventFormatError(f"line {lineno}: expected 't,x,y,p'")
+            try:
+                t, x, y, p_raw = (int(s) for s in parts)
+            except ValueError:
+                raise EventFormatError(f"line {lineno}: non-integer field")
+            if p_raw not in (0, 1):
+                raise EventFormatError(f"line {lineno}: polarity must be 0 or 1")
+            if t < 0:
+                raise EventFormatError(f"line {lineno}: negative timestamp")
+            if last_t is not None and t < last_t:
+                raise EventFormatError(
+                    f"line {lineno}: decreasing timestamp {t} < {last_t}")
+            if dims is not None:
+                H, W = dims
+                if not (0 <= x < W and 0 <= y < H):
+                    raise EventFormatError(
+                        f"line {lineno}: coordinates ({x},{y}) out of bounds")
+            events.append((t, x, y, 1 if p_raw == 1 else -1))
+            last_t = t
+    return events, dims
+
+
+def ref_write_events(path, events, dims=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        if dims is not None:
+            fh.write(f"# H={dims[0]} W={dims[1]}\n")
+        for t, x, y, p in events:
+            fh.write(f"{t},{x},{y},{1 if p > 0 else 0}\n")
 
 
 def ref_overlap(gt, pred):
@@ -141,7 +202,12 @@ def ref_write_masks(path, masks, ids, shape):
 
 
 def stable_sorted(events):
-    return sorted(events, key=lambda e: (e.t, e.y, e.x))
+    return sorted(events, key=lambda e: (e[0], e[2], e[1]))
+
+
+def stream_of(rows):
+    """The EventStream of (t, x, y, p) tuples."""
+    return EventStream(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -196,8 +262,7 @@ class TestThresholdCrossings:
            st.sampled_from([1.0, 0.5]))
     def test_matches_scalar_loop(self, logI, theta, step_ms):
         t, x, y, p = synth._threshold_crossings(logI, step_ms, theta)
-        got = [Event(*v) for v in zip(t.tolist(), x.tolist(), y.tolist(),
-                                      p.tolist())]
+        got = list(zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()))
         assert stable_sorted(got) == stable_sorted(
             ref_threshold_crossings(logI, step_ms, theta))
 
@@ -205,13 +270,15 @@ class TestThresholdCrossings:
         logI = np.array([0.0, 1.0, 1.0, -0.5]).reshape(4, 1, 1)
         t, _, _, p = synth._threshold_crossings(logI, 1.0, 0.3)
         ref = ref_threshold_crossings(logI, 1.0, 0.3)
-        assert [(e.t, e.p) for e in ref] == list(zip(t.tolist(), p.tolist()))
+        assert [(e[0], e[3]) for e in ref] == list(zip(t.tolist(),
+                                                       p.tolist()))
         assert np.count_nonzero(t < 1000) == 3
 
     @settings(max_examples=40, deadline=None)
     @given(scenes())
     def test_generate_events_matches_reference(self, spec):
-        assert synth.generate_events(spec) == ref_generate_events(spec)
+        assert synth.generate_events(spec) == stream_of(
+            ref_generate_events(spec))
 
     def test_generate_events_at_128(self):
         spec = synth.SceneSpec(
@@ -221,7 +288,8 @@ class TestThresholdCrossings:
                                 (0.8, -0.4), 1.0),
                     synth.Shape("disk", (70.0, 70.0), (20.0, 0.0),
                                 (-0.6, 0.5), 0.6)])
-        assert synth.generate_events(spec) == ref_generate_events(spec)
+        assert synth.generate_events(spec) == stream_of(
+            ref_generate_events(spec))
 
 
 # -- voxelization --------------------------------------------------------------
@@ -233,9 +301,8 @@ def event_stream(seed, H, W, n, window):
     t_start, t_end = window
     ts = rng.integers(max(0, t_start - 10), t_end + 11, n)
     ts[rng.random(n) < 0.2] = t_end
-    return [Event(t=int(t), x=int(rng.integers(0, W)),
-                  y=int(rng.integers(0, H)), p=int(rng.choice([-1, 1])))
-            for t in ts]
+    return EventStream(ts, rng.integers(0, W, n), rng.integers(0, H, n),
+                       rng.choice([-1, 1], n))
 
 
 class TestVoxelize:
@@ -248,9 +315,91 @@ class TestVoxelize:
         window = (t_start, t_start + span)
         events = event_stream(seed, H, W, n, window)
         got = voxelize(events, window, H, W, B=B, signed=signed).grid
-        want = ref_voxelize(events, *window, H, W, B, signed)
+        want = ref_voxelize(zip(events.t.tolist(), events.x.tolist(),
+                                events.y.tolist(), events.p.tolist()),
+                            *window, H, W, B, signed)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# -- event text ----------------------------------------------------------------
+
+def read_outcome(read, path):
+    """(stream, dims) as read, or the EventFormatError message."""
+    try:
+        stream, dims = read(path)
+    except EventFormatError as e:
+        return str(e)
+    return (stream if isinstance(stream, EventStream) else stream_of(stream),
+            dims)
+
+
+# valid files once written, with the 4 x 4 header or none
+_ROWS = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3),
+                           st.integers(0, 3), st.sampled_from([-1, 1])),
+                 max_size=6).map(sorted)
+
+
+# whole lines, valid and not, so one file can fail several checks on
+# several lines and the first failure has to be found
+_LINES = st.one_of(
+    st.tuples(st.integers(-2, 12), st.integers(-1, 5), st.integers(-1, 5),
+              st.integers(-1, 2)).map(lambda r: ",".join(map(str, r))),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+        lambda d: f"# H={d[0]} W={d[1]}"),
+    st.sampled_from(["", "  ", "#", "# note", "1,2,3", "1,2,3,1,0", "a,1,1,1",
+                     " 3 , 1 ,1, 0 ", "+4,1,1,1", "1_0,1,1,1", "\x0c5,1,1,1",
+                     "٣,1,1,1", "##H=2 W=2", "\r"]))
+
+
+class TestEventText:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_ROWS, st.booleans(), st.data())
+    def test_mutated_file_reads_as_reference(self, tmp_path, rows, header,
+                                             data):
+        p = tmp_path / "e.txt"
+        ref_write_events(p, rows, dims=(4, 4) if header else None)
+        p.write_bytes(_mutate(data, p.read_bytes()))
+        assert read_outcome(read_events, p) == read_outcome(ref_read_events,
+                                                            p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_LINES, max_size=8))
+    def test_line_soup_reads_as_reference(self, tmp_path, lines):
+        p = tmp_path / "e.txt"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        assert read_outcome(read_events, p) == read_outcome(ref_read_events,
+                                                            p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
+                              st.integers(-2 ** 63, 2 ** 63 - 1),
+                              st.integers(-2 ** 63, 2 ** 63 - 1),
+                              st.sampled_from([-1, 1])), max_size=8),
+           st.one_of(st.none(), st.tuples(st.integers(0, 999),
+                                          st.integers(0, 999))))
+    def test_writer_bytes_match_reference(self, tmp_path, rows, dims):
+        new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
+        write_events(new, stream_of(rows), dims=dims)
+        ref_write_events(ref, rows, dims=dims)
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_synth_file_matches_reference_bytes(self, tmp_path):
+        spec = synth.SceneSpec(height=24, width=24, window_ms=8.0,
+                               noise_rate=0.01, seed=2, shapes=[synth.Shape(
+                                   "disk", (9.0, 12.0), (5.0, 0.0),
+                                   (0.5, 0.2))])
+        stream = synth.generate_events(spec)
+        new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
+        write_events(new, stream, dims=(24, 24))
+        ref_write_events(ref, list(zip(stream.t.tolist(), stream.x.tolist(),
+                                       stream.y.tolist(), stream.p.tolist())),
+                         dims=(24, 24))
+        assert new.read_bytes() == ref.read_bytes()
+        assert read_events(new) == (stream, (24, 24))
 
 
 # -- masks -------------------------------------------------------------------
