@@ -16,11 +16,6 @@ class NonFiniteError(ValueError):
     """A public operation produced or received NaN/Inf."""
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 def check_finite(a: np.ndarray, what: str = "value"):
     if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite {what} encountered")
@@ -41,7 +36,7 @@ class Tensor:
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         check_finite(self.data, "tensor data")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -98,9 +93,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
         other = _wrap(other)
         out_data = self.data * other.data
@@ -128,14 +120,6 @@ class Tensor:
             )
 
         return Tensor._from_op(out_data, (self, other), bw)
-
-    def __pow__(self, p: float):
-        out_data = self.data ** p
-
-        def bw(g):
-            return (g * p * self.data ** (p - 1),)
-
-        return Tensor._from_op(out_data, (self,), bw)
 
     # -- shaping -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ import yaml
 
 from . import events as ev, synth
 from .distill import DistillConfig
-from .encoder import (TrainablePlan, ViTConfig, count_trainable,
+from .encoder import (CHANNELS, TrainablePlan, ViTConfig, count_trainable,
                       forward_capture, init_params, trainable_shapes)
 from .io import (ConfigError, DumpFormatError, from_doc, read_dump,
                  read_masks, write_dump, write_masks)
@@ -42,19 +42,15 @@ class SceneConfig(synth.SceneSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+        for name in ("num_shapes", "num_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
 class EventsConfig:
-    bins: int = ev.DEFAULT_BINS
     signed: bool = False
     normalize: bool = True
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
 
 
 @dataclass
@@ -134,7 +130,7 @@ def make_dataset(doc: dict, n: int, seed: int):
         stream = synth.generate_events(spec)
         window = (0, int(spec.window_ms * 1000))
         vol = ev.voxelize(stream, window, spec.height, spec.width,
-                          B=run.events.bins, signed=run.events.signed)
+                          B=CHANNELS, signed=run.events.signed)
         if run.events.normalize:
             vol = ev.normalize_volume(vol)
         samples.append((image, vol.grid, spec))
@@ -258,50 +254,45 @@ def cmd_eval(args) -> int:
     if "head.w" not in extra or "head.b" not in extra:
         raise DumpFormatError("checkpoint lacks the mask head head.w/head.b")
     head = {k: extra[k].astype(np.float64) for k in ("head.w", "head.b")}
-    reports = []
-    per_frame = []
     samples = make_dataset(doc, run.scene.num_samples, run.seed)
-    for i, (image, vol, spec) in enumerate(samples):
-        gt = synth.ground_truth_masks(spec, spec.window_ms)
-        pred = predict_masks(state.params, head, vol)
-        if pred is None:
-            pred = MaskSet(masks=[], ids=[])
-        r = compute_report(gt, pred)
-        reports.append(r)
-        per_frame.append({"frame": i, **report_to_dict(r)})
-    out = {"aggregate": _aggregate(reports), "frames": per_frame}
-    _write_json(args.out, out)
+    _write_report(args.out, (
+        (i, synth.ground_truth_masks(spec, spec.window_ms),
+         predict_masks(state.params, head, vol))
+        for i, (_, vol, spec) in enumerate(samples)))
     return 0
 
 
 def _eval_mask_dirs(args) -> int:
-    names = sorted(os.listdir(args.gt_dir))
-    reports = []
-    per_frame = []
-    for name in names:
-        if not name.endswith(".rle"):
-            continue
-        gmasks, gids, _ = read_masks(os.path.join(args.gt_dir, name))
-        gt = MaskSet(masks=gmasks, ids=gids)
-        ppath = os.path.join(args.pred_dir, name)
-        if os.path.exists(ppath):
-            pmasks, pids, _ = read_masks(ppath)
-            pred = MaskSet(masks=pmasks, ids=pids)
-        else:
-            pred = MaskSet(masks=[], ids=[])
-        r = compute_report(gt, pred)
-        reports.append(r)
-        per_frame.append({"frame": name, **report_to_dict(r)})
-    if not reports:
+    names = [n for n in sorted(os.listdir(args.gt_dir)) if n.endswith(".rle")]
+    if not names:
         print("eval: no .rle mask files found", file=sys.stderr)
         return 2
-    out = {"aggregate": _aggregate(reports), "frames": per_frame}
-    _write_json(args.out, out)
+
+    def mask_set(path):
+        masks, ids, _ = read_masks(path)
+        return MaskSet(masks=masks, ids=ids)
+
+    def frames():
+        for name in names:
+            ppath = os.path.join(args.pred_dir, name)
+            yield (name, mask_set(os.path.join(args.gt_dir, name)),
+                   mask_set(ppath) if os.path.exists(ppath) else None)
+
+    _write_report(args.out, frames())
     return 0
 
 
-def _write_json(path, obj):
-    text = json.dumps(obj, indent=2)
+def _write_report(path, frames):
+    """Score (frame, gt, pred or None) triples; write the JSON report to
+    `path`, or print it when no path is given."""
+    reports = []
+    per_frame = []
+    for frame, gt, pred in frames:
+        r = compute_report(gt, pred if pred is not None else MaskSet(masks=[]))
+        reports.append(r)
+        per_frame.append({"frame": frame, **report_to_dict(r)})
+    text = json.dumps({"aggregate": _aggregate(reports), "frames": per_frame},
+                      indent=2)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

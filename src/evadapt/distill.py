@@ -16,8 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, where_rows
 from .encoder import EmbeddingCapture
-from .significance import (SignificanceVector, significance_single_layer,
-                           token_significance, transition_stack)
+from .significance import token_significance, transition_stack
 
 ATTENTION_SOURCES = ("teacher", "student", "teacher_single_layer", "uniform")
 
@@ -52,14 +51,8 @@ class DistillConfig:
         return self.gammas[nonzero.index(layer)]
 
 
-@dataclass
-class MixedInput:
-    tokens: Tensor
-    replaced_positions: np.ndarray
-
-
 def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
-               ratio: float, seed) -> MixedInput:
+               ratio: float, seed) -> Tensor:
     """Replace round(ratio * k) event tokens with same-position image tokens.
 
     Positions are drawn without replacement from a generator seeded by
@@ -72,16 +65,13 @@ def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
     k = event_tokens.shape[0]
     n_rep = int(round(ratio * k))
     rng = np.random.default_rng(seed)
-    positions = rng.choice(k, size=n_rep, replace=False)
-    positions.sort()
     mask = np.zeros(k, dtype=bool)
-    mask[positions] = True
-    tokens = where_rows(mask, image_tokens, event_tokens)
-    return MixedInput(tokens=tokens, replaced_positions=positions)
+    mask[rng.choice(k, size=n_rep, replace=False)] = True
+    return where_rows(mask, image_tokens, event_tokens)
 
 
 def weighted_layer_loss(x_m: Tensor, x_e: Tensor,
-                        w: SignificanceVector | np.ndarray | None) -> Tensor:
+                        w: np.ndarray | None) -> Tensor:
     """Significance-weighted mean absolute difference of two token matrices.
 
     Weights broadcast over the channel dimension; the reduction is a mean
@@ -92,10 +82,9 @@ def weighted_layer_loss(x_m: Tensor, x_e: Tensor,
     diff = (x_m - x_e).abs()
     if w is None:
         return diff.mean()
-    values = w.values if isinstance(w, SignificanceVector) else np.asarray(w)
-    if values.shape != (x_m.shape[0],):
+    if w.shape != (x_m.shape[0],):
         raise ValueError("weight length must equal token count")
-    return (diff * Tensor(values.reshape(-1, 1))).mean()
+    return (diff * Tensor(w.reshape(-1, 1))).mean()
 
 
 def _layer_weights(cfg: DistillConfig,
@@ -108,7 +97,7 @@ def _layer_weights(cfg: DistillConfig,
         # layer 0..n-1 indexes attention of the block leaving that layer;
         # the terminal layer falls back to its own incoming attention
         attn = teacher.attentions[min(layer, len(teacher.attentions) - 1)]
-        return significance_single_layer(attn, cfg.beta, source_layer=layer).values
+        return token_significance(transition_stack([attn]), 1, cfg.beta).values
     capture = teacher if cfg.attention_source == "teacher" else student
     stack = transition_stack(capture.attentions)
     n = len(stack)
@@ -116,8 +105,7 @@ def _layer_weights(cfg: DistillConfig,
         # rolling out from the terminal layer: empty product, uniform
         return None
     return token_significance(stack, layer + 1, cfg.beta,
-                              horizon=cfg.rollout_horizon,
-                              attention_source=cfg.attention_source).values
+                              horizon=cfg.rollout_horizon).values
 
 
 def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,

@@ -21,12 +21,14 @@ import numpy as np
 
 from .autodiff import Tensor, affine, attention, gelu, layernorm, matmul
 
+# input channels: the teacher's RGB frame, the student's 3-bin voxel grid
+CHANNELS = 3
+
 
 @dataclass(frozen=True)
 class ViTConfig:
     img_size: int = 512
     patch_size: int = 16
-    in_channels: int = 3
     embed_dim: int = 768
     depth: int = 12
     num_heads: int = 12
@@ -53,7 +55,7 @@ class ViTConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch_size ** 2 * self.in_channels
+        return self.patch_size ** 2 * CHANNELS
 
 
 VIT_B = ViTConfig(img_size=512, patch_size=16, embed_dim=768, depth=12,
@@ -256,9 +258,9 @@ def patch_tokens(config: ViTConfig, image: np.ndarray) -> np.ndarray:
     """Rearrange an (H, W, C) image into (k, patch_dim) row-major patches."""
     H = W = config.img_size
     ps, g = config.patch_size, config.grid
-    if image.shape != (H, W, config.in_channels):
+    if image.shape != (H, W, CHANNELS):
         raise ValueError(f"input shape {image.shape} does not match config")
-    x = image.reshape(g, ps, g, ps, config.in_channels)
+    x = image.reshape(g, ps, g, ps, CHANNELS)
     x = x.transpose(0, 2, 1, 3, 4).reshape(config.tokens, config.patch_dim)
     return x
 

@@ -65,6 +65,8 @@ def write_dump(path, tensors: dict[str, np.ndarray], meta: dict | None = None):
 
 
 def read_dump(path) -> tuple[dict[str, np.ndarray], dict]:
+    """A dump's entries and metadata; malformed bytes raise DumpFormatError
+    naming the part or entry."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -78,22 +80,46 @@ def read_dump(path) -> tuple[dict[str, np.ndarray], dict]:
         version, meta_len = struct.unpack("<HI", read(6, "header"))
         if version != VERSION:
             raise DumpFormatError(f"unsupported version {version}")
-        meta = json.loads(read(meta_len, "metadata")) if meta_len else {}
+        meta = _read_meta(read(meta_len, "metadata")) if meta_len else {}
         (count,) = struct.unpack("<I", read(4, "entry count"))
         tensors: dict[str, np.ndarray] = {}
         for i in range(count):
             (name_len,) = struct.unpack("<H", read(2, f"name of entry {i}"))
-            name = read(name_len, f"name of entry {i}").decode()
+            try:
+                name = read(name_len, f"name of entry {i}").decode()
+            except UnicodeDecodeError:
+                raise DumpFormatError(f"name of entry {i} is not UTF-8") \
+                    from None
+            if name in tensors:
+                raise DumpFormatError(f"entry {i} repeats the name '{name}'")
             code, rank = struct.unpack("<BB", read(2, f"dtype of '{name}'"))
             if code not in _DTYPES:
                 raise DumpFormatError(f"unknown dtype code {code}")
             dims = struct.unpack(f"<{rank}Q",
                                  read(8 * rank, f"dims of '{name}'"))
             dt = _DTYPES[code]
-            payload = read(math.prod(dims) * dt.itemsize,
-                           f"payload for '{name}'")
-            tensors[name] = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+            payload = np.frombuffer(read(math.prod(dims) * dt.itemsize,
+                                         f"payload for '{name}'"), dtype=dt)
+            try:  # rank above numpy's limit, or a zero-size shape too big
+                tensors[name] = payload.reshape(dims).copy()
+            except ValueError as e:
+                raise DumpFormatError(f"dims {dims} of '{name}': {e}") \
+                    from None
+        if fh.tell() != size:
+            raise DumpFormatError(
+                f"{size - fh.tell()} bytes after the last entry")
     return tensors, meta
+
+
+def _read_meta(raw: bytes) -> dict:
+    try:
+        meta = json.loads(raw.decode())
+    except (ValueError, RecursionError) as e:  # not UTF-8, or not JSON
+        raise DumpFormatError(f"metadata: {e}") from None
+    if not isinstance(meta, dict):
+        raise DumpFormatError(
+            f"metadata is a JSON {type(meta).__name__}, not an object")
+    return meta
 
 
 # -- RLE masks --------------------------------------------------------------

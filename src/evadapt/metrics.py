@@ -3,9 +3,8 @@
 Matching is greedy over all (gt, pred) pairs with IoU > 0, in descending
 IoU order, one-to-one, tie-broken by lower gt id then lower pred id.
 Unmatched ground-truth instances score 0 on precision/recall/IoU and are
-counted in the means; aIoU weights per-instance IoU by mask area, with the
-denominator defaulting to total ground-truth mask area so a perfect
-prediction scores 1.0 (image-area normalization is available as an option).
+counted in the means; aIoU weights per-instance IoU by mask area over the
+total ground-truth mask area, so a perfect prediction scores 1.0.
 """
 
 from __future__ import annotations
@@ -109,14 +108,10 @@ def match_instances(gt: MaskSet, pred: MaskSet) -> MatchResult:
     return _greedy_match(*_overlap_table(gt, pred))
 
 
-def compute_report(gt: MaskSet, pred: MaskSet,
-                   aiou_denominator: str = "mask_total",
-                   image_area: int | None = None) -> MetricsReport:
+def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
     """Per-instance precision/recall/IoU plus the four aggregates."""
     if len(gt) == 0:
         raise ValueError("ground-truth mask set is empty")
-    if aiou_denominator not in ("mask_total", "image_area"):
-        raise ValueError(f"unknown aIoU denominator: {aiou_denominator}")
     inter, ga, pa = _overlap_table(gt, pred)
     match = _greedy_match(inter, ga, pa)
     by_gt = {g: (p, v) for g, p, v in match.pairs}
@@ -140,13 +135,11 @@ def compute_report(gt: MaskSet, pred: MaskSet,
         areas.append(area)
     areas = np.asarray(areas, dtype=np.float64)
     ious_a = np.asarray(ious)
-    denom = areas.sum() if aiou_denominator == "mask_total" else float(
-        image_area if image_area is not None else gt.masks[0].size)
     return MetricsReport(
         mP=float(np.mean(ps)),
         mR=float(np.mean(rs)),
         mIoU=float(np.mean(ious_a)),
-        aIoU=float((areas * ious_a).sum() / denom),
+        aIoU=float((areas * ious_a).sum() / areas.sum()),
         tp=len(match.pairs),
         fp=len(match.unmatched_pred),
         fn=len(match.unmatched_gt),

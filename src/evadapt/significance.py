@@ -23,9 +23,6 @@ DEFAULT_BETA = 0.5
 @dataclass
 class SignificanceVector:
     values: np.ndarray
-    source_layer: int
-    beta: float
-    attention_source: str = "teacher"
 
 
 def transition_stack(attentions: list[np.ndarray]) -> list[np.ndarray]:
@@ -98,8 +95,7 @@ def transition_approx(stack: list[np.ndarray], s: int,
 def token_significance(stack: list[np.ndarray], s: int,
                        beta: float = DEFAULT_BETA,
                        e: np.ndarray | None = None,
-                       horizon: int | None = None,
-                       attention_source: str = "teacher") -> SignificanceVector:
+                       horizon: int | None = None) -> SignificanceVector:
     """Per-token weight of layer-s tokens on the final layer's output.
 
     Equals transition_approx(stack, s, beta, horizon) @ e, evaluated right
@@ -116,19 +112,7 @@ def token_significance(stack: list[np.ndarray], s: int,
     v = e
     for p in reversed(mats):
         v = p @ v
-    return SignificanceVector(values=beta * v + (1.0 - beta) * e,
-                              source_layer=s, beta=beta,
-                              attention_source=attention_source)
-
-
-def significance_single_layer(attn: np.ndarray, beta: float = DEFAULT_BETA,
-                              e: np.ndarray | None = None,
-                              source_layer: int = 0) -> SignificanceVector:
-    """Single-layer variant: only that layer's attention enters the product."""
-    sig = token_significance(transition_stack([attn]), 1, beta, e,
-                             attention_source="teacher_single_layer")
-    sig.source_layer = source_layer
-    return sig
+    return SignificanceVector(values=beta * v + (1.0 - beta) * e)
 
 
 def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:

@@ -135,7 +135,7 @@ def generate_events(spec: SceneSpec) -> EventStream:
     levels = [spec.background] + [s.intensity for s in spec.shapes]
     if not all(-1.0 < v < np.inf for v in levels):
         raise ValueError("scene intensities must be finite and above -1")
-    n_steps = int(round(spec.window_ms / SIM_STEP_MS)) + 1
+    n_steps = int(spec.window_ms // SIM_STEP_MS) + 1
     H, W = spec.height, spec.width
     logI = np.empty((n_steps, H, W))
     for k, plane in enumerate(logI):

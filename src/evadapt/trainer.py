@@ -16,10 +16,12 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, mix_tokens
-from .encoder import (TrainablePlan, ViTConfig, ViTParams, apply_lora,
-                      embed_image, forward_tokens, init_params,
+from .encoder import (CHANNELS, TrainablePlan, ViTConfig, ViTParams,
+                      apply_lora, embed_image, forward_tokens, init_params,
                       mark_trainable, param_shapes, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -30,9 +32,6 @@ class TrainConfig:
     lr: float = 2e-4
     decay_factor: float = 0.9
     decay_epoch: int = 4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -43,11 +42,6 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.decay_epoch > self.epochs:
             raise ValueError("decay epoch must not exceed epochs")
-
-
-# the full-scale reference training profile; acceptance uses the tiny profile
-FULL_PROFILE = TrainConfig(epochs=5, steps_per_epoch=2700, batch_size=24,
-                            lr=2e-4, decay_factor=0.9, decay_epoch=4)
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
@@ -86,12 +80,11 @@ def _adapter_sites(shapes: dict) -> list[str]:
     return [n.removesuffix(".lora_a") for n in shapes if n.endswith(".lora_a")]
 
 
-def adam_step(state: TrainState, grads: dict[str, np.ndarray],
-              lr: float, cfg: TrainConfig):
+def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
     """Bias-corrected Adam update on the trainable entries only."""
     state.step += 1
     t = state.step
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     entries = state.params.all_entries()
     for name in sorted(state.m):
         g = grads.get(name)
@@ -118,7 +111,7 @@ def student_step_loss(teacher_capture, student_params: ViTParams,
     event_tokens = embed_image(student_params, volume)
     image_tokens = Tensor(teacher_capture.embeddings[0].data)
     mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seed)
-    capture = forward_tokens(student_params, mixed.tokens)
+    capture = forward_tokens(student_params, mixed)
     return distill_loss(teacher_capture, capture, dcfg)
 
 
@@ -166,7 +159,7 @@ def train(teacher: ViTParams, state: TrainState, data: list,
                 if g is None:
                     continue
                 grads[name] = grads.get(name, 0.0) + g / tcfg.batch_size
-        adam_step(state, grads, lr, tcfg)
+        adam_step(state, grads, lr)
         row = {"step": global_step + 1, "epoch": epoch, "lr": lr,
                "total": total_val / tcfg.batch_size}
         for s, v in breakdown_sum.items():
@@ -260,8 +253,8 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
                               seed=seed)
     student = state.params
     H = W = config.img_size
-    image = rng.random((H, W, config.in_channels))
-    volume = rng.random((H, W, config.in_channels))
+    image = rng.random((H, W, CHANNELS))
+    volume = rng.random((H, W, CHANNELS))
     from .encoder import forward_capture
     teacher_capture = forward_capture(teacher, image)
 

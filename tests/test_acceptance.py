@@ -262,7 +262,7 @@ def test_09_reduction_identities():
     event_tokens = forward_capture(params, vol).embeddings[0]
     mixed = mix_tokens(Tensor(event_tokens.data),
                        Tensor(t_cap.embeddings[0].data), 1.0, seed=0)
-    student_cap = forward_tokens(params, mixed.tokens)
+    student_cap = forward_tokens(params, mixed)
     total, _ = distill_loss(
         t_cap, student_cap,
         DistillConfig(layers=(0, 1, 2), gammas=(0.4, 1.0)))

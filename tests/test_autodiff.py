@@ -477,7 +477,7 @@ class TestGradCheck:
     def test_nonfinite_loss_probing(self):
         x = Tensor([0.0], requires_grad=True)
         with pytest.raises(NonFiniteError):
-            grad_check(lambda: (x ** -1.0).sum(), [x])
+            grad_check(lambda: (Tensor([1.0]) / x).sum(), [x])
 
 
 class TestDeterminism:
@@ -486,7 +486,8 @@ class TestDeterminism:
             rng = np.random.default_rng(11)
             a = Tensor(rng.random((5, 5)), requires_grad=True)
             b = Tensor(rng.random((5, 6)), requires_grad=True)
-            (attention(matmul(a, b), 2)[0] ** 2.0).mean().backward()
+            out = attention(matmul(a, b), 2)[0]
+            (out * out).mean().backward()
             return a.grad.copy(), b.grad.copy()
 
         g1, g2 = run(), run()

@@ -257,7 +257,7 @@ class TestErrorHandling:
         ("train.lr", "abc"),
         ("model.patch_size", 0),
         ("scene.num_samples", 0),
-        ("events.bins", 0),
+        ("scene.num_shapes", -3),
         ("distill.layers", 3),
         ("distill.layers", [0, -1, 2]),
         ("scene.seed", 1),
@@ -276,7 +276,6 @@ class TestErrorHandling:
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)
-        doc["events"] = {"bins": 3}
         if key == "config":
             doc = value
         elif "." in key:

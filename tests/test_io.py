@@ -1,3 +1,5 @@
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -6,8 +8,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evadapt.events import (EventFormatError, EventStream, read_events,
                             write_events)
-from evadapt.io import (ConfigError, DumpFormatError, from_doc, read_dump,
-                        read_masks, write_dump, write_masks)
+from evadapt.io import (MAGIC, ConfigError, DumpFormatError, from_doc,
+                        read_dump, read_masks, write_dump, write_masks)
+
+
+def raw_dump(meta: bytes = b"", entries=(), tail: bytes = b"") -> bytes:
+    """Dump bytes built part by part; entries are (name bytes, dims) of
+    float64 zeros."""
+    out = MAGIC + struct.pack("<HI", 1, len(meta)) + meta
+    out += struct.pack("<I", len(entries))
+    for name, dims in entries:
+        out += struct.pack("<H", len(name)) + name
+        out += struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims)
+        out += bytes(8 * math.prod(dims))
+    return out + tail
 
 
 class TestTensorDump:
@@ -99,6 +113,51 @@ class TestTensorDump:
         else:
             with pytest.raises(DumpFormatError):
                 read_dump(p)
+
+    @pytest.mark.parametrize("raw,match", [
+        (raw_dump(meta=b"\xff{}"), "metadata"),
+        (raw_dump(meta=b'{"a": '), "metadata"),
+        (raw_dump(meta=b"[1, 2]"), "metadata is a JSON list"),
+        (raw_dump(meta=b"[" * 100_000), "metadata"),
+        (raw_dump(entries=[(b"\xff", (1,))]), "name of entry 0 is not UTF-8"),
+        (raw_dump(entries=[(b"x", (1,)), (b"x", (2,))]), "entry 1 .*'x'"),
+        (raw_dump(entries=[(b"x", (1,) * 65)]), "dims .* of 'x'"),
+        (raw_dump(entries=[(b"x", (0, 2 ** 63))]), "dims .* of 'x'"),
+        (raw_dump(entries=[(b"x", (1,))], tail=b"\0"), "1 bytes after"),
+    ], ids=["meta-not-utf8", "meta-not-json", "meta-not-object",
+            "meta-too-deep", "name-not-utf8", "duplicate-name",
+            "rank-65", "zero-size-too-big", "trailing-bytes"])
+    def test_malformed_dump_names_part(self, tmp_path, raw, match):
+        p = tmp_path / "d.evdt"
+        p.write_bytes(raw)
+        with pytest.raises(DumpFormatError, match=match):
+            read_dump(p)
+
+    def test_raw_dump_builder_matches_writer(self, tmp_path):
+        p = tmp_path / "d.evdt"
+        write_dump(p, {"x": np.zeros((2, 1))}, meta={"k": 1})
+        assert p.read_bytes() == raw_dump(b'{"k": 1}', [(b"x", (2, 1))])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from([np.float32, np.float64]),
+                              st.lists(st.integers(0, 3), max_size=3)),
+                    max_size=3),
+           st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+           st.data())
+    def test_mutated_dump_raises_only_format_error(self, tmp_path, entries,
+                                                   meta, data):
+        p = tmp_path / "d.evdt"
+        write_dump(p, {f"t{i}é": np.ones(dims, dtype)
+                       for i, (dtype, dims) in enumerate(entries)}, meta=meta)
+        p.write_bytes(_mutate(data, p.read_bytes()))
+        try:
+            tensors, got_meta = read_dump(p)
+        except DumpFormatError:
+            return
+        assert isinstance(got_meta, dict)
+        assert all(t.dtype in (np.float32, np.float64)
+                   for t in tensors.values())
 
     def test_integer_tensor_rejected(self, tmp_path):
         with pytest.raises(DumpFormatError, match="dtype"):

@@ -169,12 +169,6 @@ class TestComputeReport:
             eroded.append(e)
         assert compute_report(gt, MaskSet(masks=eroded)).mIoU <= base
 
-    def test_image_area_denominator(self):
-        gt = MaskSet(masks=[block(4, 4, 0, 0, 2, 2)])
-        r = compute_report(gt, MaskSet(masks=[block(4, 4, 0, 0, 2, 2)]),
-                           aiou_denominator="image_area")
-        assert r.aIoU == pytest.approx(4 / 16)
-
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             compute_report(MaskSet(masks=[]), MaskSet(masks=[]))

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evadapt.significance import (convergence_diagnostic,
-                                  significance_single_layer,
                                   token_significance, transition_approx,
                                   transition_exact, transition_stack)
 
@@ -171,16 +170,18 @@ class TestTokenSignificance:
 
 
 class TestSingleLayer:
+    """One-matrix stacks: what distill's teacher_single_layer source uses."""
+
     def test_identity_uniform(self):
-        sig = significance_single_layer(np.eye(3), 0.5)
+        sig = token_significance(transition_stack([np.eye(3)]), 1, 0.5)
         assert np.allclose(sig.values, 1.0)
 
     def test_pivot(self):
-        sig = significance_single_layer(A_PIVOT, 0.5)
+        sig = token_significance(transition_stack([A_PIVOT]), 1, 0.5)
         assert np.allclose(sig.values, [1.5, 0.5], atol=1e-15)
 
     def test_beta_zero_uniform(self):
-        sig = significance_single_layer(A_PIVOT, 0.0)
+        sig = token_significance(transition_stack([A_PIVOT]), 1, 0.0)
         assert np.allclose(sig.values, 1.0)
 
 

@@ -98,11 +98,13 @@ class TestGenerateEvents:
         assert np.isin(events.p, [-1, 1]).all()
 
     def test_sorted_and_in_window(self):
-        spec = simple_scene()
-        events = generate_events(spec)
-        ts = events.t
-        assert (np.diff(ts) >= 0).all()
-        assert 0 <= ts[0] and ts[-1] <= int(spec.window_ms * 1000)
+        # a window that is no whole number of simulation steps ends
+        # between steps; no event may fall past its end
+        for window_ms in (40.0, 6.6):
+            spec = simple_scene(window_ms=window_ms)
+            ts = generate_events(spec).t
+            assert ts.size and (np.diff(ts) >= 0).all()
+            assert 0 <= ts[0] and ts[-1] <= int(spec.window_ms * 1000)
 
     def test_events_localized_at_moving_edge(self):
         events = generate_events(simple_scene())
