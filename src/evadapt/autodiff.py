@@ -115,8 +115,10 @@ class Tensor:
 
         def bw(g):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data ** 2), other.shape),
+                _unbroadcast(g / other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._from_op(out_data, (self, other), bw)
@@ -178,7 +180,8 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                # a constant parent has no parents and takes no gradient
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while order:
@@ -395,6 +398,57 @@ def gelu(x: Tensor) -> Tensor:
         return (d,)
 
     return Tensor._from_op(out_data, (x,), bw)
+
+
+def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],
+                weights: list[np.ndarray | None],
+                gammas: list[float]) -> tuple[Tensor, list[float]]:
+    """sum_s gamma_s * mean(w_s[:, None] * |target_s - x_s|) as one node.
+
+    targets are constant (k, c) arrays, xs the (k, c) tensors compared
+    with them, weights per-row (k,) vectors or None for uniform rows.
+    Returns the total and each unscaled term. Forward and backward apply
+    the numpy operations of the Tensor chain
+    ((target - x).abs() * w).mean() * gamma, summed left to right, in the
+    same order, so both are bitwise equal to it (docs/EQUATIONS.md).
+    """
+    xs = [_wrap(x) for x in xs]
+    if not xs or not len(targets) == len(xs) == len(weights) == len(gammas):
+        raise ValueError("weighted_l1 needs inputs, each with one target, "
+                         "weight and gamma")
+    total = None
+    terms = []
+    saved = []      # (gamma, size, w column or None, sign or None) per input
+    for m, x, w, gamma in zip(targets, xs, weights, gammas):
+        if m.shape != x.shape:
+            raise ValueError(f"shape mismatch: {m.shape} vs {x.shape}")
+        diff = m - x.data
+        a = np.abs(diff)
+        if w is not None:
+            if w.shape != (x.shape[0],):
+                raise ValueError("weight length must equal token count")
+            w = w.reshape(-1, 1)
+            a = a * w
+        term = a.sum() / float(a.size)
+        terms.append(float(term))
+        term = term * gamma
+        total = term if total is None else total + term
+        saved.append((gamma, float(a.size), w,
+                      np.sign(diff) if x.requires_grad else None))
+
+    def bw(g):
+        grads = []
+        for gamma, n, w, sign in saved:
+            if sign is None:
+                grads.append(None)
+                continue
+            d = (g * gamma) / n
+            if w is not None:
+                d = d * w
+            grads.append(-(d * sign))
+        return grads
+
+    return Tensor._from_op(np.asarray(total), xs, bw), terms
 
 
 def where_rows(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, where_rows
+from .autodiff import Tensor, weighted_l1, where_rows
 from .encoder import EmbeddingCapture
 from .significance import token_significance, transition_stack
 
@@ -34,6 +34,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.attention_source not in ATTENTION_SOURCES:
             raise ValueError(f"unknown attention source: {self.attention_source}")
+        if not self.layers:
+            raise ValueError("layers must name at least one layer")
         if any(s < 0 for s in self.layers):
             raise ValueError("layers must be >= 0")
         if not 0.0 <= self.mixing_ratio <= 1.0:
@@ -70,62 +72,48 @@ def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
     return where_rows(mask, image_tokens, event_tokens)
 
 
-def weighted_layer_loss(x_m: Tensor, x_e: Tensor,
-                        w: np.ndarray | None) -> Tensor:
-    """Significance-weighted mean absolute difference of two token matrices.
-
-    Weights broadcast over the channel dimension; the reduction is a mean
-    over all k*c elements so magnitudes do not scale with config size.
-    """
-    if x_m.shape != x_e.shape:
-        raise ValueError(f"shape mismatch: {x_m.shape} vs {x_e.shape}")
-    diff = (x_m - x_e).abs()
-    if w is None:
-        return diff.mean()
-    if w.shape != (x_m.shape[0],):
-        raise ValueError("weight length must equal token count")
-    return (diff * Tensor(w.reshape(-1, 1))).mean()
-
-
-def _layer_weights(cfg: DistillConfig,
-                   teacher: EmbeddingCapture,
-                   student: EmbeddingCapture,
-                   layer: int) -> np.ndarray | None:
-    if layer == 0 or cfg.attention_source == "uniform":
-        return None
+def layer_weights(cfg: DistillConfig,
+                  capture: EmbeddingCapture) -> list[np.ndarray | None]:
+    """Significance weights of cfg.layers, in order; None weighs a layer
+    uniformly. `capture` is the network whose attention is rolled out: the
+    teacher's, or the student's under the "student" source."""
+    if cfg.attention_source == "uniform":
+        return [None] * len(cfg.layers)
+    attns = capture.attentions
     if cfg.attention_source == "teacher_single_layer":
         # layer 0..n-1 indexes attention of the block leaving that layer;
         # the terminal layer falls back to its own incoming attention
-        attn = teacher.attentions[min(layer, len(teacher.attentions) - 1)]
-        return token_significance(transition_stack([attn]), 1, cfg.beta).values
-    capture = teacher if cfg.attention_source == "teacher" else student
-    stack = transition_stack(capture.attentions)
-    n = len(stack)
-    if layer >= n:
-        # rolling out from the terminal layer: empty product, uniform
-        return None
-    return token_significance(stack, layer + 1, cfg.beta,
-                              horizon=cfg.rollout_horizon).values
+        return [None if layer == 0 else token_significance(
+                    transition_stack([attns[min(layer, len(attns) - 1)]]),
+                    1, cfg.beta).values
+                for layer in cfg.layers]
+    stack = transition_stack(attns)
+    # rolling out from the terminal layer is an empty product: uniform
+    return [None if layer == 0 or layer >= len(stack) else token_significance(
+                stack, layer + 1, cfg.beta, horizon=cfg.rollout_horizon).values
+            for layer in cfg.layers]
 
 
 def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
-                 cfg: DistillConfig) -> tuple[Tensor, dict[int, float]]:
-    """Total gamma-weighted loss over the configured layer set.
+                 cfg: DistillConfig,
+                 weights: list[np.ndarray | None] | None = None,
+                 ) -> tuple[Tensor, dict[int, float]]:
+    """Total gamma-weighted loss over the configured layer set, one node.
 
     Returns (total, per-layer breakdown of the unscaled layer losses).
-    Teacher embeddings enter as constants.
+    Teacher embeddings enter as constants. `weights` are layer_weights of
+    the source capture when the caller has them already (the trainer keeps
+    the teacher's per sample); otherwise they are rolled out here.
     """
     n = len(student.embeddings) - 1
-    breakdown: dict[int, float] = {}
-    total = None
     for layer in cfg.layers:
         if layer > n:
             raise ValueError(f"layer {layer} exceeds encoder depth {n}")
-        w = _layer_weights(cfg, teacher, student, layer)
-        x_m = Tensor(teacher.embeddings[layer].data)   # constant copy
-        term = weighted_layer_loss(x_m, student.embeddings[layer], w)
-        breakdown[layer] = term.item()
-        term = cfg.gamma_for(layer) * term
-        total = term if total is None else total + term
-    return total, breakdown
-
+    if weights is None:
+        weights = layer_weights(
+            cfg, student if cfg.attention_source == "student" else teacher)
+    total, terms = weighted_l1(
+        [teacher.embeddings[s].data for s in cfg.layers],
+        [student.embeddings[s] for s in cfg.layers],
+        weights, [cfg.gamma_for(s) for s in cfg.layers])
+    return total, dict(zip(cfg.layers, terms))

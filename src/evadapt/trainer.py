@@ -1,7 +1,7 @@
 """Adam training loop for the student encoder, with checkpoint/resume.
 
-The teacher is frozen; its capture for each sample is computed once and
-cached. Each step embeds the sample's event volume with the student,
+The teacher is frozen; its capture for each sample, and the significance
+weights rolled out from it, are computed once and cached. Each step embeds the sample's event volume with the student,
 replaces a seeded random subset of tokens with the student-embedded image
 tokens (fresh positions every step), runs the student, and minimizes the
 weighted distillation objective. Per-step randomness derives from
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
-from .distill import DistillConfig, distill_loss, mix_tokens
+from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
 from .encoder import (CHANNELS, TrainablePlan, ViTConfig, ViTParams,
                       apply_lora, embed_image, forward_tokens, init_params,
                       mark_trainable, param_shapes, trainable_shapes)
@@ -101,18 +101,19 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
 
 def student_step_loss(teacher_capture, student_params: ViTParams,
                       image: np.ndarray, volume: np.ndarray,
-                      dcfg: DistillConfig, mix_seed):
+                      dcfg: DistillConfig, mix_seed, weights=None):
     """Loss for one sample: embed events, mix in image tokens, compare.
 
     Image tokens come from the frozen teacher's layer-0 capture, so they
     are constants; routing them through the (trainable) student embed
     would leave a non-gradient path that breaks exact gradient checking.
+    `weights` are the teacher's layer weights, if already rolled out.
     """
     event_tokens = embed_image(student_params, volume)
     image_tokens = Tensor(teacher_capture.embeddings[0].data)
     mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seed)
     capture = forward_tokens(student_params, mixed)
-    return distill_loss(teacher_capture, capture, dcfg)
+    return distill_loss(teacher_capture, capture, dcfg, weights)
 
 
 def train(teacher: ViTParams, state: TrainState, data: list,
@@ -124,7 +125,9 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     history rows are dicts with step, epoch, lr, total, and per-layer terms.
     """
     from .encoder import forward_capture
-    teacher_cache: dict[int, object] = {}
+    # sample index -> (teacher capture, its layer weights); the student
+    # source rolls out the student's own attention every step instead
+    teacher_cache: dict[int, tuple] = {}
     history: list[dict] = []
     entries = state.params.all_entries()
     steps = total_steps if total_steps is not None else \
@@ -140,12 +143,16 @@ def train(teacher: ViTParams, state: TrainState, data: list,
             idx = (global_step * tcfg.batch_size + b) % len(data)
             image, volume = data[idx]
             if idx not in teacher_cache:
-                teacher_cache[idx] = forward_capture(teacher, image)
+                capture = forward_capture(teacher, image)
+                weights = (None if dcfg.attention_source == "student"
+                           else layer_weights(dcfg, capture))
+                teacher_cache[idx] = (capture, weights)
+            capture, weights = teacher_cache[idx]
             for name in state.m:
                 entries[name].zero_grad()
             loss, breakdown = student_step_loss(
-                teacher_cache[idx], state.params, image, volume, dcfg,
-                mix_seed=[tcfg.seed, global_step, b])
+                capture, state.params, image, volume, dcfg,
+                mix_seed=[tcfg.seed, global_step, b], weights=weights)
             if not np.isfinite(loss.data):
                 raise NonFiniteError(
                     f"non-finite loss at step {global_step}; "
@@ -200,6 +207,11 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     if missing:
         raise DumpFormatError(
             f"checkpoint metadata lacks {', '.join(missing)}")
+    step = meta["step"]
+    if type(step) is not int or step < 0:
+        raise DumpFormatError(
+            f"checkpoint metadata step must be a non-negative integer, "
+            f"got {step!r}")
     config = from_doc(ViTConfig, meta["model"], "model")
     plan = from_doc(TrainablePlan, meta["plan"], "plan")
     base, shapes = param_shapes(config), trainable_shapes(config, plan)
@@ -236,7 +248,7 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     return (TrainState(params=params, plan=plan,
                        m={n: got[f"adam.m.{n}"] for n in shapes},
                        v={n: got[f"adam.v.{n}"] for n in shapes},
-                       step=int(meta["step"])),
+                       step=step),
             meta, tensors)
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from evadapt import autodiff
 from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, affine,
-                              attention, gelu, grad_check, layernorm, matmul)
+                              attention, gelu, grad_check, layernorm, matmul,
+                              weighted_l1)
 
 
 def naive_matmul(a, b):
@@ -122,6 +123,69 @@ class TestAffine:
     def test_shape_mismatch(self, shapes):
         with pytest.raises(ValueError, match="affine shape mismatch"):
             affine(*(Tensor(np.ones(s)) for s in shapes))
+
+
+class TestWeightedL1:
+    def case(self, rng, trained=(True, True)):
+        targets = [rng.standard_normal((4, 3)), rng.standard_normal((5, 2))]
+        xs = [Tensor(rng.standard_normal(t.shape), requires_grad=r)
+              for t, r in zip(targets, trained)]
+        return targets, xs, [None, rng.random(5) + 0.5], [0.7, 1.3]
+
+    def test_gradient(self):
+        rng = np.random.default_rng(30)
+        targets, xs, weights, gammas = self.case(rng)
+        f = lambda: weighted_l1(targets, xs, weights, gammas)[0]
+        assert grad_check(f, xs) <= 1e-6
+
+    def test_value_and_terms(self):
+        rng = np.random.default_rng(31)
+        targets, xs, weights, gammas = self.case(rng)
+        total, terms = weighted_l1(targets, xs, weights, gammas)
+        want = [np.abs(targets[0] - xs[0].data).mean(),
+                (np.abs(targets[1] - xs[1].data) * weights[1][:, None]).mean()]
+        assert terms == pytest.approx(want, rel=1e-14)
+        assert total.item() == pytest.approx(
+            gammas[0] * want[0] + gammas[1] * want[1], rel=1e-14)
+
+    def test_frozen_input_gets_no_gradient_work(self):
+        rng = np.random.default_rng(32)
+        targets, xs, weights, gammas = self.case(rng, trained=(False, True))
+        total, _ = weighted_l1(targets, xs, weights, gammas)
+        g0, g1 = total._backward(np.ones(()))
+        assert g0 is None and g1.shape == (5, 2)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda t, x, w, g: ([t[0]], x, w, g), "one target"),
+        (lambda t, x, w, g: ([], [], [], []), "needs inputs"),
+        (lambda t, x, w, g: (t[::-1], x, w, g), "shape mismatch"),
+        (lambda t, x, w, g: (t, x, [None, np.ones(4)], g), "weight length")])
+    def test_bad_inputs_rejected(self, bad, match):
+        rng = np.random.default_rng(33)
+        with pytest.raises(ValueError, match=match):
+            weighted_l1(*bad(*self.case(rng)))
+
+
+class TestDivide:
+    @pytest.mark.parametrize("trained", ["a", "b", "ab"])
+    def test_gradient_only_for_trained_operands(self, trained):
+        rng = np.random.default_rng(34)
+        a = Tensor(rng.random((3, 4)) + 0.5, requires_grad="a" in trained)
+        b = Tensor(rng.random((1, 4)) + 0.5, requires_grad="b" in trained)
+        g = rng.standard_normal((3, 4))
+        ga, gb = (a / b)._backward(g)
+        assert (ga is None) == ("a" not in trained)
+        assert (gb is None) == ("b" not in trained)
+        if ga is not None:
+            assert ga.tobytes() == (g / b.data).tobytes()
+        if gb is not None:
+            assert gb.tobytes() == (-g * a.data / b.data ** 2).sum(
+                axis=0, keepdims=True).tobytes()
+
+    def test_mean_divisor_is_constant(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        x.mean().backward()
+        assert x.grad.tobytes() == np.full((2, 3), 1.0 / 6.0).tobytes()
 
 
 class TestAttention:

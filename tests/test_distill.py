@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from evadapt.autodiff import Tensor
-from evadapt.distill import (DistillConfig, distill_loss, mix_tokens,
-                             weighted_layer_loss)
+from evadapt.distill import (DistillConfig, distill_loss, layer_weights,
+                             mix_tokens)
 from evadapt.encoder import EmbeddingCapture
 from evadapt.significance import token_significance, transition_stack
 
@@ -15,6 +15,14 @@ def random_capture(rng, k=4, c=8, depth=3):
         attns.append(a / a.sum(axis=1, keepdims=True))
     embeds = [Tensor(rng.standard_normal((k, c))) for _ in range(depth + 1)]
     return EmbeddingCapture(embeddings=embeds, attentions=attns)
+
+
+def layer_loss(x_m: Tensor, x_e: Tensor, w: np.ndarray | None) -> float:
+    """The unscaled term distill_loss reports for one layer weighed by w."""
+    cfg = DistillConfig(layers=(1,), gammas=(1.0,), attention_source="uniform")
+    cap = lambda x: EmbeddingCapture(embeddings=[x, x], attentions=[])
+    _, breakdown = distill_loss(cap(x_m), cap(x_e), cfg, weights=[w])
+    return breakdown[1]
 
 
 def replaced_rows(mixed: Tensor, event_tokens: Tensor) -> np.ndarray:
@@ -64,25 +72,30 @@ class TestMixTokens:
 class TestWeightedLayerLoss:
     def test_equal_inputs_zero(self):
         x = Tensor(np.random.default_rng(0).random((4, 8)))
-        assert weighted_layer_loss(x, Tensor(x.data.copy()), None).item() == 0.0
+        assert layer_loss(x, Tensor(x.data.copy()), None) == 0.0
 
     def test_scalar_case(self):
         x_m = Tensor([[2.0]])
         x_e = Tensor([[0.0]])
-        out = weighted_layer_loss(x_m, x_e, np.array([1.5]))
-        assert out.item() == pytest.approx(3.0, abs=1e-15)
+        out = layer_loss(x_m, x_e, np.array([1.5]))
+        assert out == pytest.approx(3.0, abs=1e-15)
 
     def test_uniform_weights_equal_plain_l1(self):
         rng = np.random.default_rng(1)
         a, b = Tensor(rng.random((5, 6))), Tensor(rng.random((5, 6)))
         w = np.ones(5)
-        assert weighted_layer_loss(a, b, w).item() == pytest.approx(
+        assert layer_loss(a, b, w) == pytest.approx(
             np.abs(a.data - b.data).mean(), abs=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_layer_loss(Tensor(np.zeros((2, 2))),
-                                Tensor(np.zeros((3, 2))), None)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            layer_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))),
+                       None)
+
+    def test_weight_length_checked(self):
+        with pytest.raises(ValueError, match="weight length"):
+            layer_loss(Tensor(np.zeros((2, 2))), Tensor(np.ones((2, 2))),
+                       np.ones(3))
 
 
 class TestDistillLoss:
@@ -120,6 +133,24 @@ class TestDistillLoss:
             want += gamma * (w[:, None] * diff).mean()
         assert total.item() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("source", ["teacher", "student",
+                                        "teacher_single_layer", "uniform"])
+    def test_precomputed_weights_match_rolled_out(self, source):
+        rng = np.random.default_rng(10)
+        t, s = random_capture(rng), random_capture(rng)
+        cfg = DistillConfig(layers=(0, 1, 2, 3), gammas=(0.1, 0.4, 1.0),
+                            attention_source=source)
+        weights = layer_weights(cfg, s if source == "student" else t)
+        # layer 0 and the terminal layer are uniform unless a single
+        # layer's attention weighs them
+        assert weights[0] is None
+        if source != "uniform":
+            assert weights[1] is not None
+        total, breakdown = distill_loss(t, s, cfg)
+        total2, breakdown2 = distill_loss(t, s, cfg, weights=weights)
+        assert total.data.tobytes() == total2.data.tobytes()
+        assert breakdown == breakdown2
+
     def test_layer_beyond_depth_rejected(self):
         rng = np.random.default_rng(5)
         cap = random_capture(rng, depth=2)
@@ -132,10 +163,10 @@ class TestDistillLoss:
         a = Tensor(rng.random((4, 3)))
         b = Tensor(rng.random((4, 3)))
         w = np.ones(4)
-        base = weighted_layer_loss(a, b, w).item()
+        base = layer_loss(a, b, w)
         w2 = w.copy()
         w2[1] += 0.5
-        assert weighted_layer_loss(a, b, w2).item() > base
+        assert layer_loss(a, b, w2) > base
 
     def test_no_gradient_into_teacher(self):
         rng = np.random.default_rng(7)
@@ -177,6 +208,10 @@ class TestDistillConfig:
         assert cfg.layers == (0, 3, 6, 9, 12)
         assert cfg.gammas == (0.1, 0.4, 0.7, 1.0)
         assert cfg.beta == 0.5
+
+    def test_empty_layer_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            DistillConfig(layers=(), gammas=())
 
     def test_unknown_source(self):
         with pytest.raises(ValueError, match="attention source"):

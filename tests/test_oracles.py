@@ -5,7 +5,8 @@ crossings, per-event voxel accumulation, the per-line event text parser
 and writer, per-cell mask overlap, flood-fill component labelling and the
 RLE while-loop. The vectorized code does the same float64 arithmetic
 elementwise, so every comparison is exact. Reference events are
-(t, x, y, p) tuples.
+(t, x, y, p) tuples. The one-node distillation objective is checked the
+same way against the chain of Tensor operations it replaced.
 """
 
 import os
@@ -13,9 +14,11 @@ import re
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from evadapt import cli, io, metrics, synth
+from evadapt import cli, distill, encoder, io, metrics, synth, trainer
+from evadapt.autodiff import Tensor
 from evadapt.events import (EventFormatError, EventStream, read_events,
                             voxelize, write_events)
 from test_io import _mutate
@@ -199,6 +202,30 @@ def ref_write_masks(path, masks, ids, shape):
                 else:
                     i += 1
             fh.write(f"{mid}: {' '.join(runs)}\n")
+
+
+def ref_layer_loss(x_m, x_e, w):
+    """One layer's weighted mean absolute difference as a Tensor chain."""
+    diff = (x_m - x_e).abs()
+    if w is None:
+        return diff.mean()
+    return (diff * Tensor(w.reshape(-1, 1))).mean()
+
+
+def ref_distill_loss(teacher, student, cfg, weights=None):
+    """distill_loss as one node per operation: per layer the chain above,
+    scaled by its gamma, summed left to right."""
+    if weights is None:
+        weights = distill.layer_weights(
+            cfg, student if cfg.attention_source == "student" else teacher)
+    breakdown, total = {}, None
+    for layer, w in zip(cfg.layers, weights):
+        term = ref_layer_loss(Tensor(teacher.embeddings[layer].data),
+                              student.embeddings[layer], w)
+        breakdown[layer] = term.item()
+        term = cfg.gamma_for(layer) * term
+        total = term if total is None else total + term
+    return total, breakdown
 
 
 def stable_sorted(events):
@@ -484,3 +511,103 @@ class TestWriteMasks:
             ref_write_masks(ref, masks, ids, shape)
             with open(new, "rb") as a, open(ref, "rb") as b:
                 assert a.read() == b.read()
+
+
+# -- distillation objective --------------------------------------------------
+
+def attention_maps(rng, k, depth):
+    maps = []
+    for _ in range(depth):
+        a = rng.random((k, k)) + 1e-3
+        maps.append(a / a.sum(axis=1, keepdims=True))
+    return maps
+
+
+@st.composite
+def distill_cases(draw):
+    """(seed, k, c, depth, DistillConfig) over every attention source."""
+    depth = draw(st.integers(1, 4))
+    layers = draw(st.lists(st.integers(0, depth), min_size=1,
+                           max_size=depth + 1, unique=True).map(sorted))
+    nonzero = [s for s in layers if s != 0]
+    cfg = distill.DistillConfig(
+        layers=tuple(layers),
+        gammas=tuple(draw(st.floats(0.01, 2.0)) for _ in nonzero),
+        gamma0=draw(st.floats(0.01, 2.0)),
+        beta=draw(st.floats(0.0, 1.0)),
+        attention_source=draw(st.sampled_from(distill.ATTENTION_SOURCES)),
+        rollout_horizon=draw(st.one_of(st.none(), st.integers(1, 3))))
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 5)), depth, cfg)
+
+
+def loss_and_grads(loss_fn, teacher, student_data, attns, cfg):
+    """Total bytes, breakdown and every student embedding's gradient
+    bytes for fresh leaves holding `student_data`."""
+    student = encoder.EmbeddingCapture(
+        embeddings=[Tensor(x, requires_grad=True) for x in student_data],
+        attentions=attns)
+    total, breakdown = loss_fn(teacher, student, cfg)
+    total.backward()
+    return (np.asarray(total.data).tobytes(), breakdown,
+            [None if x.grad is None else x.grad.tobytes()
+             for x in student.embeddings])
+
+
+class TestDistillObjective:
+    @settings(max_examples=200, deadline=None)
+    @given(distill_cases())
+    def test_one_node_matches_tensor_chain(self, case):
+        seed, k, c, depth, cfg = case
+        rng = np.random.default_rng(seed)
+        teacher = encoder.EmbeddingCapture(
+            embeddings=[Tensor(rng.standard_normal((k, c)))
+                        for _ in range(depth + 1)],
+            attentions=attention_maps(rng, k, depth))
+        student_data = [rng.standard_normal((k, c)) for _ in range(depth + 1)]
+        # tied rows: |diff| has a kink there and sign() returns 0
+        for x, t in zip(student_data, teacher.embeddings):
+            tied = rng.random(k) < 0.3
+            x[tied] = t.data[tied]
+        attns = attention_maps(rng, k, depth)
+        got = loss_and_grads(distill.distill_loss, teacher, student_data,
+                             attns, cfg)
+        want = loss_and_grads(ref_distill_loss, teacher, student_data,
+                              attns, cfg)
+        assert got == want
+
+    @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+    @pytest.mark.parametrize("plan", [
+        encoder.TrainablePlan(mode="embed+mlps", layers=(1, 2, 3)),
+        encoder.TrainablePlan(mode="lora", lora_rank=2,
+                              lora_sites=("blocks", (1, 3)))])
+    def test_student_pipeline_matches_tensor_chain(self, monkeypatch, source,
+                                                   plan):
+        # the student embeddings are interior nodes here, so each also
+        # takes gradient from the next block: the accumulation order of
+        # the loss and block contributions must match too
+        config = encoder.ViTConfig(img_size=8, patch_size=4, embed_dim=8,
+                                   depth=3, num_heads=2, mlp_hidden=16)
+        cfg = distill.DistillConfig(layers=(0, 1, 2, 3),
+                                    gammas=(0.3, 0.6, 1.0), mixing_ratio=0.25,
+                                    attention_source=source)
+        rng = np.random.default_rng(5)
+        image, volume = rng.random((8, 8, 3)), rng.random((8, 8, 3))
+        teacher = encoder.forward_capture(
+            encoder.init_params(config, seed=3), image)
+        state = trainer.TrainState.create(encoder.init_params(config, seed=4),
+                                          plan, seed=4)
+        entries = state.params.all_entries()
+
+        def run():
+            for name in state.m:
+                entries[name].zero_grad()
+            total, breakdown = trainer.student_step_loss(
+                teacher, state.params, image, volume, cfg, mix_seed=[0, 1])
+            total.backward()
+            return (np.asarray(total.data).tobytes(), breakdown,
+                    {n: entries[n].grad.tobytes() for n in state.m})
+
+        got = run()
+        monkeypatch.setattr(trainer, "distill_loss", ref_distill_loss)
+        assert got == run()

@@ -1,10 +1,11 @@
 import hashlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evadapt import trainer
+from evadapt import distill, trainer
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import (PLAN_MODES, TrainablePlan, ViTConfig,
@@ -140,6 +141,36 @@ class TestTrainLoop:
             outs.append((state.params.tensors["embed.w"].data.tobytes(),
                          [r["total"] for r in history]))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
+    calls = {"rollout": 0, "loss": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the names a tracer patches: the trainer must call through them
+    monkeypatch.setattr(distill, "token_significance",
+                        counting("rollout", distill.token_significance))
+    monkeypatch.setattr(trainer, "distill_loss",
+                        counting("loss", trainer.distill_loss))
+    dcfg = replace(DCFG, attention_source=source)
+    data = tiny_data(n=3)
+    tcfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=2,
+                       decay_epoch=1)
+    train(init_params(TINY, seed=0), tiny_state(), data, tcfg, dcfg)
+    samples = tcfg.steps_per_epoch * tcfg.batch_size
+    assert calls["loss"] == samples
+    # layers 1 and 2 are weighted; the teacher source rolls out layer 1
+    # only (2 is the terminal layer), the student source every step
+    per_sample = {"teacher": 1, "teacher_single_layer": 2, "uniform": 0,
+                  "student": 1}[source]
+    visits = samples if source == "student" else len(data)
+    assert calls["rollout"] == visits * per_sample
 
 
 @pytest.mark.parametrize("plan", [
@@ -361,6 +392,16 @@ class TestCheckpointResume:
         del meta["plan"]
         write_dump(ck, tensors, meta=meta)
         with pytest.raises(DumpFormatError, match="metadata lacks plan"):
+            load_checkpoint(ck)
+
+    @pytest.mark.parametrize("step", [[1], 2.5, True, "3", -1])
+    def test_step_must_be_non_negative_int(self, tmp_path, step):
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        tensors, meta = read_dump(ck)
+        meta["step"] = step
+        write_dump(ck, tensors, meta=meta)
+        with pytest.raises(DumpFormatError, match="step"):
             load_checkpoint(ck)
 
 
