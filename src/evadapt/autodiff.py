@@ -129,6 +129,10 @@ class Tensor:
     def T(self):
         return Tensor._from_op(self.data.T, (self,), lambda g: (g.T,))
 
+    def reshape(self, *shape):
+        return Tensor._from_op(self.data.reshape(*shape), (self,),
+                               lambda g: (g.reshape(self.shape),))
+
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -252,67 +256,74 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 TILE = 1 << 16
 
 
-def attention(qkv: Tensor, num_heads: int):
-    """Multi-head self-attention over (k, 3c) rows that hold q | k | v.
+def attention(qkv: Tensor, num_heads: int, samples: int = 1):
+    """Multi-head self-attention over (m·k, 3c) rows that hold q | k | v.
 
-    One node for q·kᵀ, the 1/sqrt(dh) scale, the row softmax, ·v and the
-    merge of the heads. Returns the (k, c) output and the head-averaged
-    (k, k) attention map, a constant. The forward runs in head groups and
-    row tiles of about TILE elements, bitwise equal to whole-array passes.
-    Backward keeps only qkv and the probabilities; a frozen qkv keeps
-    nothing and never holds every head's (k, k) logits at once. See
-    docs/EQUATIONS.md for the tiling and the backward formulas.
+    The rows stack m = `samples` samples of k tokens; each sample attends
+    within its own rows. One node for q·kᵀ, the 1/sqrt(dh) scale, the row
+    softmax, ·v and the merge of the heads. Returns the (m·k, c) output
+    and the head-averaged attention maps, a constant: (k, k) for one
+    sample, (m, k, k) for several. The forward runs in head groups of one
+    sample and row tiles of about TILE elements, bitwise equal to
+    whole-array passes and to one call per sample. Backward keeps only
+    qkv and the probabilities; a frozen qkv keeps nothing and never holds
+    every head's (k, k) logits at once. See docs/EQUATIONS.md for the
+    tiling and the backward formulas.
     """
     qkv = _wrap(qkv)
-    if qkv.ndim != 2 or num_heads < 1 or qkv.shape[1] % (3 * num_heads):
+    if qkv.ndim != 2 or num_heads < 1 or qkv.shape[1] % (3 * num_heads) \
+            or samples < 1 or qkv.shape[0] % samples:
         raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v "
-                         f"of {num_heads} heads")
-    k, nh = qkv.shape[0], num_heads
+                         f"of {num_heads} heads and {samples} samples")
+    m, nh = samples, num_heads
+    k = qkv.shape[0] // m
     c = qkv.shape[1] // 3
     dh = c // nh
     scale = 1.0 / np.sqrt(dh)
-    q, kk, v = qkv.data.reshape(k, 3, nh, dh).transpose(1, 2, 0, 3)
-    kt = kk.transpose(0, 2, 1)
+    q, kk, v = qkv.data.reshape(m, k, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+    kt = kk.transpose(0, 1, 3, 2)
     group = max(1, TILE // (k * k))        # heads whose logits fill a tile
     rows = max(1, TILE // (group * k))     # a group's rows per tile
     # every head's probabilities when backward needs them, else one
     # group's, reused by the next group
     keep = qkv.requires_grad
-    p = np.empty((nh if keep else min(group, nh), k, k))
-    o = np.empty((nh, k, dh))
-    head_sum = np.zeros((k, k))
-    for h in range(0, nh, group):
-        hs = slice(h, h + group)
-        pg = p[hs] if keep else p[:len(q[hs])]
-        np.matmul(q[hs], kt[hs], out=pg)
-        for r in range(0, k, rows):
-            t = pg[:, r:r + rows]
-            t *= scale
-            check_finite(t, "softmax input")
-            t -= t.max(axis=-1, keepdims=True)  # stable row softmax
-            np.exp(t, out=t)
-            t /= t.sum(axis=-1, keepdims=True)
-            tile_sum = head_sum[r:r + rows]
-            for head in t:                      # the mean's head order
-                tile_sum += head
-        np.matmul(pg, v[hs], out=o[hs])
-    out_data = o.transpose(1, 0, 2).reshape(k, c)
+    p = np.empty((m, nh, k, k) if keep else (1, min(group, nh), k, k))
+    o = np.empty((m, nh, k, dh))
+    head_sum = np.zeros((m, k, k))
+    for s in range(m):
+        for h in range(0, nh, group):
+            hs = slice(h, h + group)
+            pg = p[s, hs] if keep else p[0, :len(q[s, hs])]
+            np.matmul(q[s, hs], kt[s, hs], out=pg)
+            for r in range(0, k, rows):
+                t = pg[:, r:r + rows]
+                t *= scale
+                check_finite(t, "softmax input")
+                t -= t.max(axis=-1, keepdims=True)  # stable row softmax
+                np.exp(t, out=t)
+                t /= t.sum(axis=-1, keepdims=True)
+                tile_sum = head_sum[s, r:r + rows]
+                for head in t:                      # the mean's head order
+                    tile_sum += head
+            np.matmul(pg, v[s, hs], out=o[s, hs])
+    out_data = o.transpose(0, 2, 1, 3).reshape(m * k, c)
     head_sum /= nh
 
     def bw(g):
-        go = g.reshape(k, nh, dh).transpose(1, 0, 2)    # (nh, k, dh)
-        grad = np.empty((k, 3, nh, dh))
-        gq, gk, gv = grad.transpose(1, 2, 0, 3)
+        go = g.reshape(m, k, nh, dh).transpose(0, 2, 1, 3)   # (m, nh, k, dh)
+        grad = np.empty((m, k, 3, nh, dh))
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
         gv[...] = np.swapaxes(p, -1, -2) @ go
         gs = go @ np.swapaxes(v, -1, -2)                # dL/dP
         gs -= (gs * p).sum(axis=-1, keepdims=True)      # softmax Jacobian
         gs *= p
         gs *= scale
         gq[...] = gs @ kk
-        gk[...] = (np.swapaxes(q, -1, -2) @ gs).transpose(0, 2, 1)
-        return (grad.reshape(k, 3 * c),)
+        gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+        return (grad.reshape(m * k, 3 * c),)
 
-    return Tensor._from_op(out_data, (qkv,), bw), head_sum
+    return (Tensor._from_op(out_data, (qkv,), bw),
+            head_sum if m > 1 else head_sum[0])
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -402,15 +413,18 @@ def gelu(x: Tensor) -> Tensor:
 
 def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],
                 weights: list[np.ndarray | None],
-                gammas: list[float]) -> tuple[Tensor, list[float]]:
+                gammas: list[float],
+                samples: int = 1) -> tuple[Tensor, list[float]]:
     """sum_s gamma_s * mean(w_s[:, None] * |target_s - x_s|) as one node.
 
     targets are constant (k, c) arrays, xs the (k, c) tensors compared
     with them, weights per-row (k,) vectors or None for uniform rows.
-    Returns the total and each unscaled term. Forward and backward apply
-    the numpy operations of the Tensor chain
-    ((target - x).abs() * w).mean() * gamma, summed left to right, in the
-    same order, so both are bitwise equal to it (docs/EQUATIONS.md).
+    When the rows stack `samples` samples, each term is the sum of the
+    samples' means: the weighted sum over (k / samples)·c. Returns the
+    total and each unscaled term. Forward and backward apply the numpy
+    operations of the Tensor chain ((target - x).abs() * w).mean() * gamma,
+    summed left to right, in the same order, so for one sample both are
+    bitwise equal to it (docs/EQUATIONS.md).
     """
     xs = [_wrap(x) for x in xs]
     if not xs or not len(targets) == len(xs) == len(weights) == len(gammas):
@@ -422,6 +436,9 @@ def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],
     for m, x, w, gamma in zip(targets, xs, weights, gammas):
         if m.shape != x.shape:
             raise ValueError(f"shape mismatch: {m.shape} vs {x.shape}")
+        if samples < 1 or x.shape[0] % samples:
+            raise ValueError(f"cannot split {x.shape[0]} rows into "
+                             f"{samples} samples")
         diff = m - x.data
         a = np.abs(diff)
         if w is not None:
@@ -429,11 +446,12 @@ def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],
                 raise ValueError("weight length must equal token count")
             w = w.reshape(-1, 1)
             a = a * w
-        term = a.sum() / float(a.size)
+        n = float(a.size // samples)
+        term = a.sum() / n
         terms.append(float(term))
         term = term * gamma
         total = term if total is None else total + term
-        saved.append((gamma, float(a.size), w,
+        saved.append((gamma, n, w,
                       np.sign(diff) if x.requires_grad else None))
 
     def bw(g):

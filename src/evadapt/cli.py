@@ -254,6 +254,12 @@ def cmd_eval(args) -> int:
     if "head.w" not in extra or "head.b" not in extra:
         raise DumpFormatError("checkpoint lacks the mask head head.w/head.b")
     head = {k: extra[k].astype(np.float64) for k in ("head.w", "head.b")}
+    for name, shape in (("head.w", (run.model.embed_dim,)), ("head.b", (1,))):
+        if head[name].shape != shape:
+            raise DumpFormatError(f"checkpoint mask head {name} has shape "
+                                  f"{head[name].shape}, not {shape}")
+        if not np.isfinite(head[name]).all():
+            raise DumpFormatError(f"checkpoint mask head {name} is not finite")
     samples = make_dataset(doc, run.scene.num_samples, run.seed)
     _write_report(args.out, (
         (i, synth.ground_truth_masks(spec, spec.window_ms),
@@ -263,6 +269,10 @@ def cmd_eval(args) -> int:
 
 
 def _eval_mask_dirs(args) -> int:
+    if not os.path.isdir(args.pred_dir):
+        print(f"eval: --pred-dir {args.pred_dir} is not a directory",
+              file=sys.stderr)
+        return 2
     names = [n for n in sorted(os.listdir(args.gt_dir)) if n.endswith(".rle")]
     if not names:
         print("eval: no .rle mask files found", file=sys.stderr)

@@ -54,39 +54,65 @@ class DistillConfig:
 
 
 def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
-               ratio: float, seed) -> Tensor:
-    """Replace round(ratio * k) event tokens with same-position image tokens.
+               ratio: float, seed, samples: int = 1) -> Tensor:
+    """Replace round(ratio * k) of each sample's k event tokens with
+    same-position image tokens.
 
-    Positions are drawn without replacement from a generator seeded by
-    `seed` (an int or int sequence), so the replaced set is deterministic.
+    The rows stack `samples` samples. Positions are drawn without
+    replacement from a generator seeded by the sample's seed, so the
+    replaced set is deterministic: `seed` (an int or int sequence) for one
+    sample, a list of one such seed per sample for several.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("mixing ratio must lie in [0, 1]")
     if event_tokens.shape != image_tokens.shape:
         raise ValueError("event and image token shapes differ")
-    k = event_tokens.shape[0]
+    seeds = [seed] if samples == 1 else list(seed)
+    if len(seeds) != samples or samples < 1 or event_tokens.shape[0] % samples:
+        raise ValueError(f"cannot split {event_tokens.shape[0]} tokens into "
+                         f"{samples} samples with {len(seeds)} seeds")
+    k = event_tokens.shape[0] // samples
     n_rep = int(round(ratio * k))
-    rng = np.random.default_rng(seed)
-    mask = np.zeros(k, dtype=bool)
-    mask[rng.choice(k, size=n_rep, replace=False)] = True
-    return where_rows(mask, image_tokens, event_tokens)
+    mask = np.zeros((samples, k), dtype=bool)
+    for row, s in zip(mask, seeds):
+        rng = np.random.default_rng(s)
+        row[rng.choice(k, size=n_rep, replace=False)] = True
+    return where_rows(mask.reshape(-1), image_tokens, event_tokens)
+
+
+def stack_weights(per_sample: list[list[np.ndarray | None]]
+                  ) -> list[np.ndarray | None]:
+    """Samples' layer weights as the weights of their stacked rows."""
+    return [None if ws[0] is None else np.concatenate(ws)
+            for ws in zip(*per_sample)]
 
 
 def layer_weights(cfg: DistillConfig,
                   capture: EmbeddingCapture) -> list[np.ndarray | None]:
     """Significance weights of cfg.layers, in order; None weighs a layer
     uniformly. `capture` is the network whose attention is rolled out: the
-    teacher's, or the student's under the "student" source."""
+    teacher's, or the student's under the "student" source. A stacked
+    capture rolls out each sample's maps and stacks the weights."""
     if cfg.attention_source == "uniform":
         return [None] * len(cfg.layers)
-    attns = capture.attentions
+    if capture.samples > 1:
+        return stack_weights([
+            _sample_weights(cfg, [a[i] for a in capture.attentions])
+            for i in range(capture.samples)])
+    return _sample_weights(cfg, capture.attentions)
+
+
+def _sample_weights(cfg: DistillConfig, attns: list[np.ndarray]):
+    """layer_weights of one sample's (k, k) attention maps."""
     if cfg.attention_source == "teacher_single_layer":
         # layer 0..n-1 indexes attention of the block leaving that layer;
-        # the terminal layer falls back to its own incoming attention
-        return [None if layer == 0 else token_significance(
-                    transition_stack([attns[min(layer, len(attns) - 1)]]),
-                    1, cfg.beta).values
-                for layer in cfg.layers]
+        # the terminal layer falls back to its own incoming attention,
+        # the one layer n-1 rolls out, so each map is rolled out once
+        at = {layer: min(layer, len(attns) - 1) for layer in cfg.layers}
+        sig = {i: token_significance(transition_stack([attns[i]]), 1,
+                                     cfg.beta).values
+               for i in sorted({at[layer] for layer in cfg.layers if layer})}
+        return [None if layer == 0 else sig[at[layer]] for layer in cfg.layers]
     stack = transition_stack(attns)
     # rolling out from the terminal layer is an empty product: uniform
     return [None if layer == 0 or layer >= len(stack) else token_significance(
@@ -103,7 +129,8 @@ def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
     Returns (total, per-layer breakdown of the unscaled layer losses).
     Teacher embeddings enter as constants. `weights` are layer_weights of
     the source capture when the caller has them already (the trainer keeps
-    the teacher's per sample); otherwise they are rolled out here.
+    the teacher's per sample); otherwise they are rolled out here. For
+    stacked captures every term is the sum of the samples' terms.
     """
     n = len(student.embeddings) - 1
     for layer in cfg.layers:
@@ -115,5 +142,5 @@ def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
     total, terms = weighted_l1(
         [teacher.embeddings[s].data for s in cfg.layers],
         [student.embeddings[s] for s in cfg.layers],
-        weights, [cfg.gamma_for(s) for s in cfg.layers])
+        weights, [cfg.gamma_for(s) for s in cfg.layers], student.samples)
     return total, dict(zip(cfg.layers, terms))

@@ -238,8 +238,26 @@ def mark_trainable(params: ViTParams, plan: TrainablePlan):
 
 @dataclass
 class EmbeddingCapture:
-    embeddings: list[Tensor]        # X^(0) .. X^(n), each (k, c)
-    attentions: list[np.ndarray]    # head-averaged A^(1) .. A^(n), each (k, k)
+    """One sample's layers, or m stacked samples' (rows in sample order)."""
+    embeddings: list[Tensor]        # X^(0) .. X^(n), each (m·k, c)
+    attentions: list[np.ndarray]    # head-averaged A^(1) .. A^(n), each
+                                    # (k, k), or (m, k, k) for m > 1
+
+    @property
+    def samples(self) -> int:
+        a = self.attentions
+        return len(a[0]) if a and a[0].ndim == 3 else 1
+
+
+def stack_captures(captures: list[EmbeddingCapture]) -> EmbeddingCapture:
+    """Constant captures of single samples as one capture of their stack."""
+    if len(captures) == 1:
+        return captures[0]
+    return EmbeddingCapture(
+        embeddings=[Tensor(np.concatenate([x.data for x in xs]))
+                    for xs in zip(*(c.embeddings for c in captures))],
+        attentions=[np.stack(a)
+                    for a in zip(*(c.attentions for c in captures))])
 
 
 def _effective_weight(params: ViTParams, site: str) -> Tensor:
@@ -255,42 +273,48 @@ def _affine(params: ViTParams, site: str, x: Tensor) -> Tensor:
 
 
 def patch_tokens(config: ViTConfig, image: np.ndarray) -> np.ndarray:
-    """Rearrange an (H, W, C) image into (k, patch_dim) row-major patches."""
+    """Rearrange an (H, W, C) image, or an (m, H, W, C) stack of them,
+    into (m·k, patch_dim) row-major patches, sample after sample."""
     H = W = config.img_size
     ps, g = config.patch_size, config.grid
-    if image.shape != (H, W, CHANNELS):
+    if image.ndim not in (3, 4) or image.shape[-3:] != (H, W, CHANNELS):
         raise ValueError(f"input shape {image.shape} does not match config")
-    x = image.reshape(g, ps, g, ps, CHANNELS)
-    x = x.transpose(0, 2, 1, 3, 4).reshape(config.tokens, config.patch_dim)
-    return x
+    x = image.reshape(-1, g, ps, g, ps, CHANNELS)
+    return x.transpose(0, 1, 3, 2, 4, 5).reshape(-1, config.patch_dim)
 
 
 def embed_image(params: ViTParams, image: np.ndarray) -> Tensor:
-    """Patch projection plus positional embedding: the X^(0) tokens."""
-    patches = Tensor(patch_tokens(params.config, image))
-    return _affine(params, "embed", patches) + params.tensors["pos"]
+    """Patch projection plus positional embedding: the X^(0) tokens of an
+    image or of a stack of images (see patch_tokens)."""
+    cfg = params.config
+    x = _affine(params, "embed", Tensor(patch_tokens(cfg, image)))
+    x = x.reshape(-1, cfg.tokens, cfg.embed_dim) + params.tensors["pos"]
+    return x.reshape(-1, cfg.embed_dim)
 
 
-def _attention(params: ViTParams, i: int, x: Tensor):
-    qkv = _affine(params, f"block.{i}.qkv", x)            # (k, 3c)
-    out, head_avg = attention(qkv, params.config.num_heads)
+def _attention(params: ViTParams, i: int, x: Tensor, samples: int):
+    qkv = _affine(params, f"block.{i}.qkv", x)            # (m·k, 3c)
+    out, head_avg = attention(qkv, params.config.num_heads, samples)
     return _affine(params, f"block.{i}.proj", out), head_avg
 
 
 def forward_tokens(params: ViTParams, tokens: Tensor) -> EmbeddingCapture:
-    """Run the transformer blocks on prepared X^(0) tokens."""
+    """Run the transformer blocks on prepared X^(0) tokens: (k, c) rows
+    of one sample, or (m·k, c) rows of m stacked samples."""
     cfg = params.config
-    if tokens.shape != (cfg.tokens, cfg.embed_dim):
+    rows = tokens.shape[0] if tokens.ndim == 2 else 0
+    if not rows or rows % cfg.tokens or tokens.shape[1] != cfg.embed_dim:
         raise ValueError(
             f"token shape {tokens.shape} does not match config "
-            f"({cfg.tokens}, {cfg.embed_dim})")
+            f"({cfg.tokens}, {cfg.embed_dim}) or a stack of it")
+    samples = rows // cfg.tokens
     x = tokens
     embeddings = [x]
     attentions = []
     for i in range(1, cfg.depth + 1):
         t = params.tensors
         h = layernorm(x, t[f"block.{i}.ln1.g"], t[f"block.{i}.ln1.b"])
-        a_out, head_avg = _attention(params, i, h)
+        a_out, head_avg = _attention(params, i, h, samples)
         x = x + a_out
         h = layernorm(x, t[f"block.{i}.ln2.g"], t[f"block.{i}.ln2.b"])
         m = _affine(params, f"block.{i}.mlp2", gelu(_affine(params, f"block.{i}.mlp1", h)))

@@ -1,11 +1,14 @@
 """Adam training loop for the student encoder, with checkpoint/resume.
 
 The teacher is frozen; its capture for each sample, and the significance
-weights rolled out from it, are computed once and cached. Each step embeds the sample's event volume with the student,
-replaces a seeded random subset of tokens with the student-embedded image
+weights rolled out from it, are computed once and cached. Each step
+embeds its samples' event volumes with the student, replaces a seeded
+random subset of each sample's tokens with the teacher's layer-0 image
 tokens (fresh positions every step), runs the student, and minimizes the
-weighted distillation objective. Per-step randomness derives from
-(seed, step), so training is bitwise resumable from any checkpoint.
+weighted distillation objective. A batch runs in chunks of chunk_size
+samples whose rows are stacked into one graph. Per-step randomness
+derives from (seed, step, sample), so training is bitwise resumable from
+any checkpoint.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
-from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
+from .distill import (DistillConfig, distill_loss, layer_weights, mix_tokens,
+                      stack_weights)
 from .encoder import (CHANNELS, TrainablePlan, ViTConfig, ViTParams,
                       apply_lora, embed_image, forward_tokens, init_params,
-                      mark_trainable, param_shapes, trainable_shapes)
+                      mark_trainable, param_shapes, stack_captures,
+                      trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -99,21 +104,41 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
         entries[name].data = entries[name].data - lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def student_step_loss(teacher_capture, student_params: ViTParams,
-                      image: np.ndarray, volume: np.ndarray,
-                      dcfg: DistillConfig, mix_seed, weights=None):
-    """Loss for one sample: embed events, mix in image tokens, compare.
+# Elements of one sample's (k, c) token matrix below which a step stacks
+# samples into one graph: 2**12 float64 values. One numpy call costs a
+# few microseconds against about 0.6 ns per element, so a small sample's
+# step is all call overhead; a large one's graph is all memory (see
+# docs/EQUATIONS.md, "Stacked student step").
+STACK = 1 << 12
 
+
+def chunk_size(config: ViTConfig) -> int:
+    """Samples that share one graph and one backward in a training step."""
+    return max(1, STACK // (config.tokens * config.embed_dim))
+
+
+def student_step_loss(teachers: list, student_params: ViTParams,
+                      volumes: np.ndarray, dcfg: DistillConfig, mix_seeds,
+                      weights=None):
+    """Loss of m stacked samples: embed events, mix in image tokens, compare.
+
+    `teachers` are the samples' teacher captures, `volumes` their stacked
+    (m, H, W, 3) event volumes, `mix_seeds` their token-mixing seeds.
     Image tokens come from the frozen teacher's layer-0 capture, so they
     are constants; routing them through the (trainable) student embed
     would leave a non-gradient path that breaks exact gradient checking.
-    `weights` are the teacher's layer weights, if already rolled out.
+    `weights` are the samples' teacher layer weights, if already rolled
+    out. The loss and breakdown are sums over the samples.
     """
-    event_tokens = embed_image(student_params, volume)
-    image_tokens = Tensor(teacher_capture.embeddings[0].data)
-    mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seed)
+    m = len(teachers)
+    teacher = stack_captures(teachers)
+    event_tokens = embed_image(student_params, volumes)
+    image_tokens = Tensor(teacher.embeddings[0].data)
+    mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio,
+                       mix_seeds[0] if m == 1 else mix_seeds, samples=m)
     capture = forward_tokens(student_params, mixed)
-    return distill_loss(teacher_capture, capture, dcfg, weights)
+    return distill_loss(teacher, capture, dcfg,
+                        None if weights is None else stack_weights(weights))
 
 
 def train(teacher: ViTParams, state: TrainState, data: list,
@@ -123,6 +148,8 @@ def train(teacher: ViTParams, state: TrainState, data: list,
 
     data is a list of (image, event_volume) pairs of (H, W, 3) arrays.
     history rows are dicts with step, epoch, lr, total, and per-layer terms.
+    Each step runs its batch in chunks of chunk_size samples, one graph
+    and one backward per chunk.
     """
     from .encoder import forward_capture
     # sample index -> (teacher capture, its layer weights); the student
@@ -130,6 +157,7 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     teacher_cache: dict[int, tuple] = {}
     history: list[dict] = []
     entries = state.params.all_entries()
+    chunk = chunk_size(state.params.config)
     steps = total_steps if total_steps is not None else \
         tcfg.epochs * tcfg.steps_per_epoch
     start = state.step
@@ -139,20 +167,24 @@ def train(teacher: ViTParams, state: TrainState, data: list,
         grads: dict[str, np.ndarray] = {}
         total_val = 0.0
         breakdown_sum: dict[int, float] = {}
-        for b in range(tcfg.batch_size):
-            idx = (global_step * tcfg.batch_size + b) % len(data)
-            image, volume = data[idx]
-            if idx not in teacher_cache:
-                capture = forward_capture(teacher, image)
-                weights = (None if dcfg.attention_source == "student"
-                           else layer_weights(dcfg, capture))
-                teacher_cache[idx] = (capture, weights)
-            capture, weights = teacher_cache[idx]
+        for first in range(0, tcfg.batch_size, chunk):
+            bs = range(first, min(first + chunk, tcfg.batch_size))
+            idxs = [(global_step * tcfg.batch_size + b) % len(data)
+                    for b in bs]
+            for idx in idxs:
+                if idx not in teacher_cache:
+                    capture = forward_capture(teacher, data[idx][0])
+                    weights = (None if dcfg.attention_source == "student"
+                               else layer_weights(dcfg, capture))
+                    teacher_cache[idx] = (capture, weights)
             for name in state.m:
                 entries[name].zero_grad()
             loss, breakdown = student_step_loss(
-                capture, state.params, image, volume, dcfg,
-                mix_seed=[tcfg.seed, global_step, b], weights=weights)
+                [teacher_cache[i][0] for i in idxs], state.params,
+                np.stack([data[i][1] for i in idxs]), dcfg,
+                mix_seeds=[[tcfg.seed, global_step, b] for b in bs],
+                weights=(None if dcfg.attention_source == "student"
+                         else [teacher_cache[i][1] for i in idxs]))
             if not np.isfinite(loss.data):
                 raise NonFiniteError(
                     f"non-finite loss at step {global_step}; "
@@ -255,7 +287,8 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
 def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
                         dcfg: DistillConfig, seed: int = 0,
                         step: float = 1e-5) -> float:
-    """grad_check of the full distillation loss on random inputs."""
+    """grad_check of the full distillation loss of a two-sample stacked
+    step on random inputs."""
     rng = np.random.default_rng(seed)
     teacher = init_params(config, seed=seed)
     # break the symmetric init so gradients are informative
@@ -265,14 +298,14 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
                               seed=seed)
     student = state.params
     H = W = config.img_size
-    image = rng.random((H, W, CHANNELS))
-    volume = rng.random((H, W, CHANNELS))
+    images = rng.random((2, H, W, CHANNELS))
+    volumes = rng.random((2, H, W, CHANNELS))
     from .encoder import forward_capture
-    teacher_capture = forward_capture(teacher, image)
+    teachers = [forward_capture(teacher, image) for image in images]
 
     def f():
-        loss, _ = student_step_loss(teacher_capture, student, image, volume,
-                                    dcfg, mix_seed=[seed, 0])
+        loss, _ = student_step_loss(teachers, student, volumes, dcfg,
+                                    mix_seeds=[[seed, 0, 0], [seed, 0, 1]])
         return loss
 
     entries = student.all_entries()

@@ -148,6 +148,21 @@ class TestWeightedL1:
         assert total.item() == pytest.approx(
             gammas[0] * want[0] + gammas[1] * want[1], rel=1e-14)
 
+    def test_stacked_samples_sum_their_means(self):
+        rng = np.random.default_rng(34)
+        targets = [rng.standard_normal((6, 2))]
+        x = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+        w = rng.random(6) + 0.5
+        total, terms = weighted_l1(targets, [x], [w], [0.7], samples=3)
+        want = sum((np.abs(targets[0] - x.data) * w[:, None])[r:r + 2].mean()
+                   for r in (0, 2, 4))
+        assert terms == pytest.approx([want], rel=1e-14)
+        assert total.item() == pytest.approx(0.7 * want, rel=1e-14)
+        f = lambda: weighted_l1(targets, [x], [w], [0.7], samples=3)[0]
+        assert grad_check(f, [x]) <= 1e-6
+        with pytest.raises(ValueError, match="cannot split 6 rows"):
+            weighted_l1(targets, [x], [w], [0.7], samples=4)
+
     def test_frozen_input_gets_no_gradient_work(self):
         rng = np.random.default_rng(32)
         targets, xs, weights, gammas = self.case(rng, trained=(False, True))
@@ -221,6 +236,23 @@ class TestAttention:
             return (out * u).sum()
 
         assert grad_check(f, [t for n, t in ts.items() if n in trained]) <= 1e-6
+
+    def test_gradient_with_sample_axis(self):
+        rng = np.random.default_rng(26)
+        c = self.NH * self.DH
+        qkv = Tensor(rng.standard_normal((3 * self.K, 3 * c)) * 0.5,
+                     requires_grad=True)
+        u = Tensor(rng.standard_normal((3 * self.K, c)))
+
+        def f():
+            out, _ = attention(qkv, self.NH, samples=3)
+            return (out * u).sum()
+
+        assert grad_check(f, [qkv]) <= 1e-6
+
+    def test_rows_must_split_into_samples(self):
+        with pytest.raises(ValueError, match="cannot split"):
+            attention(Tensor(np.ones((10, 6))), 1, samples=3)
 
     def test_frozen_qkv_builds_no_node(self):
         out, _ = attention(Tensor(np.ones((3, 6))), 1)
@@ -396,6 +428,32 @@ class TestTiling:
         if trained:
             (out * Tensor(g)).sum().backward()
             assert t.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("tile", [12, 60, 1 << 16])
+    @pytest.mark.parametrize("trained", [True, False])
+    def test_sample_axis_bitwise_equal_to_per_sample_calls(
+            self, monkeypatch, tile, trained):
+        monkeypatch.setattr(autodiff, "TILE", tile)
+        rng = np.random.default_rng(27)
+        m, c = 3, self.NH * self.DH
+        qkv = rng.standard_normal((m * self.K, 3 * c))
+        g = rng.standard_normal((m * self.K, c))
+        t = Tensor(qkv, requires_grad=trained)
+        out, maps = attention(t, self.NH, samples=m)
+        assert maps.shape == (m, self.K, self.K)
+        grads = []
+        for s in range(m):
+            rows = slice(s * self.K, (s + 1) * self.K)
+            one = Tensor(qkv[rows], requires_grad=trained)
+            o, a = attention(one, self.NH)
+            assert out.data[rows].tobytes() == o.data.tobytes()
+            assert maps[s].tobytes() == a.tobytes()
+            if trained:
+                (o * Tensor(g[rows])).sum().backward()
+                grads.append(one.grad)
+        if trained:
+            (out * Tensor(g)).sum().backward()
+            assert t.grad.tobytes() == np.concatenate(grads).tobytes()
 
     @pytest.mark.parametrize("shape", [(23,), (4, 9), (2, 3, 5)])
     @pytest.mark.parametrize("tile", [1, 7, 1 << 16])

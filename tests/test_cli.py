@@ -106,6 +106,20 @@ class TestEvalMaskDirs:
         assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
                      "--pred-dir", str(tmp_path / "pred")]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_pred_dir_must_be_a_directory(self, tmp_path, capsys, kind):
+        # a missing --pred-dir used to score every frame as an empty
+        # prediction and exit 0
+        (tmp_path / "gt").mkdir()
+        write_masks(tmp_path / "gt" / "a.rle", [np.ones((2, 2), bool)])
+        pred = tmp_path / "pred"
+        if kind == "file":
+            pred.write_text("")
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"eval: --pred-dir {pred} is not a directory\n"
+
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2
 
@@ -346,6 +360,29 @@ class TestErrorHandling:
         assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
         err = capsys.readouterr().err
         assert "head.b" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, value", [
+        ("head.w", np.full(8, np.nan)),
+        ("head.b", np.array([np.inf])),
+        ("head.b", np.zeros(0)),
+        ("head.b", np.zeros(2)),
+        ("head.w", np.ones(7)),
+        ("head.w", np.ones((8, 1))),
+    ], ids=["nan-w", "inf-b", "empty-b", "long-b", "short-w", "column-w"])
+    def test_eval_bad_head_named(self, tmp_path, config, capsys, name, value):
+        # a NaN head.w used to score mIoU 0 and exit 0, an empty head.b
+        # to end in an IndexError traceback
+        out = tmp_path / "run"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        ck = out / "checkpoint.evdt"
+        tensors, meta = read_dump(ck)
+        tensors[name] = value
+        write_dump(ck, tensors, meta=meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint mask head {name} ") \
+            and err.count("\n") == 1
 
     def test_bad_checkpoint_magic(self, tmp_path, config, capsys):
         ck = tmp_path / "bad.evdt"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from evadapt.autodiff import Tensor
-from evadapt.distill import (DistillConfig, distill_loss, layer_weights,
-                             mix_tokens)
-from evadapt.encoder import EmbeddingCapture
+from evadapt.distill import (ATTENTION_SOURCES, DistillConfig, distill_loss,
+                             layer_weights, mix_tokens, stack_weights)
+from evadapt.encoder import EmbeddingCapture, stack_captures
 from evadapt.significance import token_significance, transition_stack
 
 
@@ -196,6 +196,76 @@ class TestDistillLoss:
                             attention_source="teacher_single_layer")
         total, _ = distill_loss(t, s, cfg)
         assert total.item() > 0
+
+
+class TestStackedSamples:
+    def test_mix_draws_each_samples_positions(self):
+        rng = np.random.default_rng(11)
+        ev = Tensor(rng.standard_normal((12, 2)))
+        im = Tensor(rng.standard_normal((12, 2)))
+        seeds = [[1, 2, 0], [1, 2, 1], [1, 2, 2]]
+        mixed = mix_tokens(ev, im, 0.5, seeds, samples=3)
+        for s, seed in enumerate(seeds):
+            rows = slice(4 * s, 4 * s + 4)
+            one = mix_tokens(Tensor(ev.data[rows]), Tensor(im.data[rows]),
+                             0.5, seed)
+            assert mixed.data[rows].tobytes() == one.data.tobytes()
+
+    @pytest.mark.parametrize("samples, seeds, match", [
+        (3, [0, 1], "into 3 samples with 2 seeds"),
+        (5, [0] * 5, "cannot split 12 tokens into 5 samples"),
+        (0, [], "into 0 samples")])
+    def test_mix_checks_the_split(self, samples, seeds, match):
+        t = Tensor(np.zeros((12, 2)))
+        with pytest.raises(ValueError, match=match):
+            mix_tokens(t, t, 0.5, seeds, samples=samples)
+
+    @pytest.mark.parametrize("source", ATTENTION_SOURCES)
+    def test_stacked_capture_stacks_each_samples_weights(self, source):
+        rng = np.random.default_rng(12)
+        caps = [random_capture(rng) for _ in range(3)]
+        cfg = DistillConfig(layers=(0, 1, 2, 3), gammas=(0.1, 0.4, 1.0),
+                            attention_source=source)
+        got = layer_weights(cfg, stack_captures(caps))
+        want = stack_weights([layer_weights(cfg, c) for c in caps])
+        assert [None if w is None else w.tobytes() for w in got] == \
+            [None if w is None else w.tobytes() for w in want]
+        assert all(w is None or w.shape == (12,) for w in got)
+
+    def test_stacked_loss_sums_the_samples(self):
+        rng = np.random.default_rng(13)
+        ts = [random_capture(rng) for _ in range(2)]
+        ss = [random_capture(rng) for _ in range(2)]
+        cfg = DistillConfig(layers=(0, 1, 3), gammas=(0.4, 1.0),
+                            attention_source="student")
+        total, breakdown = distill_loss(stack_captures(ts),
+                                        stack_captures(ss), cfg)
+        parts = [distill_loss(t, s, cfg) for t, s in zip(ts, ss)]
+        assert total.item() == pytest.approx(
+            sum(p[0].item() for p in parts), rel=1e-14)
+        for layer in cfg.layers:
+            assert breakdown[layer] == pytest.approx(
+                sum(p[1][layer] for p in parts), rel=1e-14)
+
+
+def test_single_layer_source_rolls_out_each_map_once(monkeypatch):
+    from evadapt import distill
+    rng = np.random.default_rng(14)
+    cap = random_capture(rng, depth=3)
+    cfg = DistillConfig(layers=(0, 1, 2, 3), gammas=(0.1, 0.4, 1.0),
+                        attention_source="teacher_single_layer")
+    calls = []
+    rollout = distill.token_significance
+    monkeypatch.setattr(distill, "token_significance",
+                        lambda *a, **k: calls.append(a) or rollout(*a, **k))
+    weights = layer_weights(cfg, cap)
+    # the terminal layer 3 falls back to block 3's map, which layer 2 uses
+    assert len(calls) == 2
+    assert weights[2] is weights[3]
+    for layer, w in zip(cfg.layers[1:], weights[1:]):
+        want = rollout(transition_stack([cap.attentions[min(layer, 2)]]), 1,
+                       cfg.beta).values
+        assert w.tobytes() == want.tobytes()
 
 
 class TestDistillConfig:

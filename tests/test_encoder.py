@@ -5,7 +5,7 @@ from evadapt.autodiff import Tensor
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, mark_trainable,
-                             trainable_shapes)
+                             patch_tokens, stack_captures, trainable_shapes)
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -42,6 +42,27 @@ class TestForward:
         cap2 = forward_tokens(params, Tensor(cap.embeddings[0].data))
         for a, b in zip(cap.embeddings, cap2.embeddings):
             assert np.array_equal(a.data, b.data)
+
+    def test_stacked_images_match_one_at_a_time(self, params):
+        imgs = np.random.default_rng(4).random((3, 8, 8, 3))
+        patches = patch_tokens(TINY, imgs)
+        assert patches.tobytes() == np.concatenate(
+            [patch_tokens(TINY, im) for im in imgs]).tobytes()
+        stacked = forward_capture(params, imgs)
+        caps = [forward_capture(params, im) for im in imgs]
+        assert stacked.samples == 3 and caps[0].samples == 1
+        for i, x in enumerate(stacked.embeddings):
+            want = np.concatenate([c.embeddings[i].data for c in caps])
+            assert np.allclose(x.data, want, rtol=1e-12, atol=1e-14)
+        for i, a in enumerate(stacked.attentions):
+            want = np.stack([c.attentions[i] for c in caps])
+            assert np.allclose(a, want, rtol=1e-12, atol=1e-14)
+        restacked = stack_captures(caps)
+        assert [x.data.tobytes() for x in restacked.embeddings] == \
+            [np.concatenate([c.embeddings[i].data for c in caps]).tobytes()
+             for i in range(3)]
+        assert restacked.samples == 3
+        assert stack_captures(caps[:1]) is caps[0]
 
     def test_zero_tokens_uniform_attention(self):
         cfg = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=1,

@@ -6,7 +6,8 @@ and writer, per-cell mask overlap, flood-fill component labelling and the
 RLE while-loop. The vectorized code does the same float64 arithmetic
 elementwise, so every comparison is exact. Reference events are
 (t, x, y, p) tuples. The one-node distillation objective is checked the
-same way against the chain of Tensor operations it replaced.
+same way against the chain of Tensor operations it replaced, and the
+stacked student step against the one-graph-per-sample step.
 """
 
 import os
@@ -603,7 +604,8 @@ class TestDistillObjective:
             for name in state.m:
                 entries[name].zero_grad()
             total, breakdown = trainer.student_step_loss(
-                teacher, state.params, image, volume, cfg, mix_seed=[0, 1])
+                [teacher], state.params, volume[None], cfg,
+                mix_seeds=[[0, 1]])
             total.backward()
             return (np.asarray(total.data).tobytes(), breakdown,
                     {n: entries[n].grad.tobytes() for n in state.m})
@@ -611,3 +613,165 @@ class TestDistillObjective:
         got = run()
         monkeypatch.setattr(trainer, "distill_loss", ref_distill_loss)
         assert got == run()
+
+
+# -- stacked student step ----------------------------------------------------
+
+def ref_student_step_loss(teacher, params, volume, cfg, mix_seed,
+                          weights=None):
+    """One sample's loss in its own graph: the patch affine and the
+    positional embedding as one add node, one mixing seed."""
+    patches = Tensor(encoder.patch_tokens(params.config, volume))
+    event_tokens = encoder._affine(params, "embed", patches) \
+        + params.tensors["pos"]
+    mixed = distill.mix_tokens(event_tokens,
+                               Tensor(teacher.embeddings[0].data),
+                               cfg.mixing_ratio, mix_seed)
+    capture = encoder.forward_tokens(params, mixed)
+    return distill.distill_loss(teacher, capture, cfg, weights)
+
+
+def ref_train(teacher, state, data, tcfg, dcfg):
+    """train() with one graph and one backward per sample."""
+    cache, history = {}, []
+    entries = state.params.all_entries()
+    for step in range(tcfg.epochs * tcfg.steps_per_epoch):
+        epoch = step // tcfg.steps_per_epoch + 1
+        lr = trainer.lr_at(tcfg, min(epoch, tcfg.epochs))
+        grads, total, terms = {}, 0.0, {}
+        for b in range(tcfg.batch_size):
+            idx = (step * tcfg.batch_size + b) % len(data)
+            image, volume = data[idx]
+            if idx not in cache:
+                cap = encoder.forward_capture(teacher, image)
+                cache[idx] = (cap, None if dcfg.attention_source == "student"
+                              else distill.layer_weights(dcfg, cap))
+            for name in state.m:
+                entries[name].zero_grad()
+            loss, breakdown = ref_student_step_loss(
+                cache[idx][0], state.params, volume, dcfg,
+                [tcfg.seed, step, b], cache[idx][1])
+            loss.backward()
+            total += loss.item()
+            for layer, v in breakdown.items():
+                terms[layer] = terms.get(layer, 0.0) + v
+            for name in sorted(state.m):
+                if entries[name].grad is not None:
+                    grads[name] = grads.get(name, 0.0) \
+                        + entries[name].grad / tcfg.batch_size
+        trainer.adam_step(state, grads, lr)
+        history.append({"step": step + 1, "epoch": epoch, "lr": lr,
+                        "total": total / tcfg.batch_size,
+                        **{f"layer_{s}": v / tcfg.batch_size
+                           for s, v in terms.items()}})
+    return state, history
+
+
+STEP_PLANS = [encoder.TrainablePlan(mode="embed+mlps", layers=(1, 2, 3)),
+              encoder.TrainablePlan(mode="lora", lora_rank=2,
+                                    lora_sites=("blocks", (1, 3)))]
+STEP_CONFIG = encoder.ViTConfig(img_size=8, patch_size=4, embed_dim=8,
+                                depth=3, num_heads=2, mlp_hidden=16)
+
+
+def rel_gap(got, want):
+    """Largest difference over the largest magnitude of the reference."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+@pytest.mark.parametrize("plan", STEP_PLANS, ids=["embed+mlps", "lora"])
+class TestStackedStep:
+    """trainer.student_step_loss on m samples against the sum of the
+    per-sample losses, each in its own graph."""
+
+    def case(self, source, plan, m=3):
+        cfg = distill.DistillConfig(layers=(0, 1, 2, 3),
+                                    gammas=(0.3, 0.6, 1.0), mixing_ratio=0.25,
+                                    attention_source=source)
+        rng = np.random.default_rng(12)
+        teacher = encoder.init_params(STEP_CONFIG, seed=3)
+        caps = [encoder.forward_capture(teacher, rng.random((8, 8, 3)))
+                for _ in range(m)]
+        weights = [None if source == "student"
+                   else distill.layer_weights(cfg, c) for c in caps]
+        state = trainer.TrainState.create(
+            encoder.init_params(STEP_CONFIG, seed=4), plan, seed=4)
+        # move the student off its init so every block carries gradient
+        for name in state.m:
+            t = state.params.all_entries()[name]
+            t.data = t.data + rng.normal(0, 0.05, t.data.shape)
+        volumes = rng.random((m, 8, 8, 3))
+        seeds = [[9, 2, b] for b in range(m)]
+        return cfg, caps, weights, state, volumes, seeds
+
+    @staticmethod
+    def run(state, loss_fn):
+        entries = state.params.all_entries()
+        for name in state.m:
+            entries[name].zero_grad()
+        total, breakdown = loss_fn()
+        total.backward()
+        return (total.item(), breakdown,
+                {n: entries[n].grad for n in state.m})
+
+    def test_one_sample_chunks_bitwise(self, source, plan):
+        cfg, caps, weights, state, volumes, seeds = self.case(source, plan)
+        for b in range(len(caps)):
+            got = self.run(state, lambda: trainer.student_step_loss(
+                [caps[b]], state.params, volumes[b:b + 1], cfg,
+                mix_seeds=[seeds[b]],
+                weights=None if weights[b] is None else [weights[b]]))
+            want = self.run(state, lambda: ref_student_step_loss(
+                caps[b], state.params, volumes[b], cfg, seeds[b],
+                weights[b]))
+            assert got[0] == want[0] and got[1] == want[1]
+            assert {n: g.tobytes() for n, g in got[2].items()} == \
+                {n: g.tobytes() for n, g in want[2].items()}
+
+    def test_whole_batch_chunk_within_1e_12(self, source, plan):
+        cfg, caps, weights, state, volumes, seeds = self.case(source, plan)
+        got = self.run(state, lambda: trainer.student_step_loss(
+            caps, state.params, volumes, cfg, mix_seeds=seeds,
+            weights=None if weights[0] is None else weights))
+        total, breakdown, grads = 0.0, {}, {}
+        for b in range(len(caps)):
+            t, br, g = self.run(state, lambda: ref_student_step_loss(
+                caps[b], state.params, volumes[b], cfg, seeds[b],
+                weights[b]))
+            total += t
+            breakdown = {s: breakdown.get(s, 0.0) + v for s, v in br.items()}
+            grads = {n: grads.get(n, 0.0) + x for n, x in g.items()}
+        assert rel_gap(got[0], total) <= 1e-12
+        assert list(got[1]) == list(breakdown)
+        assert rel_gap(list(got[1].values()), list(breakdown.values())) \
+            <= 1e-12
+        for name, g in grads.items():
+            assert rel_gap(got[2][name], g) <= 1e-12, name
+
+    def test_train_matches_per_sample_loop(self, monkeypatch, source, plan):
+        cfg = self.case(source, plan)[0]
+        rng = np.random.default_rng(13)
+        data = [(rng.random((8, 8, 3)), rng.random((8, 8, 3)))
+                for _ in range(4)]
+        teacher = encoder.init_params(STEP_CONFIG, seed=3)
+        tcfg = trainer.TrainConfig(epochs=1, steps_per_epoch=3, batch_size=3,
+                                   lr=1e-3, decay_epoch=1, seed=5)
+
+        def run(fn):
+            state = trainer.TrainState.create(teacher.copy(), plan, seed=4)
+            state, history = fn(teacher, state, data, tcfg, cfg)
+            return history, {n: t.data for n, t in
+                             state.params.all_entries().items()}
+
+        want = run(ref_train)
+        stacked = run(trainer.train)        # the whole batch in one chunk
+        for row, ref in zip(stacked[0], want[0]):
+            assert list(row) == list(ref)
+            assert rel_gap([row[c] for c in ref], list(ref.values())) <= 1e-12
+        monkeypatch.setattr(trainer, "STACK", 1)  # one sample per chunk
+        history, params = run(trainer.train)
+        assert history == want[0]
+        assert {n: a.tobytes() for n, a in params.items()} == \
+            {n: a.tobytes() for n, a in want[1].items()}

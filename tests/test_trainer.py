@@ -143,6 +143,27 @@ class TestTrainLoop:
         assert outs[0] == outs[1]
 
 
+TINY_PROFILE = ViTConfig(img_size=16, patch_size=4, embed_dim=16, depth=2,
+                         num_heads=2, mlp_hidden=32)
+MID_PROFILE = ViTConfig(img_size=32, patch_size=4, embed_dim=192, depth=12,
+                        num_heads=3, mlp_hidden=768)
+
+
+@pytest.mark.parametrize("stack", [512, trainer.STACK, 12287])
+def test_chunk_rule(monkeypatch, stack):
+    # the tiny profile's batch of 2 shares one graph; a train-mid sample
+    # (64 tokens of width 192) gets its own
+    monkeypatch.setattr(trainer, "STACK", stack)
+    assert trainer.chunk_size(TINY_PROFILE) >= 2
+    assert trainer.chunk_size(MID_PROFILE) == 1
+
+
+def test_chunk_size_values():
+    assert trainer.chunk_size(TINY_PROFILE) == 16
+    assert trainer.chunk_size(TINY) == 128
+    assert trainer.chunk_size(MID_PROFILE) == 1
+
+
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
 def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
     calls = {"rollout": 0, "loss": 0}
@@ -164,10 +185,13 @@ def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
                        decay_epoch=1)
     train(init_params(TINY, seed=0), tiny_state(), data, tcfg, dcfg)
     samples = tcfg.steps_per_epoch * tcfg.batch_size
-    assert calls["loss"] == samples
+    # one loss per chunk; TINY's batch of 2 is one chunk
+    assert trainer.chunk_size(TINY) >= tcfg.batch_size
+    assert calls["loss"] == tcfg.steps_per_epoch
     # layers 1 and 2 are weighted; the teacher source rolls out layer 1
-    # only (2 is the terminal layer), the student source every step
-    per_sample = {"teacher": 1, "teacher_single_layer": 2, "uniform": 0,
+    # only (2 is the terminal layer), the single-layer source block 2's
+    # map, which serves both layers, and the student source every step
+    per_sample = {"teacher": 1, "teacher_single_layer": 1, "uniform": 0,
                   "student": 1}[source]
     visits = samples if source == "student" else len(data)
     assert calls["rollout"] == visits * per_sample
