@@ -38,8 +38,17 @@ class DistillConfig:
             raise ValueError("layers must name at least one layer")
         if any(s < 0 for s in self.layers):
             raise ValueError("layers must be >= 0")
-        if not 0.0 <= self.mixing_ratio <= 1.0:
-            raise ValueError("mixing_ratio must lie in [0, 1]")
+        if len(set(self.layers)) != len(self.layers):
+            raise ValueError(f"layers must be distinct, got {list(self.layers)}")
+        if self.gamma0 < 0:
+            raise ValueError("gamma0 must be >= 0")
+        if any(g < 0 for g in self.gammas):
+            raise ValueError("gammas must be >= 0")
+        for name in ("beta", "mixing_ratio"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.rollout_horizon is not None and self.rollout_horizon < 1:
+            raise ValueError("rollout_horizon must be null or >= 1")
         nonzero = [s for s in self.layers if s != 0]
         if len(self.gammas) != len(nonzero):
             raise ValueError(
@@ -54,23 +63,22 @@ class DistillConfig:
 
 
 def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
-               ratio: float, seed, samples: int = 1) -> Tensor:
+               ratio: float, seeds: list) -> Tensor:
     """Replace round(ratio * k) of each sample's k event tokens with
     same-position image tokens.
 
-    The rows stack `samples` samples. Positions are drawn without
-    replacement from a generator seeded by the sample's seed, so the
-    replaced set is deterministic: `seed` (an int or int sequence) for one
-    sample, a list of one such seed per sample for several.
+    The rows stack one sample per seed. Positions are drawn without
+    replacement from a generator seeded by the sample's seed (an int or
+    int sequence), so the replaced set is deterministic.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("mixing ratio must lie in [0, 1]")
     if event_tokens.shape != image_tokens.shape:
         raise ValueError("event and image token shapes differ")
-    seeds = [seed] if samples == 1 else list(seed)
-    if len(seeds) != samples or samples < 1 or event_tokens.shape[0] % samples:
+    samples = len(seeds)
+    if samples < 1 or event_tokens.shape[0] % samples:
         raise ValueError(f"cannot split {event_tokens.shape[0]} tokens into "
-                         f"{samples} samples with {len(seeds)} seeds")
+                         f"{samples} samples")
     k = event_tokens.shape[0] // samples
     n_rep = int(round(ratio * k))
     mask = np.zeros((samples, k), dtype=bool)

@@ -107,24 +107,18 @@ class TrainablePlan:
 
 @dataclass
 class ViTParams:
+    """Every entry by name: the base entries in param_shapes order, then
+    any adapter factors in adapter_shapes order (the checkpoint order)."""
     config: ViTConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
-    lora: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
 
     def copy(self) -> "ViTParams":
-        p = ViTParams(self.config)
-        p.tensors = {k: Tensor(v.data.copy()) for k, v in self.tensors.items()}
-        p.lora = {k: (Tensor(a.data.copy()), Tensor(b.data.copy()))
-                  for k, (a, b) in self.lora.items()}
-        return p
+        return ViTParams(self.config, {k: Tensor(v.data.copy())
+                                       for k, v in self.tensors.items()})
 
     def all_entries(self) -> dict[str, Tensor]:
-        """Flat name -> Tensor view including adapter factors."""
-        out = dict(self.tensors)
-        for site, (a, b) in self.lora.items():
-            out[f"{site}.lora_a"] = a
-            out[f"{site}.lora_b"] = b
-        return out
+        """`tensors` itself: name -> Tensor of every entry."""
+        return self.tensors
 
 
 def affine_shapes(config: ViTConfig) -> dict[str, tuple[int, int]]:
@@ -166,26 +160,21 @@ def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTPar
     return p
 
 
-def apply_lora(params: ViTParams, rank: int, sites: list[str],
-               seed: int = 0, init_scale: float = 0.01) -> ViTParams:
-    """Attach additive low-rank adapters to the given affine maps.
+def apply_lora(params: ViTParams, shapes: dict[str, tuple[int, ...]],
+               seed: int = 0) -> ViTParams:
+    """A copy of `params` with additive low-rank adapters attached.
 
-    A is small-random (r, in), B is zero (out, r), so the function computed
-    by the model is unchanged until training moves B. Base weights at
-    adapted sites are frozen by the trainability marking (see mark_trainable).
+    `shapes` are the plan's trainable_shapes; each site's (r, in) A is
+    drawn from N(0, 0.01^2) in plan order, and its (out, r) B is zero, so
+    the function computed by the model is unchanged until training moves
+    B. Base weights at adapted sites are frozen by mark_trainable.
     """
-    if rank < 1:
-        raise ValueError("lora rank must be >= 1")
-    shapes = affine_shapes(params.config)
     rng = np.random.default_rng(seed)
     out = params.copy()
-    for site in sites:
-        if site not in shapes:
-            raise ValueError(f"invalid lora site: {site}")
-        din, dout = shapes[site]
-        a = Tensor(rng.normal(0.0, init_scale, (rank, din)))
-        b = Tensor(np.zeros((dout, rank)))
-        out.lora[site] = (a, b)
+    for name, shape in adapter_shapes(shapes).items():
+        out.tensors[name] = Tensor(rng.normal(0.0, 0.01, shape)
+                                   if name.endswith(".lora_a")
+                                   else np.zeros(shape))
     return out
 
 
@@ -220,6 +209,14 @@ def trainable_shapes(config: ViTConfig,
             if n in shapes}
 
 
+def adapter_shapes(shapes: dict[str, tuple[int, ...]]
+                   ) -> dict[str, tuple[int, ...]]:
+    """The adapter entries among trainable_shapes' result: each site's
+    `.lora_a` then its `.lora_b`, sites in plan order."""
+    sites = [n.removesuffix(".lora_a") for n in shapes if n.endswith(".lora_a")]
+    return {n: shapes[n] for s in sites for n in (f"{s}.lora_a", f"{s}.lora_b")}
+
+
 def count_trainable(config: ViTConfig, plan: TrainablePlan) -> int:
     """Exact number of scalars trainable under the plan."""
     return sum(math.prod(s) for s in trainable_shapes(config, plan).values())
@@ -228,10 +225,10 @@ def count_trainable(config: ViTConfig, plan: TrainablePlan) -> int:
 def mark_trainable(params: ViTParams, plan: TrainablePlan):
     """Set requires_grad exactly on the plan's entries; clears all others."""
     wanted = set(trainable_shapes(params.config, plan))
-    for name, t in params.all_entries().items():
+    for name, t in params.tensors.items():
         t.requires_grad = name in wanted
         t.grad = None
-    missing = wanted - set(params.all_entries())
+    missing = wanted - set(params.tensors)
     if missing:
         raise ValueError(f"plan references absent parameters: {sorted(missing)}")
 
@@ -261,10 +258,10 @@ def stack_captures(captures: list[EmbeddingCapture]) -> EmbeddingCapture:
 
 
 def _effective_weight(params: ViTParams, site: str) -> Tensor:
-    w = params.tensors[f"{site}.w"]
-    if site in params.lora:
-        a, b = params.lora[site]
-        w = w + matmul(b, a).T
+    t = params.tensors
+    w = t[f"{site}.w"]
+    if f"{site}.lora_a" in t:
+        w = w + matmul(t[f"{site}.lora_b"], t[f"{site}.lora_a"]).T
     return w
 
 

@@ -50,6 +50,8 @@ def _layers(stack: list[np.ndarray], s: int,
     n = len(stack)
     if not 1 <= s <= n:
         raise ValueError(f"source layer {s} out of range 1..{n}")
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     mats = stack[s - 1:]
     return mats if horizon is None else mats[:horizon]
 

@@ -21,9 +21,9 @@ from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import (DistillConfig, distill_loss, layer_weights, mix_tokens,
                       stack_weights)
 from .encoder import (CHANNELS, TrainablePlan, ViTConfig, ViTParams,
-                      apply_lora, embed_image, forward_tokens, init_params,
-                      mark_trainable, param_shapes, stack_captures,
-                      trainable_shapes)
+                      adapter_shapes, apply_lora, embed_image, forward_tokens,
+                      init_params, mark_trainable, param_shapes,
+                      stack_captures, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -43,8 +43,9 @@ class TrainConfig:
         for name in ("epochs", "steps_per_epoch", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("lr", "decay_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.decay_epoch > self.epochs:
             raise ValueError("decay epoch must not exceed epochs")
 
@@ -72,17 +73,11 @@ class TrainState:
         attaches its adapters to a copy of `params`, drawn from `seed`."""
         shapes = trainable_shapes(params.config, plan)
         if plan.mode == "lora":
-            params = apply_lora(params, plan.lora_rank, _adapter_sites(shapes),
-                                seed=seed)
+            params = apply_lora(params, shapes, seed=seed)
         mark_trainable(params, plan)
         return cls(params=params, plan=plan,
                    m={n: np.zeros(s) for n, s in shapes.items()},
                    v={n: np.zeros(s) for n, s in shapes.items()})
-
-
-def _adapter_sites(shapes: dict) -> list[str]:
-    """The LoRA sites among trainable_shapes' entries, in plan order."""
-    return [n.removesuffix(".lora_a") for n in shapes if n.endswith(".lora_a")]
 
 
 def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
@@ -90,7 +85,7 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
     state.step += 1
     t = state.step
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     for name in sorted(state.m):
         g = grads.get(name)
         if g is None:
@@ -130,12 +125,10 @@ def student_step_loss(teachers: list, student_params: ViTParams,
     `weights` are the samples' teacher layer weights, if already rolled
     out. The loss and breakdown are sums over the samples.
     """
-    m = len(teachers)
     teacher = stack_captures(teachers)
     event_tokens = embed_image(student_params, volumes)
     image_tokens = Tensor(teacher.embeddings[0].data)
-    mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio,
-                       mix_seeds[0] if m == 1 else mix_seeds, samples=m)
+    mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seeds)
     capture = forward_tokens(student_params, mixed)
     return distill_loss(teacher, capture, dcfg,
                         None if weights is None else stack_weights(weights))
@@ -156,7 +149,7 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     # source rolls out the student's own attention every step instead
     teacher_cache: dict[int, tuple] = {}
     history: list[dict] = []
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     chunk = chunk_size(state.params.config)
     steps = total_steps if total_steps is not None else \
         tcfg.epochs * tcfg.steps_per_epoch
@@ -212,7 +205,7 @@ def train(teacher: ViTParams, state: TrainState, data: list,
 def save_checkpoint(path, state: TrainState, extra_meta: dict | None = None,
                     extra_tensors: dict | None = None):
     tensors: dict[str, np.ndarray] = {}
-    for name, t in state.params.all_entries().items():
+    for name, t in state.params.tensors.items():
         tensors[f"param.{name}"] = t.data
     for name in state.m:
         tensors[f"adam.m.{name}"] = state.m[name]
@@ -246,12 +239,10 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
             f"got {step!r}")
     config = from_doc(ViTConfig, meta["model"], "model")
     plan = from_doc(TrainablePlan, meta["plan"], "plan")
-    base, shapes = param_shapes(config), trainable_shapes(config, plan)
-    sites = _adapter_sites(shapes)
-    # entry -> shape, in all_entries order and then the moments' order
-    wanted = {f"param.{n}": s for n, s in base.items()}
-    wanted.update({f"param.{n}": shapes[n] for site in sites
-                   for n in (f"{site}.lora_a", f"{site}.lora_b")})
+    shapes = trainable_shapes(config, plan)
+    # entry -> shape, in the model's entry order and then the moments' order
+    wanted = {f"param.{n}": s for n, s in
+              {**param_shapes(config), **adapter_shapes(shapes)}.items()}
     wanted.update({f"adam.{mv}.{n}": s for mv in "mv"
                    for n, s in shapes.items()})
     missing = [w for w in wanted if w not in tensors]
@@ -271,11 +262,9 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     if bad:
         raise DumpFormatError(
             f"checkpoint entries not finite: {', '.join(bad)}")
-    params = ViTParams(config)
-    params.tensors = {n: Tensor(got[f"param.{n}"]) for n in base}
-    params.lora = {site: (Tensor(got[f"param.{site}.lora_a"]),
-                          Tensor(got[f"param.{site}.lora_b"]))
-                   for site in sites}
+    params = ViTParams(config, {w.removeprefix("param."): Tensor(a)
+                                for w, a in got.items()
+                                if w.startswith("param.")})
     mark_trainable(params, plan)
     return (TrainState(params=params, plan=plan,
                        m={n: got[f"adam.m.{n}"] for n in shapes},
@@ -308,5 +297,5 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
                                     mix_seeds=[[seed, 0, 0], [seed, 0, 1]])
         return loss
 
-    entries = student.all_entries()
+    entries = student.tensors
     return grad_check(f, [entries[n] for n in state.m], step=step)

@@ -261,7 +261,7 @@ def test_09_reduction_identities():
     # full mixing with a teacher-initialized student reproduces the teacher
     event_tokens = forward_capture(params, vol).embeddings[0]
     mixed = mix_tokens(Tensor(event_tokens.data),
-                       Tensor(t_cap.embeddings[0].data), 1.0, seed=0)
+                       Tensor(t_cap.embeddings[0].data), 1.0, [0])
     student_cap = forward_tokens(params, mixed)
     total, _ = distill_loss(
         t_cap, student_cap,

@@ -287,6 +287,13 @@ class TestErrorHandling:
         ("plan.layers", [5]),
         ("plan.lora_rank", 0),
         ("plan.lora_sites", ["heads", [1]]),
+        ("distill.layers", [0, 1, 1]),
+        ("distill.rollout_horizon", 0),
+        ("distill.rollout_horizon", -1),
+        ("distill.gammas", [0.5, -1.0]),
+        ("distill.gamma0", -1.0),
+        ("distill.beta", 1.5),
+        ("train.decay_factor", -1.0),
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)

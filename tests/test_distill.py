@@ -34,19 +34,19 @@ class TestMixTokens:
     def test_ratio_zero(self):
         ev = Tensor(np.arange(32.0).reshape(4, 8))
         im = Tensor(np.zeros((4, 8)))
-        m = mix_tokens(ev, im, 0.0, seed=0)
+        m = mix_tokens(ev, im, 0.0, [0])
         assert np.array_equal(m.data, ev.data)
 
     def test_ratio_one(self):
         ev = Tensor(np.arange(32.0).reshape(4, 8))
         im = Tensor(np.ones((4, 8)))
-        m = mix_tokens(ev, im, 1.0, seed=0)
+        m = mix_tokens(ev, im, 1.0, [0])
         assert np.array_equal(m.data, im.data)
 
     def test_quarter_replaces_exactly_one(self):
         ev = Tensor(np.zeros((4, 8)))
         im = Tensor(np.arange(32.0).reshape(4, 8))
-        m = mix_tokens(ev, im, 0.25, seed=3)
+        m = mix_tokens(ev, im, 0.25, [3])
         rows = replaced_rows(m, ev)
         assert rows.size == 1
         pos = rows[0]
@@ -57,16 +57,16 @@ class TestMixTokens:
     def test_seed_determinism_and_count(self):
         ev = Tensor(np.zeros((16, 4)))
         im = Tensor(np.ones((16, 4)))
-        a = mix_tokens(ev, im, 0.5, seed=7)
-        b = mix_tokens(ev, im, 0.5, seed=7)
-        c = mix_tokens(ev, im, 0.5, seed=8)
+        a = mix_tokens(ev, im, 0.5, [7])
+        b = mix_tokens(ev, im, 0.5, [7])
+        c = mix_tokens(ev, im, 0.5, [8])
         assert a.data.tobytes() == b.data.tobytes()
         assert replaced_rows(a, ev).size == replaced_rows(c, ev).size == 8
 
     def test_ratio_out_of_range(self):
         t = Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            mix_tokens(t, t, 1.5, seed=0)
+            mix_tokens(t, t, 1.5, [0])
 
 
 class TestWeightedLayerLoss:
@@ -204,21 +204,20 @@ class TestStackedSamples:
         ev = Tensor(rng.standard_normal((12, 2)))
         im = Tensor(rng.standard_normal((12, 2)))
         seeds = [[1, 2, 0], [1, 2, 1], [1, 2, 2]]
-        mixed = mix_tokens(ev, im, 0.5, seeds, samples=3)
+        mixed = mix_tokens(ev, im, 0.5, seeds)
         for s, seed in enumerate(seeds):
             rows = slice(4 * s, 4 * s + 4)
             one = mix_tokens(Tensor(ev.data[rows]), Tensor(im.data[rows]),
-                             0.5, seed)
+                             0.5, [seed])
             assert mixed.data[rows].tobytes() == one.data.tobytes()
 
-    @pytest.mark.parametrize("samples, seeds, match", [
-        (3, [0, 1], "into 3 samples with 2 seeds"),
-        (5, [0] * 5, "cannot split 12 tokens into 5 samples"),
-        (0, [], "into 0 samples")])
-    def test_mix_checks_the_split(self, samples, seeds, match):
+    @pytest.mark.parametrize("seeds, match", [
+        ([0] * 5, "cannot split 12 tokens into 5 samples"),
+        ([], "into 0 samples")])
+    def test_mix_checks_the_split(self, seeds, match):
         t = Tensor(np.zeros((12, 2)))
         with pytest.raises(ValueError, match=match):
-            mix_tokens(t, t, 0.5, seeds, samples=samples)
+            mix_tokens(t, t, 0.5, seeds)
 
     @pytest.mark.parametrize("source", ATTENTION_SOURCES)
     def test_stacked_capture_stacks_each_samples_weights(self, source):
@@ -286,4 +285,21 @@ class TestDistillConfig:
     def test_unknown_source(self):
         with pytest.raises(ValueError, match="attention source"):
             DistillConfig(attention_source="oracle")
+
+    def test_duplicate_layers_rejected(self):
+        # a repeated layer took the first copy's gamma for both copies
+        with pytest.raises(ValueError, match="layers must be distinct"):
+            DistillConfig(layers=(0, 1, 1), gammas=(0.7, 1.0))
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("gammas", (0.5, -1.0), "gammas must be >= 0"),
+        ("gamma0", -1.0, "gamma0 must be >= 0"),
+        ("beta", 1.5, r"beta must lie in \[0, 1\]"),
+        ("beta", -0.5, r"beta must lie in \[0, 1\]"),
+        ("rollout_horizon", 0, "rollout_horizon must be null or >= 1"),
+        ("rollout_horizon", -1, "rollout_horizon must be null or >= 1")])
+    def test_numbers_checked(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            DistillConfig(**{"layers": (0, 1, 2), "gammas": (0.5, 1.0),
+                             name: value})
 

@@ -5,7 +5,8 @@ from evadapt.autodiff import Tensor
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, mark_trainable,
-                             patch_tokens, stack_captures, trainable_shapes)
+                             param_shapes, patch_tokens, stack_captures,
+                             trainable_shapes)
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -148,21 +149,31 @@ class TestTrainableShapes:
             "block.2.mlp1.lora_b": (16, 3), "block.2.mlp2.lora_b": (8, 3)}
 
 
+LORA = TrainablePlan(mode="lora", lora_rank=2, lora_sites=("blocks", (2, 1)))
+
+
 class TestLora:
     def test_zero_init_preserves_function(self, params):
         img = np.random.default_rng(4).random((8, 8, 3))
         before = forward_capture(params, img).embeddings[-1].data
-        lp = apply_lora(params, rank=2, sites=["block.1.mlp1", "block.2.qkv"])
+        lp = apply_lora(params, trainable_shapes(TINY, LORA))
         after = forward_capture(lp, img).embeddings[-1].data
         assert np.max(np.abs(before - after)) <= 1e-12
 
-    def test_rank_zero_rejected(self, params):
-        with pytest.raises(ValueError):
-            apply_lora(params, rank=0, sites=["block.1.mlp1"])
+    def test_entries_are_base_then_each_sites_factors(self, params):
+        lp = apply_lora(params, trainable_shapes(TINY, LORA))
+        sites = [f"block.{i}.{part}" for i in (2, 1)
+                 for part in ("qkv", "proj", "mlp1", "mlp2")]
+        assert list(lp.all_entries()) == list(param_shapes(TINY)) + [
+            f"{site}.{f}" for site in sites for f in ("lora_a", "lora_b")]
 
-    def test_invalid_site(self, params):
-        with pytest.raises(ValueError, match="invalid lora site"):
-            apply_lora(params, rank=2, sites=["block.9.mlp1"])
+    def test_copy_shares_no_adapter_array(self, params):
+        lp = apply_lora(params, trainable_shapes(TINY, LORA))
+        cp = lp.copy()
+        assert list(cp.tensors) == list(lp.tensors)
+        for name, t in lp.tensors.items():
+            assert not np.shares_memory(cp.tensors[name].data, t.data), name
+            assert np.array_equal(cp.tensors[name].data, t.data), name
 
     def test_adapter_param_count_shape(self):
         # adapter on a c -> 4c map adds r * (c + 4c) scalars

@@ -626,7 +626,7 @@ def ref_student_step_loss(teacher, params, volume, cfg, mix_seed,
         + params.tensors["pos"]
     mixed = distill.mix_tokens(event_tokens,
                                Tensor(teacher.embeddings[0].data),
-                               cfg.mixing_ratio, mix_seed)
+                               cfg.mixing_ratio, [mix_seed])
     capture = encoder.forward_tokens(params, mixed)
     return distill.distill_loss(teacher, capture, cfg, weights)
 

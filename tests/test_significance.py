@@ -147,6 +147,14 @@ class TestTokenSignificance:
         assert np.allclose(trunc, want, atol=1e-14)
         assert not np.allclose(trunc, full, atol=1e-6)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_rollout_horizon_below_one_rejected(self, horizon):
+        # 0 rolled out an empty product, -1 dropped the last transition
+        stack = transition_stack(random_attention_stack(
+            np.random.default_rng(9), 3, 4))
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            token_significance(stack, 1, 0.5, horizon=horizon)
+
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 6),

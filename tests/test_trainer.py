@@ -59,6 +59,10 @@ class TestLrSchedule:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError, match="decay"):
             TrainConfig(epochs=3, decay_epoch=4)
+        # a negative factor made every decayed step a gradient ascent
+        for factor in (0.0, -1.0):
+            with pytest.raises(ValueError, match="decay_factor must be positive"):
+                TrainConfig(decay_factor=factor)
 
 
 class TestAdamStep:
@@ -214,7 +218,7 @@ def test_create_marks_exactly_the_moment_entries(plan):
 def test_create_draws_adapters_from_seed():
     plan = TrainablePlan(mode="lora", lora_rank=2, lora_sites=("mlps", (1,)))
     a = [TrainState.create(init_params(TINY, seed=0), plan, seed=s)
-         .params.lora["block.1.mlp1"][0].data for s in (3, 3, 4)]
+         .params.tensors["block.1.mlp1.lora_a"].data for s in (3, 3, 4)]
     assert np.array_equal(a[0], a[1]) and not np.array_equal(a[0], a[2])
 
 
@@ -261,9 +265,13 @@ class TestCheckpointResume:
         plan = TrainablePlan(mode="lora", lora_rank=2,
                              lora_sites=("mlps", (1,)))
         state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
-        assert sorted(state.params.lora) == ["block.1.mlp1", "block.1.mlp2"]
+        assert [n for n in state.params.tensors if ".lora_" in n] == [
+            f"block.1.{m}.{f}" for m in ("mlp1", "mlp2")
+            for f in ("lora_a", "lora_b")]
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, state)
+        assert [n.removeprefix("param.") for n in read_dump(ck)[0]
+                if n.startswith("param.")] == list(state.params.all_entries())
         loaded, _, _ = load_checkpoint(ck)
         for name, t in state.params.all_entries().items():
             assert np.array_equal(loaded.params.all_entries()[name].data,
@@ -287,8 +295,8 @@ class TestCheckpointResume:
                              lora_sites=("blocks", (2,)))
         state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
         ck = tmp_path / "ck.evdt"
-        save_checkpoint(ck, state, extra_meta={
-            "lora_sites": sorted(state.params.lora)})
+        save_checkpoint(ck, state, extra_meta={"lora_sites": [
+            f"block.2.{m}" for m in ("mlp1", "mlp2", "proj", "qkv")]})
         loaded, _, _ = load_checkpoint(ck)
         assert list(loaded.params.all_entries()) == \
             list(state.params.all_entries())
