@@ -3,6 +3,8 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates gradients in
 a fixed order, so identical inputs give bitwise-identical gradients.
+Tensor itself has only `+`, `reshape` and `.T`; every other operation,
+the distillation loss included, is one fused node below.
 float64 is the reference precision; float32 exists only as a storage
 option in the dump format (see io module).
 """
@@ -85,44 +87,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, other), bw)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
-
-    def __mul__(self, other):
-        other = _wrap(other)
-        out_data = self.data * other.data
-
-        def bw(g):
-            return (
-                _unbroadcast(g * other.data, self.shape)
-                if self.requires_grad else None,
-                _unbroadcast(g * self.data, other.shape)
-                if other.requires_grad else None,
-            )
-
-        return Tensor._from_op(out_data, (self, other), bw)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-        out_data = self.data / other.data
-
-        def bw(g):
-            return (
-                _unbroadcast(g / other.data, self.shape)
-                if self.requires_grad else None,
-                _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
-                if other.requires_grad else None,
-            )
-
-        return Tensor._from_op(out_data, (self, other), bw)
-
     # -- shaping -----------------------------------------------------------
 
     @property
@@ -132,31 +96,6 @@ class Tensor:
     def reshape(self, *shape):
         return Tensor._from_op(self.data.reshape(*shape), (self,),
                                lambda g: (g.reshape(self.shape),))
-
-    # -- reductions --------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def bw(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
-
-        return Tensor._from_op(out_data, (self,), bw)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
-
-    def abs(self):
-        out_data = np.abs(self.data)
-
-        def bw(g):
-            return (g * np.sign(self.data),)
-
-        return Tensor._from_op(out_data, (self,), bw)
 
     # -- backward ----------------------------------------------------------
 
@@ -213,8 +152,9 @@ def _wrap(x) -> Tensor:
 # -- free-function ops ------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for 2-d operands."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
         )
@@ -222,12 +162,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         # a frozen operand gets no gradient: backward() skips it anyway
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), bw)
 

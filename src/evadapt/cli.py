@@ -214,6 +214,11 @@ def cmd_train(args) -> int:
     if run.scene.height != config.img_size or \
             run.scene.width != config.img_size:
         raise ConfigError("scene.height/width must equal model.img_size")
+    # not a RunConfig check: distill.layers defaults to ViT-B's depth
+    deep = [s for s in run.distill.layers if s > config.depth]
+    if deep:
+        raise ConfigError(f"distill.layers: layer {deep[0]} exceeds "
+                          f"model.depth {config.depth}")
     out_dir = args.out or run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     data = [(img, vol) for img, vol, _ in

@@ -4,11 +4,11 @@ The per-layer transition matrix is the TRANSPOSE of the head-averaged
 attention: rows index source tokens at layer i, columns index destination
 tokens at layer i+1, so each column sums to 1. Rolling the transitions
 forward (optionally mixed with the identity residual path) and projecting
-onto a final-layer importance vector e (default: ones) yields one
-nonnegative weight per source token. With raw row-stochastic attention the
-same projection collapses to the uniform vector, which is why the
-transpose orientation is load-bearing; the test suite asserts that
-degeneracy explicitly.
+onto the all-ones final-layer importance vector yields one nonnegative
+weight per source token. With raw row-stochastic attention the same
+projection collapses to the uniform vector, which is why the transpose
+orientation is load-bearing; the test suite asserts that degeneracy
+explicitly.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_BETA = 0.5
 
 
 @dataclass
@@ -81,40 +79,21 @@ def _product(mats: list[np.ndarray], k: int) -> np.ndarray:
     return out
 
 
-def transition_approx(stack: list[np.ndarray], s: int,
-                      beta: float = DEFAULT_BETA,
-                      horizon: int | None = None) -> np.ndarray:
-    """One-term approximation: beta * (P^(s) ... P^(n)) + (1 - beta) * I.
-
-    horizon, when set, truncates the product to that many layers past s.
-    """
-    mats = _layers(stack, s, horizon)
-    _check_range("beta", beta)
-    k = stack[0].shape[0]
-    return beta * _product(mats, k) + (1.0 - beta) * np.eye(k)
-
-
-def token_significance(stack: list[np.ndarray], s: int,
-                       beta: float = DEFAULT_BETA,
-                       e: np.ndarray | None = None,
+def token_significance(stack: list[np.ndarray], s: int, beta: float,
                        horizon: int | None = None) -> SignificanceVector:
     """Per-token weight of layer-s tokens on the final layer's output.
 
-    Equals transition_approx(stack, s, beta, horizon) @ e, evaluated right
-    to left as one matrix-vector product per layer: O(n k^2), not O(n k^3).
+    Equals (beta * (P^(s) ... P^(n)) + (1 - beta) * I) @ ones, with the
+    product truncated to `horizon` layers past s when it is set, evaluated
+    right to left as one matrix-vector product per layer: O(n k^2), not
+    O(n k^3).
     """
     mats = _layers(stack, s, horizon)
     _check_range("beta", beta)
-    k = stack[0].shape[0]
-    e = np.ones(k) if e is None else np.asarray(e, dtype=np.float64)
-    if np.any(e < 0):
-        raise ValueError("importance vector e must be nonnegative")
-    if e.shape != (k,):
-        raise ValueError(f"e must have length {k}")
-    v = e
+    v = np.ones(stack[0].shape[0])
     for p in reversed(mats):
         v = p @ v
-    return SignificanceVector(values=beta * v + (1.0 - beta) * e)
+    return SignificanceVector(values=beta * v + (1.0 - beta))
 
 
 def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:

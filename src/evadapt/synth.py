@@ -18,6 +18,13 @@ from .events import EventStream
 from .metrics import MaskSet
 
 SIM_STEP_MS = 1.0
+KINDS = ("rectangle", "disk")
+
+
+def _check_level(name: str, v: float):
+    # log(I + 1) must be finite
+    if not -1.0 < v < np.inf:
+        raise ValueError(f"{name} must be finite and above -1, got {v}")
 
 
 @dataclass
@@ -27,6 +34,12 @@ class Shape:
     size: tuple[float, float]       # rectangle (w, h) or disk (radius, _)
     velocity: tuple[float, float] = (0.0, 0.0)  # px per ms
     intensity: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}, "
+                             f"got {self.kind!r}")
+        _check_level("intensity", self.intensity)
 
     def footprint(self, H: int, W: int, t_ms: float) -> np.ndarray:
         cx = self.position[0] + self.velocity[0] * t_ms
@@ -59,6 +72,12 @@ class SceneSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not self.window_ms > 0:
             raise ValueError("window_ms must be > 0")
+        if not self.threshold > 0:
+            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+        _check_level("background", self.background)
+        if not 0.0 <= self.noise_rate < np.inf:
+            raise ValueError(f"noise_rate must be finite and >= 0, "
+                             f"got {self.noise_rate}")
 
 
 def _render_plane(spec: SceneSpec, t_ms: float, out: np.ndarray) -> None:

@@ -16,10 +16,10 @@ from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, count_trainable,
 from evadapt.events import EventStream, voxelize
 from evadapt.metrics import MaskSet, compute_report, iou, match_instances
 from evadapt.significance import (convergence_diagnostic, token_significance,
-                                  transition_approx, transition_exact,
-                                  transition_stack)
+                                  transition_exact, transition_stack)
 from evadapt.trainer import (TrainConfig, TrainState, load_checkpoint,
                              pipeline_grad_check, save_checkpoint, train)
+from test_oracles import transition_approx
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)

@@ -294,6 +294,7 @@ class TestErrorHandling:
         ("distill.gamma0", -1.0),
         ("distill.beta", 1.5),
         ("train.decay_factor", -1.0),
+        ("distill.layers", [0, 1, 5]),      # deeper than model.depth 2
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)
@@ -312,6 +313,32 @@ class TestErrorHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "synth"])
+    @pytest.mark.parametrize("scene, message", [
+        ({"threshold": 0}, "scene.threshold must be > 0, got 0.0"),
+        ({"noise_rate": -0.1},
+         "scene.noise_rate must be finite and >= 0, got -0.1"),
+        ({"background": -1.0},
+         "scene.background must be finite and above -1, got -1.0"),
+        ({"shapes": [{"kind": "triangle", "position": [4, 4],
+                      "size": [2, 2]}]},
+         "scene.shapes[0].kind must be one of rectangle, disk, "
+         "got 'triangle'"),
+        ({"shapes": [{"kind": "disk", "position": [4, 4], "size": [2, 2],
+                      "intensity": -2}]},
+         "scene.shapes[0].intensity must be finite and above -1, got -2.0"),
+    ], ids=["threshold", "noise_rate", "background", "kind", "intensity"])
+    def test_bad_scene_rejected_at_load(self, tmp_path, capsys, cmd, scene,
+                                        message):
+        doc = copy.deepcopy(TINY_DOC)
+        doc["scene"].update(scene)
+        p = tmp_path / "scene.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main([cmd, "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_synth_empty_scene_rejected(self, tmp_path, capsys):
         p = tmp_path / "empty.yaml"

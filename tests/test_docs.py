@@ -37,7 +37,8 @@ def test_console_script_matches_docs():
     assert callable(evadapt.cli.main)
     # every documented subcommand is registered
     text = (ROOT / "README.md").read_text()
-    for cmd in ("train", "eval", "params", "gradcheck", "synth", "voxelize"):
+    for cmd in ("train", "eval", "params", "gradcheck", "synth", "voxelize",
+                "significance"):
         assert f"evadapt {cmd}" in text
         with pytest.raises(SystemExit) as exc:
             evadapt.cli.main([cmd, "--help"])

@@ -6,8 +6,11 @@ and writer, per-cell mask overlap, flood-fill component labelling and the
 RLE while-loop. The vectorized code does the same float64 arithmetic
 elementwise, so every comparison is exact. Reference events are
 (t, x, y, p) tuples. The one-node distillation objective is checked the
-same way against the chain of Tensor operations it replaced, and the
-stacked student step against the one-graph-per-sample step.
+same way against the chain of single-operation graph nodes it replaced,
+and the stacked student step against the one-graph-per-sample step.
+
+The test-only graph nodes and the one-term rollout approximation
+`transition_approx` live here too; the other test modules import them.
 """
 
 import os
@@ -18,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from evadapt import cli, distill, encoder, io, metrics, synth, trainer
+from evadapt import (cli, distill, encoder, io, metrics, significance, synth,
+                     trainer)
 from evadapt.autodiff import Tensor
 from evadapt.events import (EventFormatError, EventStream, read_events,
                             voxelize, write_events)
@@ -205,12 +209,48 @@ def ref_write_masks(path, masks, ids, shape):
             fh.write(f"{mid}: {' '.join(runs)}\n")
 
 
+# -- test-only graph nodes ----------------------------------------------------
+# Tensor has only +, reshape and .T. These nodes carry the numpy arithmetic
+# of the Tensor methods the fused nodes replaced, so the old chains stay
+# checkable bit for bit.
+
+def dot(out, g):
+    """sum(out.data * g) as a scalar node whose backward hands g to out:
+    the value and gradient of (out * Tensor(g)).sum(). g broadcasts to
+    out's shape, so dot(out, 1.0) is out.sum()."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.float64), out.shape)
+    return Tensor._from_op((out.data * g).sum(), (out,),
+                           lambda up: (up * g,))
+
+
+def sub(a, b):
+    """a - b, as a + (-b)."""
+    return Tensor._from_op(a.data + -b.data, (a, b), lambda g: (g, -g))
+
+
+def absolute(x):
+    return Tensor._from_op(np.abs(x.data), (x,),
+                           lambda g: (g * np.sign(x.data),))
+
+
+def scale(x, w):
+    """x times the constant w, broadcast over x's shape."""
+    return Tensor._from_op(x.data * w, (x,), lambda g: (g * w,))
+
+
+def mean(x):
+    """The sum of every element over a constant count."""
+    n = float(x.data.size)
+    return Tensor._from_op(x.data.sum() / n, (x,),
+                           lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
+
+
 def ref_layer_loss(x_m, x_e, w):
-    """One layer's weighted mean absolute difference as a Tensor chain."""
-    diff = (x_m - x_e).abs()
+    """One layer's weighted mean absolute difference as a node chain."""
+    diff = absolute(sub(x_m, x_e))
     if w is None:
-        return diff.mean()
-    return (diff * Tensor(w.reshape(-1, 1))).mean()
+        return mean(diff)
+    return mean(scale(diff, w.reshape(-1, 1)))
 
 
 def ref_distill_loss(teacher, student, cfg, weights=None):
@@ -224,9 +264,19 @@ def ref_distill_loss(teacher, student, cfg, weights=None):
         term = ref_layer_loss(Tensor(teacher.embeddings[layer].data),
                               student.embeddings[layer], w)
         breakdown[layer] = term.item()
-        term = cfg.gamma_for(layer) * term
+        term = scale(term, cfg.gamma_for(layer))
         total = term if total is None else total + term
     return total, breakdown
+
+
+def transition_approx(stack, s, beta, horizon=None):
+    """One-term rollout approximation: beta * (P^(s) ... P^(n)) +
+    (1 - beta) * I, the product truncated to `horizon` layers past s when
+    it is set. token_significance equals it times the ones vector."""
+    mats = significance._layers(stack, s, horizon)
+    significance._check_range("beta", beta)
+    k = stack[0].shape[0]
+    return beta * significance._product(mats, k) + (1.0 - beta) * np.eye(k)
 
 
 def stable_sorted(events):

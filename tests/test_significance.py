@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evadapt.significance import (convergence_diagnostic,
-                                  token_significance, transition_approx,
-                                  transition_exact, transition_stack)
+                                  token_significance, transition_exact,
+                                  transition_stack)
+from test_oracles import transition_approx
 
 
 def random_attention_stack(rng, k, depth):
@@ -110,11 +111,6 @@ class TestTokenSignificance:
             assert np.all(sig.values >= 0)
             assert abs(sig.values.sum() - k) <= 1e-6
 
-    def test_negative_e_rejected(self):
-        stack = transition_stack([A_PIVOT])
-        with pytest.raises(ValueError, match="nonnegative"):
-            token_significance(stack, 1, 0.5, e=np.array([-1.0, 1.0]))
-
     def test_row_stochastic_degeneracy(self):
         # without the transpose, the ones-projection is uniform: this is
         # why the transition matrices must be column-stochastic
@@ -163,11 +159,10 @@ class TestTokenSignificance:
     def test_matvec_matches_matrix_form(self, seed, k, depth, beta, horizon):
         rng = np.random.default_rng(seed)
         stack = transition_stack(random_attention_stack(rng, k, depth))
-        e = rng.random(k) * rng.integers(0, 2, k)   # nonuniform, some zeros
         for s in range(1, depth + 1):
             h = depth + 3 if horizon == "past top" else horizon
-            got = token_significance(stack, s, beta, e=e, horizon=h).values
-            want = transition_approx(stack, s, beta, h) @ e
+            got = token_significance(stack, s, beta, horizon=h).values
+            want = transition_approx(stack, s, beta, h) @ np.ones(k)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_stack_is_views_of_the_attention(self):

@@ -41,8 +41,11 @@ class TestRenderFrame:
             render_frame(simple_scene(), 41.0)
 
     def test_unknown_kind(self):
-        spec = simple_scene(shapes=[Shape(kind="triangle", position=(4, 4),
-                                          size=(2, 2))])
+        with pytest.raises(ValueError, match="kind must be one of"):
+            Shape(kind="triangle", position=(4, 4), size=(2, 2))
+        # a shape is mutable after it is built
+        spec = simple_scene()
+        spec.shapes[0].kind = "triangle"
         with pytest.raises(ValueError, match="shape kind"):
             render_frame(spec, 0.0)
 
@@ -146,11 +149,19 @@ class TestGenerateEvents:
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, float("nan")])
     def test_non_positive_threshold_rejected(self, theta):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            simple_scene(threshold=theta)
+        spec = simple_scene()
+        spec.threshold = theta
         with pytest.raises(ValueError, match="threshold"):
-            generate_events(simple_scene(threshold=theta))
+            generate_events(spec)
 
     @pytest.mark.parametrize("level", [float("inf"), -1.0])
     def test_infinite_log_intensity_rejected(self, level):
+        with pytest.raises(ValueError, match="intensity must be finite"):
+            Shape(kind="disk", position=(4, 4), size=(2, 2), intensity=level)
+        with pytest.raises(ValueError, match="background must be finite"):
+            simple_scene(background=level)
         spec = simple_scene()
         spec.shapes[0].intensity = level
         with pytest.raises(ValueError, match="intensities"):
