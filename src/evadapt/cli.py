@@ -284,14 +284,27 @@ def _eval_mask_dirs(args) -> int:
         return 2
 
     def mask_set(path):
-        masks, ids, _ = read_masks(path)
-        return MaskSet(masks=masks, ids=ids)
+        """The file's masks and grid; every error names the file."""
+        try:
+            masks, ids, shape = read_masks(path)
+            return MaskSet(masks=masks, ids=ids), shape
+        except ValueError as e:  # malformed, or an instance with no cells
+            raise type(e)(f"{path}: {e}") from None
 
     def frames():
         for name in names:
-            ppath = os.path.join(args.pred_dir, name)
-            yield (name, mask_set(os.path.join(args.gt_dir, name)),
-                   mask_set(ppath) if os.path.exists(ppath) else None)
+            gpath, ppath = (os.path.join(d, name)
+                            for d in (args.gt_dir, args.pred_dir))
+            gt, shape = mask_set(gpath)
+            if not len(gt):
+                raise ValueError(f"{gpath}: ground-truth mask set is empty")
+            pred = None
+            if os.path.exists(ppath):
+                pred, pshape = mask_set(ppath)
+                if pshape != shape:
+                    raise ValueError(
+                        f"{ppath}: gt and pred mask dimensions differ")
+            yield name, gt, pred
 
     _write_report(args.out, frames())
     return 0
@@ -353,21 +366,19 @@ def cmd_significance(args) -> int:
     return 0
 
 
+_FOUR = (3, 6, 9, 12)
 _PARAM_ROWS = [
     ("Embed", TrainablePlan(mode="embed")),
-    ("Embed + Four MLPs", TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12))),
-    ("Embed + Four Blocks", TrainablePlan(mode="embed+blocks", layers=(3, 6, 9, 12))),
+    ("Embed + Four MLPs", TrainablePlan(mode="embed+mlps", layers=_FOUR)),
+    ("Embed + Four Blocks", TrainablePlan(mode="embed+blocks", layers=_FOUR)),
     ("Embed + All MLPs", TrainablePlan(mode="embed+all_mlps")),
     ("All", TrainablePlan(mode="all")),
-    ("LoRA(Embed + Four MLPs, r=16)",
-     TrainablePlan(mode="lora", lora_rank=16, lora_sites=("mlps", (3, 6, 9, 12)))),
-    ("LoRA(Embed + Four MLPs, r=64)",
-     TrainablePlan(mode="lora", lora_rank=64, lora_sites=("mlps", (3, 6, 9, 12)))),
-    ("LoRA(Embed + Four MLPs, r=256)",
-     TrainablePlan(mode="lora", lora_rank=256, lora_sites=("mlps", (3, 6, 9, 12)))),
+] + [(f"LoRA(Embed + Four MLPs, r={r})",
+      TrainablePlan(mode="embed+mlps", layers=_FOUR, lora_rank=r))
+     for r in (16, 64, 256)] + [
     ("LoRA(Embed + All Blocks, r=16)",
-     TrainablePlan(mode="lora", lora_rank=16,
-                   lora_sites=("blocks", tuple(range(1, 13))))),
+     TrainablePlan(mode="embed+blocks", layers=tuple(range(1, 13)),
+                   lora_rank=16)),
 ]
 
 

@@ -7,9 +7,9 @@ count is (img_size / patch_size)^2. The forward pass captures the
 embedding matrix after every block plus the head-averaged post-softmax
 attention of every block.
 
-Selective trainability is expressed as a TrainablePlan; low-rank adapters
-(additive B @ A on a frozen affine map, B zero-initialized) are available
-as an alternative to full fine-tuning of a site.
+Selective trainability is expressed as a TrainablePlan; a plan with a
+LoRA rank trains low-rank adapters (additive B @ A on a frozen affine map,
+B zero-initialized) in place of its block parts' weights.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ GROUPS = {"mlps": ("mlp1", "mlp2"),
           "blocks": ("qkv", "proj", "mlp1", "mlp2", "ln1", "ln2")}
 
 # mode -> (whole-model entries, group kind, layer set): the layer set is
-# none, the plan's `layers`, every block, or the blocks of `lora_sites`,
-# which also names the group kind
+# none, the plan's `layers`, or every block
 PLAN_MODES = {
     "none": ((), None, "none"),
     "embed": (("embed",), None, "none"),
@@ -76,7 +75,6 @@ PLAN_MODES = {
     "embed+blocks": (("embed",), "blocks", "layers"),
     "embed+all_mlps": (("embed",), "mlps", "every"),
     "all": (("pos", "embed"), "blocks", "every"),
-    "lora": (("embed",), None, "lora_sites"),
 }
 
 
@@ -85,24 +83,22 @@ class TrainablePlan:
     """Which parameters a training run may update (see PLAN_MODES).
 
     layers: 1-based block indices for embed+mlps / embed+blocks.
-    lora_rank / lora_sites: for mode "lora"; sites is ("mlps", layers) or
-    ("blocks", layers). The embed map stays fully trainable under lora,
-    matching the fine-tuning baselines.
+    lora_rank: if set, each affine block part of the mode trains rank-r
+    adapter factors instead of .w/.b and its block layernorms stay frozen;
+    the whole-model entries (embed, pos) still train in full.
     """
     mode: str = "embed+mlps"
     layers: tuple[int, ...] = (3, 6, 9, 12)
-    lora_rank: int = 16
-    lora_sites: tuple[str, tuple[int, ...]] = ("mlps", (3, 6, 9, 12))
+    lora_rank: int | None = None
 
     def __post_init__(self):
         if self.mode not in PLAN_MODES:
             raise ValueError(f"mode must be one of {', '.join(PLAN_MODES)}, "
                              f"got {self.mode!r}")
-        if self.lora_rank < 1:
-            raise ValueError("lora_rank must be >= 1")
-        if self.lora_sites[0] not in GROUPS:
-            raise ValueError(f"lora_sites kind must be one of "
-                             f"{', '.join(GROUPS)}, got {self.lora_sites[0]!r}")
+        r = self.lora_rank
+        if r is not None and (r < 1 or PLAN_MODES[self.mode][1] is None):
+            raise ValueError(f"lora_rank must be >= 1 under a mode with block "
+                             f"parts, got {r} under {self.mode!r}")
 
 
 @dataclass
@@ -182,31 +178,25 @@ def trainable_shapes(config: ViTConfig,
                      plan: TrainablePlan) -> dict[str, tuple[int, ...]]:
     """Shape of every entry the plan trains, adapter factors included.
 
-    A LoRA plan trains (rank, in) `.lora_a` and (out, rank) `.lora_b`
-    factors at its sites instead of their weights and biases.
+    With a LoRA rank, the affine block parts train (rank, in) `.lora_a` and
+    (out, rank) `.lora_b` factors instead: the whole entries, every A, every B.
     """
     whole, kind, layer_set = PLAN_MODES[plan.mode]
-    if layer_set == "lora_sites":
-        kind, layers = plan.lora_sites
-    else:
-        layers = {"none": (), "layers": plan.layers,
-                  "every": range(1, config.depth + 1)}[layer_set]
+    layers = {"none": (), "layers": plan.layers,
+              "every": range(1, config.depth + 1)}[layer_set]
     for i in layers:
         if not 1 <= i <= config.depth:
-            raise ValueError(f"{layer_set}: layer {i} out of range "
+            raise ValueError(f"layers: layer {i} out of range "
                              f"1..{config.depth}")
     parts = [f"block.{i}.{part}" for i in layers for part in GROUPS[kind]]
-    shapes = param_shapes(config)
-    if plan.mode == "lora":
-        affine, r = affine_shapes(config), plan.lora_rank
-        sites = [s for s in parts if s in affine]
-        return {"embed.w": shapes["embed.w"], "embed.b": shapes["embed.b"],
-                **{f"{s}.lora_a": (r, affine[s][0]) for s in sites},
-                **{f"{s}.lora_b": (affine[s][1], r) for s in sites}}
+    shapes, r = param_shapes(config), plan.lora_rank
+    sites = [s for s in parts if f"{s}.w" in shapes] if r else []
     # a part is `pos` itself, or an affine map (.w, .b) or layernorm (.g, .b)
-    return {n: shapes[n] for part in whole + tuple(parts)
-            for n in (part, f"{part}.w", f"{part}.g", f"{part}.b")
-            if n in shapes}
+    return {**{n: shapes[n] for part in (whole if r else whole + tuple(parts))
+               for n in (part, f"{part}.w", f"{part}.g", f"{part}.b")
+               if n in shapes},
+            **{f"{s}.lora_a": (r, shapes[f"{s}.w"][0]) for s in sites},
+            **{f"{s}.lora_b": (shapes[f"{s}.w"][1], r) for s in sites}}
 
 
 def adapter_shapes(shapes: dict[str, tuple[int, ...]]

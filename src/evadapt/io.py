@@ -15,7 +15,7 @@ Tensor dump layout (all multi-byte integers little-endian):
         payload  raw row-major values
 
 Mask files are text RLE over row-major cells: one instance per line,
-"id: start,len start,len ...".
+"id: start,len start,len ...", each id on one line only.
 
 Run configurations and checkpoint metadata are plain mappings that
 `from_doc` turns into the dataclasses they describe.
@@ -127,6 +127,8 @@ def _read_meta(raw: bytes) -> dict:
 def write_masks(path, masks, ids=None, shape=None):
     """Write instance masks as row-major run-length text."""
     ids = ids if ids is not None else list(range(len(masks)))
+    if len(set(ids)) != len(ids) or len(ids) != len(masks):
+        raise ValueError("mask ids must be distinct, one per mask")
     with open(path, "w", encoding="utf-8") as fh:
         if shape is None and masks:
             shape = masks[0].shape
@@ -143,7 +145,7 @@ def write_masks(path, masks, ids=None, shape=None):
 def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
     """Parse an RLE mask file; errors raise DumpFormatError naming the line."""
     shape = None
-    masks, ids = [], []
+    masks, lines = [], {}  # lines: id -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -170,6 +172,10 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
             except ValueError:
                 raise DumpFormatError(
                     f"line {lineno}: expected 'id: start,len ...'") from None
+            if mid in lines:
+                raise DumpFormatError(
+                    f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
+            lines[mid] = lineno
             flat = np.zeros(shape[0] * shape[1], dtype=bool)
             for run in runs:
                 if (len(run) != 2 or run[0] < 0 or run[1] < 1
@@ -179,10 +185,9 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
                         f"inside the {shape[0]}x{shape[1]} grid")
                 flat[run[0]:sum(run)] = True
             masks.append(flat.reshape(shape))
-            ids.append(mid)
     if shape is None:
         raise DumpFormatError("empty mask file")
-    return masks, ids, shape
+    return masks, list(lines), shape
 
 
 # -- run configuration ------------------------------------------------------
@@ -225,7 +230,7 @@ def _convert(tp, value, where: str):
         return None if value is None else _convert(args[0], value, where)
     if dataclasses.is_dataclass(tp):
         return from_doc(tp, value, where)
-    if tp is not tuple and origin not in (tuple, list):
+    if origin not in (tuple, list):
         if tp is float and type(value) is int:
             return float(value)
         if type(value) is not tp:
@@ -233,9 +238,6 @@ def _convert(tp, value, where: str):
         return value
     if not isinstance(value, (list, tuple)):
         raise _mistyped(where, "a list", value)
-    if not args:  # bare tuple: nested lists become tuples too
-        return tuple(_convert(tuple, v, where) if isinstance(v, list) else v
-                     for v in value)
     if origin is list or args[-1] is Ellipsis:
         args = args[:1] * len(value)
     elif len(args) != len(value):

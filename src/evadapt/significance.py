@@ -72,13 +72,6 @@ def transition_exact(stack: list[np.ndarray], s: int,
     return out
 
 
-def _product(mats: list[np.ndarray], k: int) -> np.ndarray:
-    out = np.eye(k)
-    for p in mats:
-        out = out @ p
-    return out
-
-
 def token_significance(stack: list[np.ndarray], s: int, beta: float,
                        horizon: int | None = None) -> SignificanceVector:
     """Per-token weight of layer-s tokens on the final layer's output.
@@ -104,11 +97,7 @@ def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:
     """
     if not stack:
         raise ValueError("stack must be nonempty")
-    full = _product(stack, stack[0].shape[0])
-    out = np.empty(len(stack))
-    prefix = np.eye(stack[0].shape[0])
-    for i, p in enumerate(stack):
-        prefix = prefix @ p
-        out[i] = np.linalg.norm(prefix - full)
-    out[-1] = 0.0
-    return out
+    prefixes = [np.eye(stack[0].shape[0])]
+    for p in stack:
+        prefixes.append(prefixes[-1] @ p)
+    return np.array([np.linalg.norm(q - prefixes[-1]) for q in prefixes[1:]])

@@ -69,10 +69,10 @@ class TrainState:
     @classmethod
     def create(cls, params: ViTParams, plan: TrainablePlan,
                seed: int = 0) -> "TrainState":
-        """Zeroed Adam moments for the plan's entries; a LoRA plan first
+        """Zeroed Adam moments for the plan's entries; a plan with a rank first
         attaches its adapters to a copy of `params`, drawn from `seed`."""
         shapes = trainable_shapes(params.config, plan)
-        if plan.mode == "lora":
+        if plan.lora_rank is not None:
             params = apply_lora(params, shapes, seed=seed)
         mark_trainable(params, plan)
         return cls(params=params, plan=plan,

@@ -43,14 +43,14 @@ def test_01_parameter_count_reproduction():
         (TrainablePlan(mode="embed"), 0.6e6),
         (TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12)), 19.5e6),
         (TrainablePlan(mode="embed+all_mlps"), 57.3e6),
-        (TrainablePlan(mode="lora", lora_rank=16,
-                       lora_sites=("mlps", (3, 6, 9, 12))), 1.1e6),
-        (TrainablePlan(mode="lora", lora_rank=64,
-                       lora_sites=("mlps", (3, 6, 9, 12))), 2.6e6),
-        (TrainablePlan(mode="lora", lora_rank=256,
-                       lora_sites=("mlps", (3, 6, 9, 12))), 8.5e6),
-        (TrainablePlan(mode="lora", lora_rank=16,
-                       lora_sites=("blocks", tuple(range(1, 13)))), 2.9e6),
+        (TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12),
+                       lora_rank=16), 1.1e6),
+        (TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12),
+                       lora_rank=64), 2.6e6),
+        (TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12),
+                       lora_rank=256), 8.5e6),
+        (TrainablePlan(mode="embed+blocks", layers=tuple(range(1, 13)),
+                       lora_rank=16), 2.9e6),
     ]
     for plan, figure in reference:
         n = count_trainable(VIT_B, plan)

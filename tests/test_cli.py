@@ -9,7 +9,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from evadapt.cli import RunConfig, load_config, load_run, main
+from evadapt.cli import _PARAM_ROWS, RunConfig, load_config, load_run, main
+from evadapt.encoder import VIT_B, affine_shapes, trainable_shapes
 from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
 
 TINY_DOC = {
@@ -23,6 +24,9 @@ TINY_DOC = {
     "plan": {"mode": "embed+mlps", "layers": [1, 2]},
     "scene": {"height": 8, "width": 8, "num_samples": 2, "num_shapes": 1},
 }
+
+# the header of a 2x2 mask file
+G2 = "# H=2 W=2\n"
 
 
 @pytest.fixture
@@ -55,14 +59,14 @@ class TestTrainEval:
 
     def test_lora_end_to_end(self, tmp_path, capsys):
         doc = copy.deepcopy(TINY_DOC)
-        doc["plan"] = {"mode": "lora", "lora_rank": 2,
-                       "lora_sites": ["blocks", [1, 2]]}
+        doc["plan"] = {"mode": "embed+blocks", "layers": [1, 2],
+                       "lora_rank": 2}
         config = tmp_path / "lora.yaml"
         config.write_text(yaml.safe_dump(doc))
         out = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         tensors, meta = read_dump(out / "checkpoint.evdt")
-        assert "lora_sites" not in meta
+        assert meta["plan"] == doc["plan"]
         assert "param.block.2.qkv.lora_a" in tensors
         assert tensors["adam.m.block.1.proj.lora_b"].shape == (8, 2)
         report = tmp_path / "report.json"
@@ -119,6 +123,29 @@ class TestEvalMaskDirs:
                      "--pred-dir", str(pred)]) == 2
         err = capsys.readouterr().err
         assert err == f"eval: --pred-dir {pred} is not a directory\n"
+
+    @pytest.mark.parametrize("gt, pred, bad, message", [
+        (G2 + "0: 0,1\n", G2 + "x: 0,1\n", "pred",
+         "line 2: expected 'id: start,len ...'"),
+        (G2 + "0: 0,1\n1:\n", G2 + "0: 0,1\n", "gt", "mask 1 is empty"),
+        (G2 + "0: 0,1\n", "# H=2 W=3\n0: 0,1\n", "pred",
+         "gt and pred mask dimensions differ"),
+        (G2, G2 + "0: 0,1\n", "gt", "ground-truth mask set is empty"),
+        (G2 + "0: 0,1\n0: 1,1\n", G2 + "0: 0,1\n", "gt",
+         "line 3: mask id 0 repeats line 2"),
+    ], ids=["malformed", "empty-instance", "grid-differs", "empty-gt",
+            "repeated-id"])
+    def test_error_names_its_file(self, tmp_path, capsys, gt, pred, bad,
+                                  message):
+        # each of these used to print its message without saying which
+        # file it came from; a repeated id was scored as two instances
+        for d, text in (("gt", gt), ("pred", pred)):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "a.rle").write_text(text)
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / bad / 'a.rle'}: {message}\n"
 
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2
@@ -239,6 +266,26 @@ class TestParamsAndGradcheck:
         assert "590592" in out
         assert "57259776" in out
         assert "1082112" in out
+
+    def test_lora_rows_train_the_sites_they_name(self):
+        # each paper LoRA row is its plan row plus a rank: the embed map
+        # whole, then every adapted site's A, then every site's B
+        mlps, blocks = ("mlp1", "mlp2"), ("qkv", "proj", "mlp1", "mlp2")
+        want = {"LoRA(Embed + Four MLPs, r=16)": (16, (3, 6, 9, 12), mlps),
+                "LoRA(Embed + Four MLPs, r=64)": (64, (3, 6, 9, 12), mlps),
+                "LoRA(Embed + Four MLPs, r=256)": (256, (3, 6, 9, 12), mlps),
+                "LoRA(Embed + All Blocks, r=16)": (16, range(1, 13), blocks)}
+        rows = {label: plan for label, plan in _PARAM_ROWS
+                if label.startswith("LoRA")}
+        assert list(rows) == list(want)
+        affine = affine_shapes(VIT_B)
+        for label, (r, layers, parts) in want.items():
+            sites = [f"block.{i}.{p}" for i in layers for p in parts]
+            entries = [("embed.w", (768, 768)), ("embed.b", (768,))]
+            entries += [(f"{s}.lora_a", (r, affine[s][0])) for s in sites]
+            entries += [(f"{s}.lora_b", (affine[s][1], r)) for s in sites]
+            assert list(trainable_shapes(VIT_B, rows[label]).items()) == \
+                entries, label
 
     def test_params_rejects_bogus_plan(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
@@ -418,6 +465,26 @@ class TestErrorHandling:
         assert err.startswith(f"error: checkpoint mask head {name} ") \
             and err.count("\n") == 1
 
+    @pytest.mark.parametrize("old_plan", [
+        {"mode": "embed+mlps", "layers": [1, 2], "lora_rank": 16,
+         "lora_sites": ["mlps", [3, 6, 9, 12]]},
+        {"mode": "lora", "layers": [3, 6, 9, 12], "lora_rank": 2,
+         "lora_sites": ["blocks", [1, 2]]},
+    ], ids=["dense", "lora"])
+    def test_pre_rank_checkpoint_rejected(self, tmp_path, config, capsys,
+                                          old_plan):
+        # checkpoints written while LoRA was its own `lora` mode carry
+        # the retired `plan.lora_sites` key, dense ones too
+        assert main(["train", "--config", config,
+                     "--out", str(tmp_path / "run")]) == 0
+        ck = tmp_path / "run" / "checkpoint.evdt"
+        tensors, meta = read_dump(ck)
+        write_dump(ck, tensors, meta={**meta, "plan": old_plan})
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown config key: plan.lora_sites\n"
+
     def test_bad_checkpoint_magic(self, tmp_path, config, capsys):
         ck = tmp_path / "bad.evdt"
         ck.write_bytes(b"JUNKJUNKJUNK")
@@ -444,7 +511,8 @@ class TestErrorHandling:
         assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
                      "--pred-dir", str(tmp_path / "pred")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2:") and err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'pred' / 'a.rle'}: line 2:")
+        assert err.count("\n") == 1
 
     def test_eval_mask_dimensions_differ(self, tmp_path, capsys):
         for d, hw in (("gt", "2 W=2"), ("pred", "2 W=3")):
@@ -514,14 +582,9 @@ class TestRunConfig:
         p.write_text("seed: 5\ntrain: {seed: 2}\n")
         assert load_run(p)[1].train.seed == 2
 
-    def test_lora_sites_list_form(self):
-        run = from_doc(RunConfig, {"plan": {"mode": "lora",
-                                            "lora_sites": ["blocks", [1, 2]]}})
-        assert run.plan.lora_sites == ("blocks", (1, 2))
-
     @pytest.mark.parametrize("plan,message", [
-        ({"mode": "lora", "lora_sites": ["mlps", [1, 3]]},
-         "plan.lora_sites: layer 3 out of range 1..2"),
+        ({"mode": "embed+mlps", "layers": [1, 3], "lora_rank": 2},
+         "plan.layers: layer 3 out of range 1..2"),
         ({"mode": "embed+blocks", "layers": [0]},
          "plan.layers: layer 0 out of range 1..2"),
         ({}, "plan.layers: layer 3 out of range 1..2"),
@@ -531,6 +594,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as exc:
             from_doc(RunConfig, doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"mode": "none", "lora_rank": 2}, "got 2 under 'none'"),
+        ({"mode": "embed", "lora_rank": 16}, "got 16 under 'embed'"),
+        ({"mode": "embed+blocks", "layers": [1], "lora_rank": 0},
+         "got 0 under 'embed+blocks'"),
+        ({"mode": "all", "lora_rank": -1}, "got -1 under 'all'"),
+    ])
+    def test_lora_rank_checked_at_load(self, plan, message):
+        # a rank needs an affine block part to adapt
+        doc = {"model": TINY_DOC["model"], "plan": plan}
+        with pytest.raises(ConfigError) as exc:
+            from_doc(RunConfig, doc)
+        assert str(exc.value) == ("plan.lora_rank must be >= 1 under a mode "
+                                  f"with block parts, {message}")
 
     def test_unused_plan_layers_not_checked(self):
         # embed+all_mlps trains every block whatever `layers` holds

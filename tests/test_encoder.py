@@ -103,16 +103,16 @@ class TestCountTrainable:
         assert abs(n - 57.3e6) / 57.3e6 < 0.01
 
     def test_lora_rows(self):
-        mlps = ("mlps", (3, 6, 9, 12))
+        four = (3, 6, 9, 12)
         assert count_trainable(VIT_B, TrainablePlan(
-            mode="lora", lora_rank=16, lora_sites=mlps)) == 1_082_112
+            mode="embed+mlps", layers=four, lora_rank=16)) == 1_082_112
         assert count_trainable(VIT_B, TrainablePlan(
-            mode="lora", lora_rank=64, lora_sites=mlps)) == 2_556_672
+            mode="embed+mlps", layers=four, lora_rank=64)) == 2_556_672
         assert count_trainable(VIT_B, TrainablePlan(
-            mode="lora", lora_rank=256, lora_sites=mlps)) == 8_454_912
+            mode="embed+mlps", layers=four, lora_rank=256)) == 8_454_912
         assert count_trainable(VIT_B, TrainablePlan(
-            mode="lora", lora_rank=16,
-            lora_sites=("blocks", tuple(range(1, 13))))) == 2_949_888
+            mode="embed+blocks", layers=tuple(range(1, 13)),
+            lora_rank=16)) == 2_949_888
 
     def test_all_equals_total_and_monotone(self):
         embed = count_trainable(VIT_B, TrainablePlan(mode="embed"))
@@ -143,14 +143,25 @@ class TestTrainableShapes:
         assert list(trainable_shapes(TINY, TrainablePlan(mode="all")))[:3] == \
             ["pos", "embed.w", "embed.b"]
         assert trainable_shapes(TINY, TrainablePlan(mode="none")) == {}
-        lora = TrainablePlan(mode="lora", lora_rank=3, lora_sites=("mlps", (2,)))
+        lora = TrainablePlan(mode="embed+mlps", layers=(2,), lora_rank=3)
         assert trainable_shapes(TINY, lora) == {
             "embed.w": (48, 8), "embed.b": (8,),
             "block.2.mlp1.lora_a": (3, 8), "block.2.mlp2.lora_a": (3, 16),
             "block.2.mlp1.lora_b": (16, 3), "block.2.mlp2.lora_b": (8, 3)}
 
 
-LORA = TrainablePlan(mode="lora", lora_rank=2, lora_sites=("blocks", (2, 1)))
+    def test_rank_adapts_every_affine_part_of_all(self):
+        # pos and embed still train whole; the block layernorms stay frozen
+        shapes = trainable_shapes(TINY, TrainablePlan(mode="all", lora_rank=2))
+        sites = [f"block.{i}.{part}" for i in (1, 2)
+                 for part in ("qkv", "proj", "mlp1", "mlp2")]
+        assert list(shapes) == ["pos", "embed.w", "embed.b"] + [
+            f"{s}.lora_a" for s in sites] + [f"{s}.lora_b" for s in sites]
+        assert shapes["block.2.qkv.lora_a"] == (2, 8)
+        assert shapes["block.2.qkv.lora_b"] == (24, 2)
+
+
+LORA = TrainablePlan(mode="embed+blocks", layers=(2, 1), lora_rank=2)
 
 
 class TestLora:
@@ -180,7 +191,7 @@ class TestLora:
         # adapter on a c -> 4c map adds r * (c + 4c) scalars
         base = count_trainable(VIT_B, TrainablePlan(mode="embed"))
         one = count_trainable(VIT_B, TrainablePlan(
-            mode="lora", lora_rank=8, lora_sites=("mlps", (3,))))
+            mode="embed+mlps", layers=(3,), lora_rank=8))
         c = VIT_B.embed_dim
         assert one - base == 8 * (c + 4 * c) + 8 * (4 * c + c)
 

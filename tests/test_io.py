@@ -197,6 +197,22 @@ class TestMaskFiles:
         masks, _, _ = read_masks(p)
         assert masks[0].sum() == 1 and masks[0][1, 1]
 
+    def test_repeated_id_names_line(self, tmp_path):
+        # two lines with one id used to be scored as two instances
+        p = tmp_path / "m.rle"
+        p.write_text("# H=2 W=2\n0: 0,1\n1: 1,1\n0: 2,1\n")
+        with pytest.raises(DumpFormatError,
+                           match="^line 4: mask id 0 repeats line 2$"):
+            read_masks(p)
+
+    @pytest.mark.parametrize("ids", [[3, 1, 3], [3, 1], [3, 1, 2, 0]])
+    def test_write_rejects_ids_not_one_per_mask(self, tmp_path, ids):
+        # fewer ids than masks used to drop the last masks silently
+        p = tmp_path / "m.rle"
+        with pytest.raises(ValueError, match="distinct, one per mask"):
+            write_masks(p, [np.ones((2, 2), bool)] * 3, ids=ids)
+        assert not p.exists()
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "m.rle"
         p.write_text("0: 1,2\n")
@@ -288,7 +304,6 @@ class Doc:
     pair: tuple[str, tuple[int, ...]] = ("k", ())
     nests: list[Nest] = field(default_factory=list)
     limit: int | None = None
-    loose: tuple = ()
 
     def __post_init__(self):
         if self.a < 0:
@@ -299,10 +314,9 @@ class TestConfigValidation:
     def test_valid_passes(self):
         got = from_doc(Doc, {"a": 1, "nest": {"x": 2, "y": {"deep": 3}},
                              "pair": ["m", [1, 2]], "nests": [{"x": 0.5}],
-                             "limit": 4, "loose": [1, ["s", [2]]]})
+                             "limit": 4})
         assert got == Doc(a=1, nest=Nest(x=2.0, y=Deep(deep=3)),
-                          pair=("m", (1, 2)), nests=[Nest(x=0.5)], limit=4,
-                          loose=(1, ("s", (2,))))
+                          pair=("m", (1, 2)), nests=[Nest(x=0.5)], limit=4)
         assert type(got.nest.x) is float
         assert from_doc(Doc, {"limit": None}).limit is None
 

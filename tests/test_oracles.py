@@ -13,6 +13,7 @@ The test-only graph nodes and the one-term rollout approximation
 `transition_approx` live here too; the other test modules import them.
 """
 
+import functools
 import os
 import re
 import tempfile
@@ -276,7 +277,8 @@ def transition_approx(stack, s, beta, horizon=None):
     mats = significance._layers(stack, s, horizon)
     significance._check_range("beta", beta)
     k = stack[0].shape[0]
-    return beta * significance._product(mats, k) + (1.0 - beta) * np.eye(k)
+    product = functools.reduce(np.matmul, mats, np.eye(k))
+    return beta * product + (1.0 - beta) * np.eye(k)
 
 
 def stable_sorted(events):
@@ -630,8 +632,8 @@ class TestDistillObjective:
     @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
     @pytest.mark.parametrize("plan", [
         encoder.TrainablePlan(mode="embed+mlps", layers=(1, 2, 3)),
-        encoder.TrainablePlan(mode="lora", lora_rank=2,
-                              lora_sites=("blocks", (1, 3)))])
+        encoder.TrainablePlan(mode="embed+blocks", layers=(1, 3),
+                              lora_rank=2)])
     def test_student_pipeline_matches_tensor_chain(self, monkeypatch, source,
                                                    plan):
         # the student embeddings are interior nodes here, so each also
@@ -718,8 +720,8 @@ def ref_train(teacher, state, data, tcfg, dcfg):
 
 
 STEP_PLANS = [encoder.TrainablePlan(mode="embed+mlps", layers=(1, 2, 3)),
-              encoder.TrainablePlan(mode="lora", lora_rank=2,
-                                    lora_sites=("blocks", (1, 3)))]
+              encoder.TrainablePlan(mode="embed+blocks", layers=(1, 3),
+                                    lora_rank=2)]
 STEP_CONFIG = encoder.ViTConfig(img_size=8, patch_size=4, embed_dim=8,
                                 depth=3, num_heads=2, mlp_hidden=16)
 

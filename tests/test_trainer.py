@@ -203,11 +203,10 @@ def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
 
 
 @pytest.mark.parametrize("plan", [
-    TrainablePlan(mode=m, layers=(2,))
-    for m in ("none", "embed", "embed+mlps", "embed+blocks",
-              "embed+all_mlps", "all")
-] + [TrainablePlan(mode="lora", lora_rank=2, lora_sites=(k, (1, 2)))
-     for k in ("mlps", "blocks")], ids=lambda p: f"{p.mode}-{p.lora_sites[0]}")
+    TrainablePlan(mode=m, layers=(2,)) for m in PLAN_MODES
+] + [TrainablePlan(mode=f"embed+{k}", layers=(1, 2), lora_rank=2)
+     for k in ("mlps", "blocks")],
+    ids=[f"{m}-mlps" for m in PLAN_MODES] + ["lora-mlps", "lora-blocks"])
 def test_create_marks_exactly_the_moment_entries(plan):
     state = TrainState.create(init_params(TINY, seed=0), plan)
     entries = state.params.all_entries()
@@ -217,7 +216,7 @@ def test_create_marks_exactly_the_moment_entries(plan):
 
 
 def test_create_draws_adapters_from_seed():
-    plan = TrainablePlan(mode="lora", lora_rank=2, lora_sites=("mlps", (1,)))
+    plan = TrainablePlan(mode="embed+mlps", layers=(1,), lora_rank=2)
     a = [TrainState.create(init_params(TINY, seed=0), plan, seed=s)
          .params.tensors["block.1.mlp1.lora_a"].data for s in (3, 3, 4)]
     assert np.array_equal(a[0], a[1]) and not np.array_equal(a[0], a[2])
@@ -263,8 +262,7 @@ class TestCheckpointResume:
         assert np.array_equal(extra["head.w"], np.ones(8))
 
     def test_lora_round_trip(self, tmp_path):
-        plan = TrainablePlan(mode="lora", lora_rank=2,
-                             lora_sites=("mlps", (1,)))
+        plan = TrainablePlan(mode="embed+mlps", layers=(1,), lora_rank=2)
         state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
         assert [n for n in state.params.tensors if ".lora_" in n] == [
             f"block.1.{m}.{f}" for m in ("mlp1", "mlp2")
@@ -282,25 +280,12 @@ class TestCheckpointResume:
     def test_lora_resave_byte_identical(self, tmp_path, layers):
         # the reload used to attach adapters in sorted-name order, so the
         # saved entries came back in another order than they were created
-        plan = TrainablePlan(mode="lora", lora_rank=2,
-                             lora_sites=("blocks", layers))
+        plan = TrainablePlan(mode="embed+blocks", layers=layers, lora_rank=2)
         state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
         first, second = tmp_path / "a.evdt", tmp_path / "b.evdt"
         save_checkpoint(first, state)
         save_checkpoint(second, load_checkpoint(first)[0])
         assert first.read_bytes() == second.read_bytes()
-        assert "lora_sites" not in read_dump(first)[1]
-
-    def test_legacy_lora_sites_key_loads(self, tmp_path):
-        plan = TrainablePlan(mode="lora", lora_rank=2,
-                             lora_sites=("blocks", (2,)))
-        state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
-        ck = tmp_path / "ck.evdt"
-        save_checkpoint(ck, state, extra_meta={"lora_sites": [
-            f"block.2.{m}" for m in ("mlp1", "mlp2", "proj", "qkv")]})
-        loaded, _, _ = load_checkpoint(ck)
-        assert list(loaded.params.all_entries()) == \
-            list(state.params.all_entries())
 
 
     @pytest.mark.parametrize("dropped", [
@@ -333,7 +318,7 @@ class TestCheckpointResume:
             load_checkpoint(ck)
 
     @pytest.mark.parametrize("plan", [PLAN, TrainablePlan(
-        mode="lora", lora_rank=2, lora_sites=("blocks", (2, 1)))],
+        mode="embed+blocks", layers=(2, 1), lora_rank=2)],
         ids=["dense", "lora"])
     def test_load_draws_no_model(self, tmp_path, monkeypatch, plan):
         state = TrainState.create(init_params(TINY, seed=3), plan, seed=3)
@@ -441,10 +426,16 @@ class TestCheckpointResume:
 class TestPipelineGradCheck:
     @pytest.mark.parametrize("mode", list(PLAN_MODES))
     def test_every_plan_mode(self, mode):
-        # blocks trained whole or through adapters put the fused attention
-        # node's qkv gradient on the checked path
-        plan = TrainablePlan(mode=mode, layers=(1, 2), lora_rank=2,
-                             lora_sites=("blocks", (1, 2)))
+        # blocks trained whole put the fused attention node's qkv
+        # gradient on the checked path
+        plan = TrainablePlan(mode=mode, layers=(1, 2))
+        assert pipeline_grad_check(TINY, plan, DCFG, seed=2) <= 1e-4
+
+    @pytest.mark.parametrize("mode", [m for m, (_, kind, _) in
+                                      PLAN_MODES.items() if kind])
+    def test_every_plan_mode_with_rank(self, mode):
+        # ... and so do blocks trained through adapters
+        plan = TrainablePlan(mode=mode, layers=(1, 2), lora_rank=2)
         assert pipeline_grad_check(TINY, plan, DCFG, seed=2) <= 1e-4
 
     def test_dense_plan(self):
@@ -452,8 +443,7 @@ class TestPipelineGradCheck:
         assert err <= 1e-4
 
     def test_lora_plan(self):
-        plan = TrainablePlan(mode="lora", lora_rank=2,
-                             lora_sites=("mlps", (1, 2)))
+        plan = TrainablePlan(mode="embed+mlps", layers=(1, 2), lora_rank=2)
         err = pipeline_grad_check(TINY, plan, DCFG, seed=1)
         assert err <= 1e-4
 
