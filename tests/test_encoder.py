@@ -5,8 +5,7 @@ from evadapt.autodiff import Tensor
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, mark_trainable,
-                             param_shapes, patch_tokens, stack_captures,
-                             trainable_shapes)
+                             param_shapes, patch_tokens, trainable_shapes)
 from test_oracles import dot
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
@@ -59,12 +58,6 @@ class TestForward:
         for i, a in enumerate(stacked.attentions):
             want = np.stack([c.attentions[i] for c in caps])
             assert np.allclose(a, want, rtol=1e-12, atol=1e-14)
-        restacked = stack_captures(caps)
-        assert [x.data.tobytes() for x in restacked.embeddings] == \
-            [np.concatenate([c.embeddings[i].data for c in caps]).tobytes()
-             for i in range(3)]
-        assert restacked.samples == 3
-        assert stack_captures(caps[:1]) is caps[0]
 
     def test_zero_tokens_uniform_attention(self):
         cfg = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=1,

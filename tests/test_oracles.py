@@ -7,7 +7,9 @@ RLE while-loop. The vectorized code does the same float64 arithmetic
 elementwise, so every comparison is exact. Reference events are
 (t, x, y, p) tuples. The one-node distillation objective is checked the
 same way against the chain of single-operation graph nodes it replaced,
-and the stacked student step against the one-graph-per-sample step.
+the stacked student step against the one-graph-per-sample step, the
+flat Adam pass against the per-entry update, and the dataset-order
+teacher cache against restacking every chunk every step.
 
 The test-only graph nodes and the one-term rollout approximation
 `transition_approx` live here too; the other test modules import them.
@@ -656,7 +658,7 @@ class TestDistillObjective:
             for name in state.m:
                 entries[name].zero_grad()
             total, breakdown = trainer.student_step_loss(
-                [teacher], state.params, volume[None], cfg,
+                teacher, state.params, volume[None], cfg,
                 mix_seeds=[[0, 1]])
             total.backward()
             return (np.asarray(total.data).tobytes(), breakdown,
@@ -683,26 +685,70 @@ def ref_student_step_loss(teacher, params, volume, cfg, mix_seed,
     return distill.distill_loss(teacher, capture, cfg, weights)
 
 
-def ref_train(teacher, state, data, tcfg, dcfg):
-    """train() with one graph and one backward per sample."""
+def ref_stack_captures(captures):
+    """Constant captures of single samples as one capture of their stack."""
+    if len(captures) == 1:
+        return captures[0]
+    return encoder.EmbeddingCapture(
+        embeddings=[Tensor(np.concatenate([x.data for x in xs]))
+                    for xs in zip(*(c.embeddings for c in captures))],
+        attentions=[np.stack(a)
+                    for a in zip(*(c.attentions for c in captures))])
+
+
+def ref_adam_step(state, grads, lr):
+    """Bias-corrected Adam, one entry at a time in sorted order, each
+    update a new array bound in place of the old."""
+    state.step += 1
+    t = state.step
+    b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
+    entries = state.params.tensors
+    for name in sorted(state.m):
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(entries[name].data)
+        state.m[name] = b1 * state.m[name] + (1 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
+        mhat = state.m[name] / (1 - b1 ** t)
+        vhat = state.v[name] / (1 - b2 ** t)
+        entries[name].data = entries[name].data - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def ref_train(teacher, state, data, tcfg, dcfg, chunk=1):
+    """train() with a per-sample teacher cache, every chunk's inputs
+    stacked anew each step, a gradient dict and ref_adam_step. With chunk
+    1, one graph and one backward per sample, built by
+    ref_student_step_loss."""
     cache, history = {}, []
     entries = state.params.all_entries()
     for step in range(tcfg.epochs * tcfg.steps_per_epoch):
         epoch = step // tcfg.steps_per_epoch + 1
         lr = trainer.lr_at(tcfg, min(epoch, tcfg.epochs))
         grads, total, terms = {}, 0.0, {}
-        for b in range(tcfg.batch_size):
-            idx = (step * tcfg.batch_size + b) % len(data)
-            image, volume = data[idx]
-            if idx not in cache:
-                cap = encoder.forward_capture(teacher, image)
-                cache[idx] = (cap, None if dcfg.attention_source == "student"
-                              else distill.layer_weights(dcfg, cap))
+        for first in range(0, tcfg.batch_size, chunk):
+            bs = range(first, min(first + chunk, tcfg.batch_size))
+            idxs = [(step * tcfg.batch_size + b) % len(data) for b in bs]
+            for idx in idxs:
+                if idx not in cache:
+                    cap = encoder.forward_capture(teacher, data[idx][0])
+                    cache[idx] = (cap, None
+                                  if dcfg.attention_source == "student"
+                                  else distill.layer_weights(dcfg, cap))
+            caps = [cache[i][0] for i in idxs]
+            weights = [cache[i][1] for i in idxs]
             for name in state.m:
                 entries[name].zero_grad()
-            loss, breakdown = ref_student_step_loss(
-                cache[idx][0], state.params, volume, dcfg,
-                [tcfg.seed, step, b], cache[idx][1])
+            if chunk == 1:
+                loss, breakdown = ref_student_step_loss(
+                    caps[0], state.params, data[idxs[0]][1], dcfg,
+                    [tcfg.seed, step, first], weights[0])
+            else:
+                loss, breakdown = trainer.student_step_loss(
+                    ref_stack_captures(caps), state.params,
+                    np.stack([data[i][1] for i in idxs]), dcfg,
+                    mix_seeds=[[tcfg.seed, step, b] for b in bs],
+                    weights=None if weights[0] is None
+                    else distill.stack_weights(weights))
             loss.backward()
             total += loss.item()
             for layer, v in breakdown.items():
@@ -711,7 +757,7 @@ def ref_train(teacher, state, data, tcfg, dcfg):
                 if entries[name].grad is not None:
                     grads[name] = grads.get(name, 0.0) \
                         + entries[name].grad / tcfg.batch_size
-        trainer.adam_step(state, grads, lr)
+        ref_adam_step(state, grads, lr)
         history.append({"step": step + 1, "epoch": epoch, "lr": lr,
                         "total": total / tcfg.batch_size,
                         **{f"layer_{s}": v / tcfg.batch_size
@@ -772,9 +818,8 @@ class TestStackedStep:
         cfg, caps, weights, state, volumes, seeds = self.case(source, plan)
         for b in range(len(caps)):
             got = self.run(state, lambda: trainer.student_step_loss(
-                [caps[b]], state.params, volumes[b:b + 1], cfg,
-                mix_seeds=[seeds[b]],
-                weights=None if weights[b] is None else [weights[b]]))
+                caps[b], state.params, volumes[b:b + 1], cfg,
+                mix_seeds=[seeds[b]], weights=weights[b]))
             want = self.run(state, lambda: ref_student_step_loss(
                 caps[b], state.params, volumes[b], cfg, seeds[b],
                 weights[b]))
@@ -785,8 +830,9 @@ class TestStackedStep:
     def test_whole_batch_chunk_within_1e_12(self, source, plan):
         cfg, caps, weights, state, volumes, seeds = self.case(source, plan)
         got = self.run(state, lambda: trainer.student_step_loss(
-            caps, state.params, volumes, cfg, mix_seeds=seeds,
-            weights=None if weights[0] is None else weights))
+            ref_stack_captures(caps), state.params, volumes, cfg,
+            mix_seeds=seeds, weights=None if weights[0] is None
+            else distill.stack_weights(weights)))
         total, breakdown, grads = 0.0, {}, {}
         for b in range(len(caps)):
             t, br, g = self.run(state, lambda: ref_student_step_loss(
@@ -827,3 +873,88 @@ class TestStackedStep:
         assert history == want[0]
         assert {n: a.tobytes() for n, a in params.items()} == \
             {n: a.tobytes() for n, a in want[1].items()}
+
+
+# -- flat Adam and the dataset-order teacher cache ----------------------------
+
+def state_bytes(state):
+    entries = state.params.all_entries()
+    return (state.step, {n: t.data.tobytes() for n, t in entries.items()},
+            {n: a.tobytes() for n, a in state.m.items()},
+            {n: a.tobytes() for n, a in state.v.items()})
+
+
+@pytest.mark.parametrize("plan", [
+    encoder.TrainablePlan(mode="embed+all_mlps"),
+    encoder.TrainablePlan(mode="embed+blocks", layers=(1, 3), lora_rank=2)],
+    ids=["embed+all_mlps", "lora"])
+def test_flat_adam_matches_per_entry_adam(plan):
+    rng = np.random.default_rng(21)
+    flat, ref = (trainer.TrainState.create(
+        encoder.init_params(STEP_CONFIG, seed=4), plan, seed=4)
+        for _ in range(2))
+    names = sorted(flat.m)
+    silent = names[len(names) // 2]     # never gets a gradient
+    for step, lr in enumerate((1e-3, 1e-3, 5e-4, 5e-4)):
+        grads = {n: rng.normal(0, 10.0 ** -step, flat.m[n].shape)
+                 for n in names if n != silent}
+        # the dict form and the flat form the training loop passes
+        trainer.adam_step(flat, grads if step % 2 else flat.flat_grads(grads),
+                          lr)
+        ref_adam_step(ref, grads, lr)
+        assert state_bytes(flat) == state_bytes(ref)
+    assert state_bytes(flat)[2][silent] == np.zeros(flat.m[silent].shape) \
+        .tobytes()
+
+
+def held_bytes(cache):
+    """Bytes of the distinct buffers a TeacherCache's arrays live in."""
+    arrays = [*cache.embeddings, *cache.attentions, cache.volumes,
+              *(w for w in cache.weights or () if w is not None)]
+    for capture, weights, volumes in cache.chunks.values():
+        arrays += [x.data for x in capture.embeddings] + capture.attentions
+        arrays += [volumes, *(w for w in weights or () if w is not None)]
+    owners = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a
+    return sum(a.nbytes for a in owners.values())
+
+
+@pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
+    # 5 samples in batches of 2: the third step's chunk is (4, 0)
+    cfg = distill.DistillConfig(layers=(0, 1, 2, 3), gammas=(0.3, 0.6, 1.0),
+                                mixing_ratio=0.25, attention_source=source)
+    rng = np.random.default_rng(14)
+    data = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(5)]
+    teacher = encoder.init_params(STEP_CONFIG, seed=3)
+    tcfg = trainer.TrainConfig(epochs=1, steps_per_epoch=7, batch_size=2,
+                               lr=1e-3, decay_epoch=1, seed=5)
+    caches = []
+
+    class Recorded(trainer.TeacherCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    def run(fn, **kw):
+        state = trainer.TrainState.create(teacher.copy(), STEP_PLANS[0])
+        state, history = fn(teacher, state, data, tcfg, cfg, **kw)
+        return history, state_bytes(state)
+
+    want = run(ref_train, chunk=trainer.chunk_size(STEP_CONFIG))
+    with monkeypatch.context() as patched:
+        patched.setattr(trainer, "TeacherCache", Recorded)
+        assert run(trainer.train) == want
+    cache, = caches
+    assert list(cache.chunks) == [(0, 1), (2, 3), (4, 0), (1, 2), (3, 4)]
+    # consecutive chunks are views; only (4, 0) holds its own copy, so
+    # the cache holds 7 samples where a stack per chunk would hold 10
+    one = trainer.TeacherCache(teacher, data[:1], cfg)
+    one.chunk((0,))
+    per_sample = held_bytes(one)
+    for key, (capture, weights, volumes) in cache.chunks.items():
+        assert np.shares_memory(volumes, cache.volumes) == (key != (4, 0))
+    assert held_bytes(cache) <= (len(data) + 2) * per_sample

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evadapt import distill, trainer
+from evadapt import distill, encoder, trainer
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import (PLAN_MODES, TrainablePlan, ViTConfig,
@@ -97,6 +97,59 @@ class TestAdamStep:
         with pytest.raises(NonFiniteError, match="embed.b"):
             adam_step(state, grads, lr=1e-3)
 
+    @staticmethod
+    def moved_state():
+        """A state one step in, so its moments are not all zero."""
+        state = tiny_state()
+        rng = np.random.default_rng(3)
+        adam_step(state, {n: rng.normal(size=state.m[n].shape)
+                          for n in state.m}, lr=1e-3)
+        return state
+
+    @staticmethod
+    def snapshot(state):
+        entries = state.params.all_entries()
+        return (state.step,
+                {n: entries[n].data.tobytes() for n in entries},
+                {n: state.m[n].tobytes() for n in state.m},
+                {n: state.v[n].tobytes() for n in state.v})
+
+    def test_non_finite_gradient_changes_nothing(self):
+        # embed.w is last in sorted order: the other entries, their
+        # moments and the step used to move before it raised
+        state = self.moved_state()
+        before = self.snapshot(state)
+        grads = {n: np.ones_like(state.m[n]) for n in state.m}
+        grads["embed.w"] = grads["embed.w"].copy()
+        grads["embed.w"][3, 1] = np.nan
+        assert sorted(state.m)[-1] == "embed.w"
+        with pytest.raises(NonFiniteError, match="'embed.w'"):
+            adam_step(state, grads, lr=1e-3)
+        assert self.snapshot(state) == before
+
+    @pytest.mark.parametrize("name, shape", [
+        ("embed.w", (8,)), ("block.1.mlp1.b", (1,)), ("embed.w", (8, 48))])
+    def test_wrong_shape_gradient_named(self, name, shape):
+        # (8,) and (1,) used to broadcast onto the entry and be applied
+        state = self.moved_state()
+        before = self.snapshot(state)
+        grads = {n: np.ones_like(state.m[n]) for n in state.m}
+        grads[name] = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"'{name}'.*{shape}"):
+            adam_step(state, grads, lr=1e-3)
+        assert self.snapshot(state) == before
+
+    @pytest.mark.parametrize("name", ["pos", "block.1.qkv.w", "nope"])
+    def test_gradient_for_untrained_entry_named(self, name):
+        # a gradient for an entry the plan does not train was dropped
+        state = self.moved_state()
+        before = self.snapshot(state)
+        grads = {n: np.ones_like(state.m[n]) for n in state.m}
+        grads[name] = np.ones((16, 8))
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            adam_step(state, grads, lr=1e-3)
+        assert self.snapshot(state) == before
+
 
 class TestTrainLoop:
     def test_loss_decreases(self):
@@ -132,6 +185,16 @@ class TestTrainLoop:
         tcfg = TrainConfig(epochs=1, steps_per_epoch=10, batch_size=1,
                            lr=1e-3, decay_epoch=1)
         train(teacher, state, data, tcfg, DCFG)
+        assert frozen_sha(state) == sha0
+
+    def test_plan_that_trains_nothing_runs(self):
+        # an empty plan has no gradient to gather; the step still counts
+        teacher = init_params(TINY, seed=0)
+        state = TrainState.create(teacher.copy(), TrainablePlan(mode="none"))
+        sha0 = frozen_sha(state)
+        tcfg = TrainConfig(epochs=1, steps_per_epoch=2, decay_epoch=1)
+        state, history = train(teacher, state, tiny_data(), tcfg, DCFG)
+        assert state.step == 2 and len(history) == 2
         assert frozen_sha(state) == sha0
 
     def test_deterministic_across_runs(self):
@@ -200,6 +263,115 @@ def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
                   "student": 1}[source]
     visits = samples if source == "student" else len(data)
     assert calls["rollout"] == visits * per_sample
+
+
+class TestTeacherCache:
+    def test_chunks_stack_the_samples_captures(self, monkeypatch):
+        teacher = init_params(TINY, seed=0)
+        data = tiny_data(n=3)
+        forwards = []
+        monkeypatch.setattr(encoder, "forward_capture",
+                            lambda p, image: forwards.append(1)
+                            or forward_capture(p, image))
+        cache = trainer.TeacherCache(teacher, data, DCFG)
+        caps = [forward_capture(teacher, image) for image, _ in data]
+        for idxs in [(1, 2), (2, 0), (0,), (1, 2)]:
+            capture, weights, volumes = cache.chunk(idxs)
+            assert capture.samples == len(idxs)
+            for layer, x in enumerate(capture.embeddings):
+                assert x.data.tobytes() == np.concatenate(
+                    [caps[i].embeddings[layer].data for i in idxs]).tobytes()
+            for layer, a in enumerate(capture.attentions):
+                want = [caps[i].attentions[layer] for i in idxs]
+                assert a.tobytes() == np.stack(want).tobytes()
+                assert a.shape == ((4, 4) if len(idxs) == 1
+                                   else (len(idxs), 4, 4))
+            assert weights[0] is None and weights[2] is None  # 0, terminal
+            assert weights[1].tobytes() == np.concatenate(
+                [distill.layer_weights(DCFG, caps[i])[1]
+                 for i in idxs]).tobytes()
+            assert volumes.tobytes() == np.stack(
+                [data[i][1] for i in idxs]).tobytes()
+            # consecutive samples are views of the dataset-order arrays
+            consecutive = idxs != (2, 0)
+            assert np.shares_memory(capture.embeddings[1].data,
+                                    cache.embeddings[1]) == consecutive
+            assert np.shares_memory(volumes, cache.volumes) == consecutive
+        assert len(forwards) == 3
+        assert cache.chunk((1, 2)) is cache.chunk((1, 2))
+
+    def test_student_source_keeps_no_weights(self):
+        cache = trainer.TeacherCache(init_params(TINY, seed=0), tiny_data(),
+                                     replace(DCFG, attention_source="student"))
+        assert cache.chunk((0, 1))[1] is None
+
+
+class TestPackedState:
+    """The trainable values and moments live in three flat buffers; the
+    arrays a caller handed over are copied, never written."""
+
+    def test_train_leaves_the_callers_arrays_alone(self):
+        teacher = init_params(TINY, seed=0)
+        params = teacher.copy()
+        given = {n: (t.data, t.data.copy()) for n, t in params.tensors.items()}
+        state = TrainState.create(params, PLAN)
+        tcfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=2,
+                           decay_epoch=1)
+        train(teacher, state, tiny_data(), tcfg, DCFG)
+        for a, copy in given.values():
+            assert a.tobytes() == copy.tobytes()
+        packed = state.packed()
+        for name in state.m:
+            assert not np.array_equal(params.tensors[name].data,
+                                      given[name][1])
+            for a, flat in zip((params.tensors[name].data, state.m[name],
+                                state.v[name]), packed):
+                assert np.shares_memory(a, flat)
+
+    def test_train_leaves_the_loaded_arrays_alone(self, tmp_path,
+                                                  monkeypatch):
+        teacher = init_params(TINY, seed=0)
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, tiny_state())
+        read = []
+
+        def recording(path):
+            tensors, meta = read_dump(path)
+            read.extend((a, a.copy()) for a in tensors.values())
+            return tensors, meta
+
+        monkeypatch.setattr(trainer, "read_dump", recording)
+        state, _, _ = load_checkpoint(ck)
+        tcfg = TrainConfig(epochs=1, steps_per_epoch=3, decay_epoch=1)
+        train(teacher, state, tiny_data(), tcfg, DCFG)
+        assert state.step == 3
+        assert len(read) == len(state.params.tensors) + 2 * len(state.m)
+        for a, copy in read:
+            assert a.tobytes() == copy.tobytes()
+
+    def test_rebound_arrays_are_packed_anew(self):
+        # an array bound in place of a packed view is what the next
+        # update reads and replaces; the view it replaced stays as it was
+        state = tiny_state()
+        adam_step(state, {n: np.ones(state.m[n].shape) for n in state.m},
+                  lr=1e-3)
+        entry = state.params.tensors["embed.b"]
+        old_view, new = entry.data, np.full(entry.data.shape, 0.5)
+        old = old_view.copy()
+        entry.data = new
+        state.m["embed.b"] = np.zeros(state.m["embed.b"].shape)
+        adam_step(state, {"embed.b": np.ones(new.shape)}, lr=1e-3)
+        assert old_view.tobytes() == old.tobytes()
+        assert np.all(new == 0.5)
+        assert np.shares_memory(entry.data, state.packed()[0])
+        assert np.all(entry.data < 0.5)
+
+    def test_rebound_array_of_wrong_shape_named(self):
+        state = tiny_state()
+        state.v["block.2.mlp2.b"] = np.zeros(3)
+        with pytest.raises(ValueError, match=r"v of 'block.2.mlp2.b'.*\(3,\)"):
+            adam_step(state, {}, lr=1e-3)
+        assert state.step == 0
 
 
 @pytest.mark.parametrize("plan", [
