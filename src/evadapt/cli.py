@@ -67,6 +67,9 @@ class RunConfig:
     events: EventsConfig = field(default_factory=EventsConfig)
 
     def __post_init__(self):
+        for name in ("seed", "teacher_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         try:
             trainable_shapes(self.model, self.plan)
         except ValueError as e:  # a layer the model does not have

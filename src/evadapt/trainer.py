@@ -14,6 +14,7 @@ bitwise resumable from any checkpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -41,9 +42,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "steps_per_epoch", "batch_size"):
+        for name in ("epochs", "steps_per_epoch", "batch_size",
+                     "decay_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("lr", "decay_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -63,10 +67,12 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 class TrainState:
     """Parameters, Adam moments and step of a run.
 
-    The trainable entries' values, m and v are packed into three flat
-    buffers in `layout` order (sorted names): each trainable Tensor.data
-    and each m/v array is a view into them. `create` packs at once, while
-    no graph holds memory; a loaded state packs at its first update.
+    The trainable entries' values, m and v live in three flat buffers in
+    `layout` order (sorted names). The first read of `flat` copies them
+    in and binds each trainable Tensor.data and each m/v array to its view,
+    so the arrays the state was built from are never written. `create`
+    packs at once, while no graph holds memory; a loaded state packs at
+    its first update, so a checkpoint that is only read costs no copy.
     """
     params: ViTParams
     plan: TrainablePlan
@@ -77,10 +83,6 @@ class TrainState:
     layout: dict[str, tuple[slice, tuple]] = field(
         init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
-    _packed: tuple | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _views: list = field(default_factory=list, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         self.layout, self.size = {}, 0
@@ -102,21 +104,13 @@ class TrainState:
         state = cls(params=params, plan=plan,
                     m={n: np.zeros(s) for n, s in shapes.items()},
                     v={n: np.zeros(s) for n, s in shapes.items()})
-        state.packed()
+        state.flat
         return state
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat (size,) buffers of values, m and v. Arrays bound to the
-        state since the last call (all of them, at the first) are copied
-        into a new buffer, so the arrays they replaced are never written."""
+    @functools.cached_property
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat (size,) buffers of values, m and v."""
         entries = self.params.tensors
-        for name, (p, m, v) in zip(self.layout, self._views):
-            if (entries[name].data is not p or self.m[name] is not m
-                    or self.v[name] is not v):
-                break
-        else:
-            if self._packed is not None:
-                return self._packed
         groups = {"value": [entries[n].data for n in self.layout],
                   "m": [self.m[n] for n in self.layout],
                   "v": [self.v[n] for n in self.layout]}
@@ -128,12 +122,11 @@ class TrainState:
         p, m, v = (np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays],
                                   dtype=np.float64)
                    for arrays in groups.values())
-        views = [(p[sl].reshape(shape), m[sl].reshape(shape),
-                  v[sl].reshape(shape)) for sl, shape in self.layout.values()]
-        for name, (pv, mv, vv) in zip(self.layout, views):
-            entries[name].data, self.m[name], self.v[name] = pv, mv, vv
-        self._packed, self._views = (p, m, v), views
-        return self._packed
+        for name, (sl, shape) in self.layout.items():
+            entries[name].data = p[sl].reshape(shape)
+            self.m[name], self.v[name] = (m[sl].reshape(shape),
+                                          v[sl].reshape(shape))
+        return p, m, v
 
     def gathered_grads(self) -> np.ndarray:
         """The trainable entries' .grad in layout order, zero where None."""
@@ -143,31 +136,16 @@ class TrainState:
             else entries[name].grad.ravel()
             for name, (sl, _) in self.layout.items()])
 
-    def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """`grads` as one gradient in layout order, zero where absent."""
-        for name, g in grads.items():
-            if name not in self.layout:
-                raise ValueError(f"gradient for '{name}', which the plan "
-                                 f"does not train")
-            if np.shape(g) != self.layout[name][1]:
-                raise ValueError(f"gradient for '{name}' has shape "
-                                 f"{np.shape(g)}, the entry "
-                                 f"{self.layout[name][1]}")
-        flat = np.zeros(self.size)
-        for name, g in grads.items():
-            flat[self.layout[name][0]] = np.ravel(g)
-        return flat
 
-
-def adam_step(state: TrainState, grads, lr: float):
+def adam_step(state: TrainState, g: np.ndarray, lr: float):
     """Bias-corrected Adam update of every trainable entry in one pass.
 
-    `grads` maps entry names to gradients (an entry without one gets zero),
-    or is the flat gradient in `state.layout` order, which the update
-    then uses as scratch. Every gradient is checked before anything
-    changes: a bad one raises with the step, values and moments untouched.
+    `g` is the flat float64 gradient in `state.layout` order, which the
+    update then uses as scratch. It is checked before anything changes: a
+    gradient of another length or dtype raises ValueError, a non-finite
+    one NonFiniteError naming its entry, and the step, values and moments
+    stay as they were.
     """
-    g = state.flat_grads(grads) if isinstance(grads, dict) else grads
     if g.shape != (state.size,) or g.dtype != np.float64:
         raise ValueError(f"flat gradient of {g.dtype} {g.shape}, "
                          f"the plan float64 ({state.size},)")
@@ -175,7 +153,7 @@ def adam_step(state: TrainState, grads, lr: float):
         name = next(n for n, (sl, _) in state.layout.items()
                     if not np.isfinite(g[sl]).all())
         raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
-    p, m, v = state.packed()
+    p, m, v = state.flat
     state.step += 1
     t = state.step
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -321,10 +299,13 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     steps = total_steps if total_steps is not None else \
         tcfg.epochs * tcfg.steps_per_epoch
     start = state.step
+    # one flat gradient for the run, zeroed each step (adam_step uses it as
+    # scratch): a fresh one each step raised train-mid's peak RSS by 3 MB
+    grads = np.empty(state.size)
     for global_step in range(start, start + steps):
         epoch = global_step // tcfg.steps_per_epoch + 1
         lr = lr_at(tcfg, min(epoch, tcfg.epochs))
-        grads = None
+        grads.fill(0.0)
         total_val = 0.0
         breakdown_sum: dict[int, float] = {}
         for first in range(0, tcfg.batch_size, chunk):
@@ -345,8 +326,6 @@ def train(teacher: ViTParams, state: TrainState, data: list,
             total_val += loss.item()
             for s, v in breakdown.items():
                 breakdown_sum[s] = breakdown_sum.get(s, 0.0) + v
-            if grads is None:
-                grads = np.zeros(state.size)
             grads += state.gathered_grads() / tcfg.batch_size
         adam_step(state, grads, lr)
         row = {"step": global_step + 1, "epoch": epoch, "lr": lr,

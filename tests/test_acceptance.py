@@ -301,7 +301,7 @@ def test_10_event_pipeline_and_resume(tmp_path):
     save_checkpoint(ck, part)
     resumed, _, _ = load_checkpoint(ck)
     resumed, _ = train(teacher, resumed, data, tcfg, dcfg, total_steps=6)
-    for name, t in full.params.all_entries().items():
+    for name, t in full.params.tensors.items():
         assert t.data.tobytes() == \
-            resumed.params.all_entries()[name].data.tobytes(), name
+            resumed.params.tensors[name].data.tobytes(), name
     _passed(10, "event pipeline invariants and bitwise resume")

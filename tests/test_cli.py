@@ -361,6 +361,28 @@ class TestErrorHandling:
         assert key in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be >= 0"),
+        ("teacher_seed", -2, "teacher_seed must be >= 0"),
+        ("train.seed", -1, "train.seed must be >= 0"),
+        ("train.decay_epoch", 0, "train.decay_epoch must be >= 1"),
+        ("train.decay_epoch", -3, "train.decay_epoch must be >= 1"),
+    ])
+    def test_out_of_range_rejected_at_load(self, tmp_path, capsys, key,
+                                           value, message):
+        # a negative seed used to create --out and then fail in numpy with
+        # a bare "expected non-negative integer"; a decay epoch below 1 was
+        # taken, and the rate decayed from epoch 1
+        doc = copy.deepcopy(TINY_DOC)
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(p),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("cmd", ["train", "synth"])
     @pytest.mark.parametrize("scene, message", [
         ({"threshold": 0}, "scene.threshold must be > 0, got 0.0"),

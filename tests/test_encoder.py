@@ -169,7 +169,7 @@ class TestLora:
         lp = apply_lora(params, trainable_shapes(TINY, LORA))
         sites = [f"block.{i}.{part}" for i in (2, 1)
                  for part in ("qkv", "proj", "mlp1", "mlp2")]
-        assert list(lp.all_entries()) == list(param_shapes(TINY)) + [
+        assert list(lp.tensors) == list(param_shapes(TINY)) + [
             f"{site}.{f}" for site in sites for f in ("lora_a", "lora_b")]
 
     def test_copy_shares_no_adapter_array(self, params):
@@ -194,7 +194,7 @@ class TestMarkTrainable:
         plan = TrainablePlan(mode="embed+mlps", layers=(2,))
         mark_trainable(params, plan)
         wanted = set(trainable_shapes(TINY, plan))
-        for name, t in params.all_entries().items():
+        for name, t in params.tensors.items():
             assert t.requires_grad == (name in wanted)
 
     def test_frozen_get_no_gradients(self, params):

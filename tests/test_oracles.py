@@ -652,7 +652,7 @@ class TestDistillObjective:
             encoder.init_params(config, seed=3), image)
         state = trainer.TrainState.create(encoder.init_params(config, seed=4),
                                           plan, seed=4)
-        entries = state.params.all_entries()
+        entries = state.params.tensors
 
         def run():
             for name in state.m:
@@ -714,13 +714,23 @@ def ref_adam_step(state, grads, lr):
         entries[name].data = entries[name].data - lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def flat_grad(state, grads):
+    """Gradients by entry name as the flat gradient trainer.adam_step
+    takes: layout order, zero for an entry without one."""
+    g = np.zeros(state.size)
+    for name, (sl, _) in state.layout.items():
+        if name in grads:
+            g[sl] = np.ravel(grads[name])
+    return g
+
+
 def ref_train(teacher, state, data, tcfg, dcfg, chunk=1):
     """train() with a per-sample teacher cache, every chunk's inputs
     stacked anew each step, a gradient dict and ref_adam_step. With chunk
     1, one graph and one backward per sample, built by
     ref_student_step_loss."""
     cache, history = {}, []
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     for step in range(tcfg.epochs * tcfg.steps_per_epoch):
         epoch = step // tcfg.steps_per_epoch + 1
         lr = trainer.lr_at(tcfg, min(epoch, tcfg.epochs))
@@ -798,7 +808,7 @@ class TestStackedStep:
             encoder.init_params(STEP_CONFIG, seed=4), plan, seed=4)
         # move the student off its init so every block carries gradient
         for name in state.m:
-            t = state.params.all_entries()[name]
+            t = state.params.tensors[name]
             t.data = t.data + rng.normal(0, 0.05, t.data.shape)
         volumes = rng.random((m, 8, 8, 3))
         seeds = [[9, 2, b] for b in range(m)]
@@ -806,7 +816,7 @@ class TestStackedStep:
 
     @staticmethod
     def run(state, loss_fn):
-        entries = state.params.all_entries()
+        entries = state.params.tensors
         for name in state.m:
             entries[name].zero_grad()
         total, breakdown = loss_fn()
@@ -861,7 +871,7 @@ class TestStackedStep:
             state = trainer.TrainState.create(teacher.copy(), plan, seed=4)
             state, history = fn(teacher, state, data, tcfg, cfg)
             return history, {n: t.data for n, t in
-                             state.params.all_entries().items()}
+                             state.params.tensors.items()}
 
         want = run(ref_train)
         stacked = run(trainer.train)        # the whole batch in one chunk
@@ -878,7 +888,7 @@ class TestStackedStep:
 # -- flat Adam and the dataset-order teacher cache ----------------------------
 
 def state_bytes(state):
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     return (state.step, {n: t.data.tobytes() for n, t in entries.items()},
             {n: a.tobytes() for n, a in state.m.items()},
             {n: a.tobytes() for n, a in state.v.items()})
@@ -898,9 +908,7 @@ def test_flat_adam_matches_per_entry_adam(plan):
     for step, lr in enumerate((1e-3, 1e-3, 5e-4, 5e-4)):
         grads = {n: rng.normal(0, 10.0 ** -step, flat.m[n].shape)
                  for n in names if n != silent}
-        # the dict form and the flat form the training loop passes
-        trainer.adam_step(flat, grads if step % 2 else flat.flat_grads(grads),
-                          lr)
+        trainer.adam_step(flat, flat_grad(flat, grads), lr)
         ref_adam_step(ref, grads, lr)
         assert state_bytes(flat) == state_bytes(ref)
     assert state_bytes(flat)[2][silent] == np.zeros(flat.m[silent].shape) \

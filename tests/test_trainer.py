@@ -14,7 +14,7 @@ from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
                              pipeline_grad_check, save_checkpoint, train)
-from test_oracles import dot
+from test_oracles import dot, flat_grad
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -34,7 +34,7 @@ def tiny_state(seed=1):
 def frozen_sha(state: TrainState) -> str:
     """Digest of all non-trainable parameter bytes."""
     h = hashlib.sha256()
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     for name in sorted(entries):
         if name not in state.m:
             h.update(name.encode())
@@ -64,6 +64,12 @@ class TestLrSchedule:
         for factor in (0.0, -1.0):
             with pytest.raises(ValueError, match="decay_factor must be positive"):
                 TrainConfig(decay_factor=factor)
+        # decay epoch 0 or below decayed the rate from epoch 1
+        for epoch in (0, -3):
+            with pytest.raises(ValueError, match="decay_epoch must be >= 1"):
+                TrainConfig(decay_epoch=epoch)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
 
 class TestAdamStep:
@@ -72,10 +78,8 @@ class TestAdamStep:
         state = tiny_state()
         name = "embed.w"
         before = state.params.tensors[name].data.copy()
-        g = np.ones_like(before)
-        grads = {n: np.zeros_like(state.m[n]) for n in state.m}
-        grads[name] = g
-        adam_step(state, grads, lr=1e-3)
+        adam_step(state, flat_grad(state, {name: np.ones_like(before)}),
+                  lr=1e-3)
         delta = state.params.tensors[name].data - before
         assert np.allclose(np.abs(delta), 1e-3, atol=1e-10)
         assert state.step == 1
@@ -83,8 +87,7 @@ class TestAdamStep:
     def test_only_trainables_move(self):
         state = tiny_state()
         frozen_before = state.params.tensors["pos"].data.copy()
-        grads = {n: np.ones_like(state.m[n]) for n in state.m}
-        adam_step(state, grads, lr=1e-2)
+        adam_step(state, np.ones(state.size), lr=1e-2)
         assert np.array_equal(state.params.tensors["pos"].data, frozen_before)
         assert not np.array_equal(
             state.params.tensors["embed.w"].data,
@@ -92,23 +95,21 @@ class TestAdamStep:
 
     def test_non_finite_gradient_names_param(self):
         state = tiny_state()
-        grads = {n: np.zeros_like(state.m[n]) for n in state.m}
-        grads["embed.b"] = np.full_like(state.m["embed.b"], np.nan)
+        grads = {"embed.b": np.full_like(state.m["embed.b"], np.nan)}
         with pytest.raises(NonFiniteError, match="embed.b"):
-            adam_step(state, grads, lr=1e-3)
+            adam_step(state, flat_grad(state, grads), lr=1e-3)
 
     @staticmethod
     def moved_state():
         """A state one step in, so its moments are not all zero."""
         state = tiny_state()
         rng = np.random.default_rng(3)
-        adam_step(state, {n: rng.normal(size=state.m[n].shape)
-                          for n in state.m}, lr=1e-3)
+        adam_step(state, rng.normal(size=state.size), lr=1e-3)
         return state
 
     @staticmethod
     def snapshot(state):
-        entries = state.params.all_entries()
+        entries = state.params.tensors
         return (state.step,
                 {n: entries[n].data.tobytes() for n in entries},
                 {n: state.m[n].tobytes() for n in state.m},
@@ -120,34 +121,21 @@ class TestAdamStep:
         state = self.moved_state()
         before = self.snapshot(state)
         grads = {n: np.ones_like(state.m[n]) for n in state.m}
-        grads["embed.w"] = grads["embed.w"].copy()
         grads["embed.w"][3, 1] = np.nan
         assert sorted(state.m)[-1] == "embed.w"
         with pytest.raises(NonFiniteError, match="'embed.w'"):
-            adam_step(state, grads, lr=1e-3)
+            adam_step(state, flat_grad(state, grads), lr=1e-3)
         assert self.snapshot(state) == before
 
-    @pytest.mark.parametrize("name, shape", [
-        ("embed.w", (8,)), ("block.1.mlp1.b", (1,)), ("embed.w", (8, 48))])
-    def test_wrong_shape_gradient_named(self, name, shape):
-        # (8,) and (1,) used to broadcast onto the entry and be applied
+    @pytest.mark.parametrize("change", [
+        lambda g: g[:-1], lambda g: np.append(g, 1.0),
+        lambda g: g.astype(np.float32)], ids=["short", "long", "float32"])
+    def test_misshapen_flat_gradient_changes_nothing(self, change):
         state = self.moved_state()
         before = self.snapshot(state)
-        grads = {n: np.ones_like(state.m[n]) for n in state.m}
-        grads[name] = np.ones(shape)
-        with pytest.raises(ValueError, match=rf"'{name}'.*{shape}"):
-            adam_step(state, grads, lr=1e-3)
-        assert self.snapshot(state) == before
-
-    @pytest.mark.parametrize("name", ["pos", "block.1.qkv.w", "nope"])
-    def test_gradient_for_untrained_entry_named(self, name):
-        # a gradient for an entry the plan does not train was dropped
-        state = self.moved_state()
-        before = self.snapshot(state)
-        grads = {n: np.ones_like(state.m[n]) for n in state.m}
-        grads[name] = np.ones((16, 8))
-        with pytest.raises(ValueError, match=f"'{name}'"):
-            adam_step(state, grads, lr=1e-3)
+        with pytest.raises(ValueError, match=rf"the plan float64 "
+                           rf"\({state.size},\)"):
+            adam_step(state, change(np.ones(state.size)), lr=1e-3)
         assert self.snapshot(state) == before
 
 
@@ -308,7 +296,8 @@ class TestTeacherCache:
 
 class TestPackedState:
     """The trainable values and moments live in three flat buffers; the
-    arrays a caller handed over are copied, never written."""
+    arrays a caller handed over, or a file gave, are copied, never
+    written."""
 
     def test_train_leaves_the_callers_arrays_alone(self):
         teacher = init_params(TINY, seed=0)
@@ -320,12 +309,11 @@ class TestPackedState:
         train(teacher, state, tiny_data(), tcfg, DCFG)
         for a, copy in given.values():
             assert a.tobytes() == copy.tobytes()
-        packed = state.packed()
         for name in state.m:
             assert not np.array_equal(params.tensors[name].data,
                                       given[name][1])
             for a, flat in zip((params.tensors[name].data, state.m[name],
-                                state.v[name]), packed):
+                                state.v[name]), state.flat):
                 assert np.shares_memory(a, flat)
 
     def test_train_leaves_the_loaded_arrays_alone(self, tmp_path,
@@ -333,44 +321,41 @@ class TestPackedState:
         teacher = init_params(TINY, seed=0)
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, tiny_state())
-        read = []
+        read = {}
 
         def recording(path):
             tensors, meta = read_dump(path)
-            read.extend((a, a.copy()) for a in tensors.values())
+            read.update((n, (a, a.copy())) for n, a in tensors.items())
             return tensors, meta
+
+        def shared(state):
+            return [np.shares_memory(a, read[key][0]) for name in state.layout
+                    for a, key in ((state.params.tensors[name].data,
+                                    f"param.{name}"),
+                                   (state.m[name], f"adam.m.{name}"),
+                                   (state.v[name], f"adam.v.{name}"))]
 
         monkeypatch.setattr(trainer, "read_dump", recording)
         state, _, _ = load_checkpoint(ck)
+        # a state that is only read (eval, a checkpoint round trip) holds
+        # no copy: packing at load held the file's arrays and their copies
+        assert all(shared(state))
         tcfg = TrainConfig(epochs=1, steps_per_epoch=3, decay_epoch=1)
         train(teacher, state, tiny_data(), tcfg, DCFG)
         assert state.step == 3
+        assert not any(shared(state))
         assert len(read) == len(state.params.tensors) + 2 * len(state.m)
-        for a, copy in read:
+        for a, copy in read.values():
             assert a.tobytes() == copy.tobytes()
 
-    def test_rebound_arrays_are_packed_anew(self):
-        # an array bound in place of a packed view is what the next
-        # update reads and replaces; the view it replaced stays as it was
-        state = tiny_state()
-        adam_step(state, {n: np.ones(state.m[n].shape) for n in state.m},
-                  lr=1e-3)
-        entry = state.params.tensors["embed.b"]
-        old_view, new = entry.data, np.full(entry.data.shape, 0.5)
-        old = old_view.copy()
-        entry.data = new
-        state.m["embed.b"] = np.zeros(state.m["embed.b"].shape)
-        adam_step(state, {"embed.b": np.ones(new.shape)}, lr=1e-3)
-        assert old_view.tobytes() == old.tobytes()
-        assert np.all(new == 0.5)
-        assert np.shares_memory(entry.data, state.packed()[0])
-        assert np.all(entry.data < 0.5)
-
-    def test_rebound_array_of_wrong_shape_named(self):
-        state = tiny_state()
-        state.v["block.2.mlp2.b"] = np.zeros(3)
+    def test_misshapen_moment_named_at_first_pack(self):
+        shapes = encoder.trainable_shapes(TINY, PLAN)
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        v["block.2.mlp2.b"] = np.zeros(3)
+        state = TrainState(params=init_params(TINY, seed=1), plan=PLAN,
+                           m={n: np.zeros(s) for n, s in shapes.items()}, v=v)
         with pytest.raises(ValueError, match=r"v of 'block.2.mlp2.b'.*\(3,\)"):
-            adam_step(state, {}, lr=1e-3)
+            adam_step(state, np.zeros(state.size), lr=1e-3)
         assert state.step == 0
 
 
@@ -381,7 +366,7 @@ class TestPackedState:
     ids=[f"{m}-mlps" for m in PLAN_MODES] + ["lora-mlps", "lora-blocks"])
 def test_create_marks_exactly_the_moment_entries(plan):
     state = TrainState.create(init_params(TINY, seed=0), plan)
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     assert [n for n, t in entries.items() if t.requires_grad] == \
         [n for n in entries if n in state.m]
     assert all(state.m[n].shape == entries[n].data.shape for n in state.m)
@@ -415,8 +400,8 @@ class TestCheckpointResume:
         resumed, hist_b = train(teacher, resumed, data, tcfg, DCFG,
                                 total_steps=7)
 
-        for name, t in full.params.all_entries().items():
-            r = resumed.params.all_entries()[name]
+        for name, t in full.params.tensors.items():
+            r = resumed.params.tensors[name]
             assert t.data.tobytes() == r.data.tobytes(), name
         assert [r["total"] for r in hist_full] == \
             [r["total"] for r in hist_a + hist_b]
@@ -442,10 +427,10 @@ class TestCheckpointResume:
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, state)
         assert [n.removeprefix("param.") for n in read_dump(ck)[0]
-                if n.startswith("param.")] == list(state.params.all_entries())
+                if n.startswith("param.")] == list(state.params.tensors)
         loaded, _, _ = load_checkpoint(ck)
-        for name, t in state.params.all_entries().items():
-            assert np.array_equal(loaded.params.all_entries()[name].data,
+        for name, t in state.params.tensors.items():
+            assert np.array_equal(loaded.params.tensors[name].data,
                                   t.data), name
 
     @pytest.mark.parametrize("layers", [(1,), (2, 1)])
@@ -503,8 +488,8 @@ class TestCheckpointResume:
         monkeypatch.setattr(trainer, "init_params", drawn)
         monkeypatch.setattr(trainer, "apply_lora", drawn)
         loaded, _, _ = load_checkpoint(ck)
-        want = state.params.all_entries()
-        got = loaded.params.all_entries()
+        want = state.params.tensors
+        got = loaded.params.tensors
         assert list(got) == list(want)
         for name, t in want.items():
             assert got[name].data.tobytes() == t.data.tobytes(), name
@@ -520,7 +505,7 @@ class TestCheckpointResume:
         loaded, _, _ = load_checkpoint(ck)
         for name, a in tensors.items():
             kind, _, entry = name.partition(".")
-            got = (loaded.params.all_entries()[entry].data if kind == "param"
+            got = (loaded.params.tensors[entry].data if kind == "param"
                    else getattr(loaded, entry[0])[entry[2:]])
             assert got.dtype == np.float64
             assert np.array_equal(got, a.astype(np.float32)), name
@@ -630,5 +615,5 @@ def test_backward_frees_the_graph_and_keeps_leaf_grads():
     del cap
     loss.backward()
     assert [r() for r in refs] == [None] * len(refs)
-    entries = state.params.all_entries()
+    entries = state.params.tensors
     assert all(entries[n].grad is not None for n in state.m)
