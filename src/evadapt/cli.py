@@ -402,14 +402,27 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int, low: int):
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_voxelize(args) -> int:
+    _at_least("--bins", args.bins, 1)
     stream, dims = ev.read_events(args.events)
+    flags = (args.height, args.width)
     if dims is None:
-        if args.height is None or args.width is None:
+        if None in flags:
             print("voxelize: need --height/--width or a '# H= W=' header",
                   file=sys.stderr)
             return 2
-        dims = (args.height, args.width)
+        dims = flags
+    elif any(f not in (None, d) for f, d in zip(flags, dims)):
+        given = " ".join(f"--{name} {f}" for name, f
+                         in zip(("height", "width"), flags) if f is not None)
+        print(f"voxelize: {given} disagrees with the "
+              f"'# H={dims[0]} W={dims[1]}' header", file=sys.stderr)
+        return 2
     t_start = args.t_start
     t_end = args.t_end if args.t_end is not None else \
         (int(stream.t[-1]) if len(stream) else t_start + 1)
@@ -424,6 +437,7 @@ def cmd_voxelize(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _at_least("--seed", args.seed, 0)
     run = load_run(args.config)[1] if args.config else RunConfig()
     spec = _scene_spec(run.scene, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -445,6 +459,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _at_least("--seed", args.seed, 0)
     doc, run = load_run(args.config) if args.config else ({}, RunConfig())
     config = run.model if doc.get("model") else ViTConfig(
         img_size=8, patch_size=4, embed_dim=8, depth=2, num_heads=2,

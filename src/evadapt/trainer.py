@@ -1,11 +1,11 @@
 """Adam training loop for the student encoder, with checkpoint/resume.
 
-The teacher is frozen; its capture for each sample, and the significance
-weights rolled out from it, are computed once and cached in dataset
-order. Each step embeds its samples' event volumes with the student,
-replaces a seeded random subset of each sample's tokens with the
-teacher's layer-0 image tokens (fresh positions every step), runs the
-student, and minimizes the weighted distillation objective. A batch runs
+The teacher is frozen; its capture of every sample, and the significance
+weights rolled out from it, are computed before the first step and kept
+in dataset order. Each step embeds its samples' event volumes with the
+student, replaces a seeded random subset of each sample's tokens with
+the teacher's layer-0 image tokens (fresh positions every step), runs
+the student, and minimizes the weighted distillation objective. A batch runs
 in chunks of chunk_size samples whose rows are stacked into one graph,
 and Adam updates one flat buffer of the trainable values and moments.
 Per-step randomness derives from (seed, step, sample), so training is
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
-from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
+from .distill import (DistillConfig, distill_loss, layer_weights, mix_tokens,
+                      stack_weights)
 from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
                       ViTParams, adapter_shapes, apply_lora, embed_image,
                       forward_tokens, init_params, mark_trainable,
@@ -213,24 +214,30 @@ class TeacherCache:
     """The frozen teacher's capture and layer weights of a dataset, and its
     event volumes, each kept as one array in dataset order.
 
-    A sample costs one forward_capture, the first time a chunk holds it.
-    A chunk's stacked inputs are built once: views when its samples are
-    consecutive, a copy when the chunk wraps past the last sample.
+    All of it is built here, before the first step: one forward_capture
+    and one layer_weights per sample. So a sample that no step uses, as
+    when steps x batch < N, still costs its teacher forward, and a sample
+    whose capture fails stops the run before step 1. A chunk's stacked
+    inputs are built once: views when its samples are consecutive, a copy
+    when the chunk wraps past the last sample.
     """
 
     def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig):
-        cfg = teacher.config
-        n, self.k = len(data), cfg.tokens
-        self.teacher, self.data, self.dcfg = teacher, data, dcfg
-        self.embeddings = [np.empty((n * self.k, cfg.embed_dim))
-                           for _ in range(cfg.depth + 1)]
-        self.attentions = [np.empty((n, self.k, self.k))
-                           for _ in range(cfg.depth)]
-        # per distilled layer an (n·k,) array, or None if uniform; None
+        # looked up per call, so a patched encoder.forward_capture applies
+        from .encoder import forward_capture
+        if not data:
+            raise ValueError("data holds no samples")
+        self.k = teacher.config.tokens
+        caps = [forward_capture(teacher, image) for image, _ in data]
+        self.embeddings = [np.concatenate([x.data for x in xs])
+                           for xs in zip(*(c.embeddings for c in caps))]
+        self.attentions = [np.stack(a)
+                           for a in zip(*(c.attentions for c in caps))]
+        # per distilled layer an (N·k,) array, or None if uniform; None
         # under the student source, which rolls out the student every step
-        self.weights: list | None = None
+        self.weights = None if dcfg.attention_source == "student" else \
+            stack_weights([layer_weights(dcfg, c) for c in caps])
         self.volumes = np.stack([volume for _, volume in data])
-        self.captured: set[int] = set()
         # index tuple -> (stacked capture, its weights, its volumes)
         self.chunks: dict[tuple, tuple] = {}
 
@@ -238,33 +245,8 @@ class TeacherCache:
         """(EmbeddingCapture, layer weights or None, (m, H, W, 3) volumes)
         of the samples `idxs`, stacked in that order."""
         got = self.chunks.get(idxs)
-        if got is None:
-            for i in idxs:
-                if i not in self.captured:
-                    self._capture(i)
-            got = self.chunks[idxs] = self._stack(idxs)
-        return got
-
-    def _capture(self, i: int):
-        from .encoder import forward_capture
-        capture = forward_capture(self.teacher, self.data[i][0])
-        rows = slice(i * self.k, (i + 1) * self.k)
-        for store, x in zip(self.embeddings, capture.embeddings):
-            store[rows] = x.data
-        for store, a in zip(self.attentions, capture.attentions):
-            store[i] = a
-        if self.dcfg.attention_source != "student":
-            weights = layer_weights(self.dcfg, capture)
-            if self.weights is None:
-                self.weights = [None if w is None else
-                                np.empty(len(self.volumes) * self.k)
-                                for w in weights]
-            for store, w in zip(self.weights, weights):
-                if store is not None:
-                    store[rows] = w
-        self.captured.add(i)
-
-    def _stack(self, idxs: tuple[int, ...]) -> tuple:
+        if got is not None:
+            return got
         first, m = idxs[0], len(idxs)
         if idxs == tuple(range(first, first + m)):
             samples = slice(first, first + m)
@@ -278,7 +260,8 @@ class TeacherCache:
                         for a in self.attentions])
         weights = None if self.weights is None else \
             [None if w is None else w[rows] for w in self.weights]
-        return capture, weights, self.volumes[samples]
+        got = self.chunks[idxs] = (capture, weights, self.volumes[samples])
+        return got
 
 
 def train(teacher: ViTParams, state: TrainState, data: list,

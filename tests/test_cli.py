@@ -544,6 +544,47 @@ class TestErrorHandling:
                      "--pred-dir", str(tmp_path / "pred")]) == 1
         assert "dimensions differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["synth", "gradcheck"])
+    def test_negative_seed_named(self, tmp_path, capsys, cmd):
+        # numpy's bare "expected non-negative integer" named no flag
+        argv = [cmd, "--seed", "-1"]
+        if cmd == "synth":
+            argv += ["--out", str(tmp_path / "s")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_voxelize_zero_bins_named(self, tmp_path, capsys):
+        # the message was voxelize's own "B must be >= 1"
+        assert main(["synth", "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        assert main(["voxelize", "--events",
+                     str(tmp_path / "s" / "events.txt"),
+                     "--out", str(tmp_path / "v.evdt"), "--bins", "0"]) == 1
+        assert capsys.readouterr().err == "error: --bins must be >= 1, got 0\n"
+        assert not (tmp_path / "v.evdt").exists()
+
+    @pytest.mark.parametrize("flags, given", [
+        (["--height", "0", "--width", "4"], "--height 0 --width 4"),
+        (["--width", "31"], "--width 31"),
+        (["--height", "32", "--width", "16"], "--height 32 --width 16"),
+    ])
+    def test_voxelize_flags_against_header(self, tmp_path, capsys, flags,
+                                           given):
+        # the '# H=32 W=32' header won, and the flags were dropped silently
+        assert main(["synth", "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        argv = ["voxelize", "--events", str(tmp_path / "s" / "events.txt"),
+                "--out", str(tmp_path / "v.evdt")]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == (
+            f"voxelize: {given} disagrees with the '# H=32 W=32' header\n")
+        assert not (tmp_path / "v.evdt").exists()
+        # flags that agree with the header are taken
+        assert main(argv + ["--height", "32", "--width", "32"]) == 0
+        assert read_dump(tmp_path / "v.evdt")[0]["volume"].shape == (32, 32, 3)
+
 
 def _keys(cls) -> set:
     """Every field name of a dataclass and the dataclasses nested in it."""

@@ -966,3 +966,31 @@ def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
     for key, (capture, weights, volumes) in cache.chunks.items():
         assert np.shares_memory(volumes, cache.volumes) == (key != (4, 0))
     assert held_bytes(cache) <= (len(data) + 2) * per_sample
+
+
+@pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+def test_unused_samples_change_no_step(monkeypatch, source):
+    # 2 steps in batches of 2 read samples 0..3 of 7: the cache captures
+    # 4..6 too, at construction, where ref_train never captures them
+    cfg = distill.DistillConfig(layers=(0, 1, 2, 3), gammas=(0.3, 0.6, 1.0),
+                                mixing_ratio=0.25, attention_source=source)
+    rng = np.random.default_rng(15)
+    data = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(7)]
+    teacher = encoder.init_params(STEP_CONFIG, seed=3)
+    tcfg = trainer.TrainConfig(epochs=1, steps_per_epoch=2, batch_size=2,
+                               lr=1e-3, decay_epoch=1, seed=5)
+    assert tcfg.steps_per_epoch * tcfg.batch_size < len(data)
+
+    def run(fn, **kw):
+        state = trainer.TrainState.create(teacher.copy(), STEP_PLANS[0])
+        state, history = fn(teacher, state, data, tcfg, cfg, **kw)
+        return history, state_bytes(state)
+
+    want = run(ref_train, chunk=trainer.chunk_size(STEP_CONFIG))
+    forwards = []
+    capture = encoder.forward_capture
+    monkeypatch.setattr(encoder, "forward_capture",
+                        lambda p, image: forwards.append(1)
+                        or capture(p, image))
+    assert run(trainer.train) == want
+    assert len(forwards) == len(data)

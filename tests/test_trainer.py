@@ -262,6 +262,8 @@ class TestTeacherCache:
                             lambda p, image: forwards.append(1)
                             or forward_capture(p, image))
         cache = trainer.TeacherCache(teacher, data, DCFG)
+        # every sample is captured once, at construction
+        assert len(forwards) == 3
         caps = [forward_capture(teacher, image) for image, _ in data]
         for idxs in [(1, 2), (2, 0), (0,), (1, 2)]:
             capture, weights, volumes = cache.chunk(idxs)
@@ -287,6 +289,10 @@ class TestTeacherCache:
             assert np.shares_memory(volumes, cache.volumes) == consecutive
         assert len(forwards) == 3
         assert cache.chunk((1, 2)) is cache.chunk((1, 2))
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(ValueError, match="^data holds no samples$"):
+            trainer.TeacherCache(init_params(TINY, seed=0), [], DCFG)
 
     def test_student_source_keeps_no_weights(self):
         cache = trainer.TeacherCache(init_params(TINY, seed=0), tiny_data(),
