@@ -416,6 +416,8 @@ def cmd_voxelize(args) -> int:
             print("voxelize: need --height/--width or a '# H= W=' header",
                   file=sys.stderr)
             return 2
+        _at_least("--height", args.height, 1)
+        _at_least("--width", args.width, 1)
         dims = flags
     elif any(f not in (None, d) for f, d in zip(flags, dims)):
         given = " ".join(f"--{name} {f}" for name, f

@@ -13,6 +13,7 @@ Lines starting with '#' are comments; a header comment may carry
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -137,6 +138,7 @@ def normalize_volume(v: EventVolume) -> EventVolume:
 
 
 _HEADER_RE = re.compile(r"#\s*H=(\d+)\s+W=(\d+)")
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def _parse_ints(fields: list[str]):
@@ -161,6 +163,28 @@ def _parse_ints(fields: list[str]):
         return np.array(vals[:i], dtype=np.int64), stop, what
 
 
+def _c_ints(text: str, rows: list[str]):
+    """The rows' fields as int64 through numpy's C reader, or None when it
+    refuses a field, reads other than four fields a row, or warns.
+
+    Where it accepts a field, int() gives the same value, but only in
+    ASCII text without the separators \\x1c-\\x1f: numpy strips those as
+    whitespace and int() rejects them, and numpy 2.4 reads some non-ASCII
+    letters as digits ("\\u01fe" as 462). Other text gets None.
+    """
+    if not text.isascii() or any(map(text.__contains__, _SEPARATORS)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a numpy that still reads "1.0" as an integer warns
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=np.int64, delimiter=",",
+                               comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return table.ravel() if table.shape == (len(rows), 4) else None
+
+
 def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     """Parse an event text file; returns (stream, (H, W) or None).
 
@@ -168,6 +192,9 @@ def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     dimensions, coordinate bounds. Errors report the 1-based line number
     of the first bad line, and for that line the first failing check in
     the order: field count, integer fields, polarity, sign, order, bounds.
+    The data rows go through numpy's C reader; a file it refuses goes
+    through int() per field, so what is accepted, and every error, is
+    the same as int() alone gives.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -206,12 +233,17 @@ def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
         first(late, header_no,
               "a second header, or a header after the first event")
 
-    four = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64,
-                       count=len(rows)) == 3
-    first(~four, data_no, "expected 't,x,y,p'")
-    line_no = data_no[four]
-    vals, stop, what = _parse_ints(",".join(compress(rows, four)).split(",")
-                                   if four.any() else [])
+    # numpy's C reader takes a well-formed file; int() per field reads any
+    # other, and finds its first bad line
+    vals = _c_ints(text, rows)
+    stop, line_no = None, data_no
+    if vals is None:
+        four = np.fromiter(map(str.count, rows, repeat(",")),
+                           dtype=np.int64, count=len(rows)) == 3
+        first(~four, data_no, "expected 't,x,y,p'")
+        line_no = data_no[four]
+        vals, stop, what = _parse_ints(
+            ",".join(compress(rows, four)).split(",") if four.any() else [])
     parsed = vals.size // 4
     if stop is not None:
         # the line holding the bad field fails here, and no later line

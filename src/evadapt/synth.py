@@ -44,7 +44,7 @@ class Shape:
     def footprint(self, H: int, W: int, t_ms: float) -> np.ndarray:
         cx = self.position[0] + self.velocity[0] * t_ms
         cy = self.position[1] + self.velocity[1] * t_ms
-        ys, xs = np.ogrid[0:H, 0:W]
+        ys, xs = np.arange(H)[:, None], np.arange(W)
         if self.kind == "rectangle":
             w, h = self.size
             return ((np.abs(xs - cx) <= w / 2.0)

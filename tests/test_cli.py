@@ -585,6 +585,22 @@ class TestErrorHandling:
         assert main(argv + ["--height", "32", "--width", "32"]) == 0
         assert read_dump(tmp_path / "v.evdt")[0]["volume"].shape == (32, 32, 3)
 
+    @pytest.mark.parametrize("text", ["", "1,0,0,1\n"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--height", "0", "--width", "4"], "--height must be >= 1, got 0"),
+        (["--height", "3", "--width", "-2"], "--width must be >= 1, got -2"),
+    ])
+    def test_voxelize_empty_grid_named(self, tmp_path, capsys, text, flags,
+                                       named):
+        # without a header, an event read as outside a 0x4 grid, and an
+        # empty file wrote a (0, 4, 3) volume
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text(text)
+        assert main(["voxelize", "--events", str(ev_path),
+                     "--out", str(tmp_path / "v.evdt")] + flags) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "v.evdt").exists()
+
 
 def _keys(cls) -> set:
     """Every field name of a dataclass and the dataclasses nested in it."""

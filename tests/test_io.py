@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from evadapt import synth
 from evadapt.events import (EventFormatError, EventStream, read_events,
                             write_events)
 from evadapt.io import (MAGIC, ConfigError, DumpFormatError, from_doc,
@@ -284,6 +285,34 @@ class TestTextFormatFuzz:
         if dims is not None:
             assert ((0 <= events.x) & (events.x < dims[1])
                     & (0 <= events.y) & (events.y < dims[0])).all()
+
+
+class TestEventReaders:
+    def test_well_formed_file_skips_int_per_field(self, tmp_path,
+                                                  monkeypatch):
+        # numpy's C reader takes it whole: int() per field never runs
+        spec = synth.SceneSpec(noise_rate=0.01, seed=1, shapes=[synth.Shape(
+            "disk", (9.0, 12.0), (5.0, 0.0), (0.5, 0.2))])
+        stream = synth.generate_events(spec)
+        p = tmp_path / "e.txt"
+        write_events(p, stream, dims=(32, 32))
+
+        def refuse(fields):
+            raise AssertionError("int() per field ran")
+
+        monkeypatch.setattr("evadapt.events._parse_ints", refuse)
+        assert len(stream) > 100
+        assert read_events(p) == (stream, (32, 32))
+
+    @pytest.mark.parametrize("field, value", [("+5", 5), ("1_0", 10),
+                                              ("٣", 3)])
+    def test_int_field_forms_read(self, tmp_path, field, value):
+        p = tmp_path / "e.txt"
+        p.write_text(f"1,2,3,1\n{field},2,3,0\n", encoding="utf-8")
+        stream, dims = read_events(p)
+        assert dims is None
+        assert stream == EventStream(np.array([1, value]), np.array([2, 2]),
+                                     np.array([3, 3]), np.array([1, -1]))
 
 
 @dataclass

@@ -19,6 +19,7 @@ import functools
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,9 @@ def ref_read_events(path):
                 t, x, y, p_raw = (int(s) for s in parts)
             except ValueError:
                 raise EventFormatError(f"line {lineno}: non-integer field")
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in (t, x, y, p_raw)):
+                raise EventFormatError(
+                    f"line {lineno}: integer field out of int64 range")
             if p_raw not in (0, 1):
                 raise EventFormatError(f"line {lineno}: polarity must be 0 or 1")
             if t < 0:
@@ -434,7 +438,40 @@ _LINES = st.one_of(
                      "٣,1,1,1", "##H=2 W=2", "\r"]))
 
 
+# one field in the forms int() reads or refuses at its edges, which
+# numpy's C reader may read otherwise: signs, padding, underscores,
+# non-ASCII digits and letters, floats, hex, 19-20 digits, and a digit
+# next to a whitespace or line-break character of either reader
+_PADS = ["\r", "\x1c", "\x1f", "\x85", "\u2028", "\x0b", "\xa0", " ", "\t"]
+_EDGE_FIELDS = st.one_of(
+    st.sampled_from(["+5", " 7\t", "\x0b3\x0b", "\xa02\xa0", "1_0", "٣", "１",
+                     "\u01fe", "1\u01fe", "1.0", "1e3", "0x1", "-", "", "-0",
+                     "007"]),
+    st.integers(10 ** 18, 10 ** 20 - 1).map(str),
+    st.integers(10 ** 18, 10 ** 20 - 1).map(lambda v: f"-{v}"),
+    st.builds("{d}{c}{d2}".format, d=st.sampled_from(["", "4"]),
+              c=st.sampled_from(_PADS), d2=st.sampled_from(["", "7"])))
+
+
 class TestEventText:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_ROWS.filter(bool), st.booleans(), _EDGE_FIELDS, st.data())
+    def test_edge_field_reads_as_reference(self, tmp_path, rows, header,
+                                           field, data):
+        lines = [f"{t},{x},{y},{1 if p > 0 else 0}" for t, x, y, p in rows]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        row = lines[i].split(",")
+        row[data.draw(st.integers(0, 3))] = field
+        lines[i] = ",".join(row)
+        p = tmp_path / "e.txt"
+        p.write_bytes((("# H=4 W=4\n" if header else "")
+                       + "\n".join(lines) + "\n").encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_outcome(read_events, p)
+        assert got == read_outcome(ref_read_events, p)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_ROWS, st.booleans(), st.data())
