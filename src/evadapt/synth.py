@@ -39,20 +39,11 @@ class Shape:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}, "
                              f"got {self.kind!r}")
+        for name in ("position", "size", "velocity"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         _check_level("intensity", self.intensity)
-
-    def footprint(self, H: int, W: int, t_ms: float) -> np.ndarray:
-        cx = self.position[0] + self.velocity[0] * t_ms
-        cy = self.position[1] + self.velocity[1] * t_ms
-        ys, xs = np.arange(H)[:, None], np.arange(W)
-        if self.kind == "rectangle":
-            w, h = self.size
-            return ((np.abs(xs - cx) <= w / 2.0)
-                    & (np.abs(ys - cy) <= h / 2.0))
-        if self.kind == "disk":
-            r = self.size[0]
-            return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-        raise ValueError(f"unknown shape kind: {self.kind}")
 
 
 @dataclass
@@ -70,8 +61,9 @@ class SceneSpec:
         for name in ("height", "width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.window_ms > 0:
-            raise ValueError("window_ms must be > 0")
+        if not 0 < self.window_ms < np.inf:
+            raise ValueError(f"window_ms must be finite and > 0, "
+                             f"got {self.window_ms}")
         if not self.threshold > 0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
         _check_level("background", self.background)
@@ -80,34 +72,77 @@ class SceneSpec:
                              f"got {self.noise_rate}")
 
 
-def _render_plane(spec: SceneSpec, t_ms: float, out: np.ndarray) -> None:
-    """Rasterize the scene's (H, W) intensity plane at time t into out."""
+def _span(inside: np.ndarray) -> slice:
+    """The slice from the first to the last column of the (T, n) `inside`
+    that holds at some step."""
+    hit = np.flatnonzero(inside.any(axis=0))
+    return slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
+
+
+def _swept_footprints(shape: Shape, H: int, W: int, ts: np.ndarray):
+    """The shape's footprints at the times ts, inside its swept box.
+
+    Returns the box, (rows, cols) slices of the (H, W) grid, and the
+    (len(ts), rows, cols) footprints in it; each pixel is tested in the
+    arithmetic of a full-grid test. The box spans every row and column
+    that passes its own axis test at some time: a rectangle's test is
+    the AND of its two axis tests, and a disk's sum of two squares is no
+    smaller than either square, so no pixel outside the box is inside.
+    """
+    cx = (shape.position[0] + shape.velocity[0] * ts)[:, None]
+    cy = (shape.position[1] + shape.velocity[1] * ts)[:, None]
+    xs, ys = np.arange(W), np.arange(H)
+    if shape.kind == "rectangle":
+        w, h = shape.size
+        in_x = np.abs(xs - cx) <= w / 2.0
+        in_y = np.abs(ys - cy) <= h / 2.0
+        rows, cols = _span(in_y), _span(in_x)
+        return (rows, cols), in_y[:, rows, None] & in_x[:, None, cols]
+    if shape.kind == "disk":
+        rr = shape.size[0] * shape.size[0]
+        dx2, dy2 = (xs - cx) ** 2, (ys - cy) ** 2
+        rows, cols = _span(dy2 <= rr), _span(dx2 <= rr)
+        return (rows, cols), dx2[:, None, cols] + dy2[:, rows, None] <= rr
+    raise ValueError(f"unknown shape kind: {shape.kind}")
+
+
+def _paint(spec: SceneSpec, ts: np.ndarray, values: np.ndarray):
+    """The (len(ts), H, W) planes at the times ts: values[0] everywhere,
+    shape i's footprint painted values[i + 1], later shapes on top."""
+    planes = np.full((len(ts), spec.height, spec.width), values[0])
+    for shape, value in zip(spec.shapes, values[1:]):
+        (rows, cols), fp = _swept_footprints(shape, spec.height, spec.width,
+                                             ts)
+        planes[:, rows, cols][fp] = value
+    return planes
+
+
+def _frame(spec: SceneSpec, t_ms: float, values: np.ndarray) -> np.ndarray:
+    """The (H, W) plane _paint makes at time t."""
     if not 0.0 <= t_ms <= spec.window_ms:
         raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
-    out.fill(spec.background)
-    for shape in spec.shapes:
-        out[shape.footprint(spec.height, spec.width, t_ms)] = shape.intensity
+    return _paint(spec, np.array([t_ms], dtype=np.float64), values)[0]
+
+
+def _levels(spec: SceneSpec) -> np.ndarray:
+    """The background's intensity, then each shape's."""
+    return np.array([spec.background] + [s.intensity for s in spec.shapes],
+                    dtype=np.float64)
 
 
 def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
     """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
-    frame = np.empty((spec.height, spec.width))
-    _render_plane(spec, t_ms, frame)
+    frame = _frame(spec, t_ms, _levels(spec))
     return np.repeat(frame[:, :, None], 3, axis=2)
 
 
 def ground_truth_masks(spec: SceneSpec, t_ms: float) -> MaskSet:
     """One mask per shape at time t; later shapes occlude earlier ones."""
-    if not 0.0 <= t_ms <= spec.window_ms:
-        raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
-    footprints = [s.footprint(spec.height, spec.width, t_ms)
-                  for s in spec.shapes]
+    top = _frame(spec, t_ms, np.arange(-1, len(spec.shapes)))
     masks = []
     ids = []
-    for i, fp in enumerate(footprints):
-        vis = fp.copy()
-        for above in footprints[i + 1:]:
-            vis &= ~above
+    for i in range(len(spec.shapes)):
+        vis = top == i
         if vis.any():
             masks.append(vis)
             ids.append(i)
@@ -119,28 +154,43 @@ def _threshold_crossings(logI: np.ndarray, step_ms: float, theta: float):
 
     Each pixel emits whenever its log-intensity sits a full threshold
     away from the level at its last event, at the linearly interpolated
-    crossing time inside the step. Vectorized over pixels, looping over
-    steps and then over the pixels that still cross. Returns (t, x, y, p)
-    int64 arrays, each pixel's events in emission order.
+    crossing time inside the step. Every step ends with each pixel
+    within one threshold of its level, so only a step that changes a
+    pixel can make it cross. Round j takes each pixel's j-th change,
+    vectorized over pixels, and loops over the pixels that still cross.
+    Returns (t, x, y, p) int64 arrays, each pixel's events in emission
+    order.
     """
     T, H, W = logI.shape
-    flat = logI.reshape(T, H * W)
-    ref = flat[0].copy()
+    n = H * W
+    flat = logI.reshape(T * n)
+    ref = flat[:n].copy()
+    # the flat index (k - 1) * n + pixel of each change from step k - 1
+    # to k, by pixel and then by step; at: each live pixel's next change
+    q = np.flatnonzero(flat[n:] != flat[:-n])
+    q = q[np.argsort(q % n, kind="stable")]
+    q_pix = q % n
+    at = np.flatnonzero(np.diff(q_pix, prepend=-1))
+    end = np.append(at[1:], q.size)
     none = np.empty(0, dtype=np.int64)
     out = [(none, none, none)]
-    for k in range(1, T):
-        prev, cur = flat[k - 1], flat[k]
-        idx = np.flatnonzero(np.abs(cur - ref) >= theta)
+    while at.size:
+        idx, pix = q[at], q_pix[at]
+        keep = np.abs(flat[idx + n] - ref[pix]) >= theta
+        idx, pix = idx[keep], pix[keep]
         while idx.size:
-            c, pv = cur[idx], prev[idx]
-            pol = np.where(c - ref[idx] >= theta, 1, -1)
-            target = ref[idx] + np.where(pol == 1, theta, -theta)
-            # c != pv: every step starts within one threshold of the
-            # level, so a pixel that crosses has moved in this step
+            c, pv = flat[idx + n], flat[idx]
+            pol = np.where(c - ref[pix] >= theta, 1, -1)
+            target = ref[pix] + np.where(pol == 1, theta, -theta)
+            # c != pv: the pixel changed in this step
             frac = np.clip((target - pv) / (c - pv), 0.0, 1.0)
-            out.append((((k - 1) + frac) * step_ms * 1000.0, idx, pol))
-            ref[idx] = target
-            idx = idx[np.abs(c - target) >= theta]
+            out.append(((idx // n + frac) * step_ms * 1000.0, pix, pol))
+            ref[pix] = target
+            keep = np.abs(c - target) >= theta
+            idx, pix = idx[keep], pix[keep]
+        at += 1
+        live = at < end
+        at, end = at[live], end[live]
     t, pix, p = (np.concatenate(a) for a in zip(*out))
     return t.astype(np.int64), pix % W, pix // W, p
 
@@ -151,16 +201,13 @@ def generate_events(spec: SceneSpec) -> EventStream:
     # threshold <= 0 or an infinite log level would never stop emitting
     if not spec.threshold > 0:
         raise ValueError(f"threshold must be > 0, got {spec.threshold}")
-    levels = [spec.background] + [s.intensity for s in spec.shapes]
-    if not all(-1.0 < v < np.inf for v in levels):
+    levels = _levels(spec)
+    if not np.all((-1.0 < levels) & (levels < np.inf)):
         raise ValueError("scene intensities must be finite and above -1")
     n_steps = int(spec.window_ms // SIM_STEP_MS) + 1
     H, W = spec.height, spec.width
-    logI = np.empty((n_steps, H, W))
-    for k, plane in enumerate(logI):
-        _render_plane(spec, k * SIM_STEP_MS, plane)
-        plane += 1.0
-        np.log(plane, out=plane)
+    logI = _paint(spec, np.arange(n_steps) * SIM_STEP_MS,
+                  np.log(levels + 1.0))
     ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)
     if spec.noise_rate > 0:
         rng = np.random.default_rng(spec.seed)
@@ -172,6 +219,8 @@ def generate_events(spec: SceneSpec) -> EventStream:
                         rng.choice([-1, 1]))
         ts, xs, ys, ps = (np.concatenate([a, noise[:, j]])
                           for j, a in enumerate((ts, xs, ys, ps)))
-    # stable, so each pixel keeps its own emission order
-    order = np.lexsort((xs, ys, ts))
+    # sort on one int64 key (t, y, x); t <= 1000 window_ms, so the key
+    # is under 1001 times logI's cell count and cannot overflow. Stable,
+    # so each pixel keeps its own emission order
+    order = np.argsort((ts * H + ys) * W + xs, kind="stable")
     return EventStream(ts[order], xs[order], ys[order], ps[order])

@@ -390,6 +390,8 @@ class TestErrorHandling:
          "scene.noise_rate must be finite and >= 0, got -0.1"),
         ({"background": -1.0},
          "scene.background must be finite and above -1, got -1.0"),
+        ({"window_ms": float("inf")},
+         "scene.window_ms must be finite and > 0, got inf"),
         ({"shapes": [{"kind": "triangle", "position": [4, 4],
                       "size": [2, 2]}]},
          "scene.shapes[0].kind must be one of rectangle, disk, "
@@ -397,7 +399,17 @@ class TestErrorHandling:
         ({"shapes": [{"kind": "disk", "position": [4, 4], "size": [2, 2],
                       "intensity": -2}]},
          "scene.shapes[0].intensity must be finite and above -1, got -2.0"),
-    ], ids=["threshold", "noise_rate", "background", "kind", "intensity"])
+        ({"shapes": [{"kind": "disk", "position": [float("nan"), 4.0],
+                      "size": [2, 2]}]},
+         "scene.shapes[0].position must be finite, got (nan, 4.0)"),
+        ({"shapes": [{"kind": "rectangle", "position": [4, 4],
+                      "size": [float("inf"), 3.0]}]},
+         "scene.shapes[0].size must be finite, got (inf, 3.0)"),
+        ({"shapes": [{"kind": "disk", "position": [4, 4], "size": [2, 2],
+                      "velocity": [0.1, -float("inf")]}]},
+         "scene.shapes[0].velocity must be finite, got (0.1, -inf)"),
+    ], ids=["threshold", "noise_rate", "background", "window_ms", "kind",
+            "intensity", "position", "size", "velocity"])
     def test_bad_scene_rejected_at_load(self, tmp_path, capsys, cmd, scene,
                                         message):
         doc = copy.deepcopy(TINY_DOC)

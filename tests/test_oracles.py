@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from evadapt import (cli, distill, encoder, io, metrics, significance, synth,
-                     trainer)
+from evadapt import (autodiff, cli, distill, encoder, io, metrics,
+                     significance, synth, trainer)
 from evadapt.autodiff import Tensor
 from evadapt.events import (EventFormatError, EventStream, read_events,
                             voxelize, write_events)
@@ -67,13 +67,48 @@ def ref_threshold_crossings(logI, step_ms, theta):
     return out
 
 
+def ref_footprint(shape, H, W, t_ms):
+    """The shape's (H, W) footprint at time t, tested over the full grid."""
+    cx = shape.position[0] + shape.velocity[0] * t_ms
+    cy = shape.position[1] + shape.velocity[1] * t_ms
+    ys, xs = np.arange(H)[:, None], np.arange(W)
+    if shape.kind == "rectangle":
+        w, h = shape.size
+        return (np.abs(xs - cx) <= w / 2.0) & (np.abs(ys - cy) <= h / 2.0)
+    r = shape.size[0]
+    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+
+
+def ref_render_plane(spec, t_ms):
+    plane = np.full((spec.height, spec.width), spec.background,
+                    dtype=np.float64)
+    for shape in spec.shapes:
+        plane[ref_footprint(shape, spec.height, spec.width, t_ms)] = \
+            shape.intensity
+    return plane
+
+
+def ref_ground_truth_masks(spec, t_ms):
+    """(id, visible mask) of each shape with a visible cell at time t: a
+    shape's footprint less those of the shapes after it."""
+    fps = [ref_footprint(s, spec.height, spec.width, t_ms)
+           for s in spec.shapes]
+    out = []
+    for i, fp in enumerate(fps):
+        vis = fp.copy()
+        for above in fps[i + 1:]:
+            vis &= ~above
+        if vis.any():
+            out.append((i, vis))
+    return out
+
+
 def ref_generate_events(spec):
     n_steps = int(round(spec.window_ms / synth.SIM_STEP_MS)) + 1
     H, W = spec.height, spec.width
     logI = np.empty((n_steps, H, W))
     for k in range(n_steps):
-        frame = synth.render_frame(spec, k * synth.SIM_STEP_MS)
-        logI[k] = np.log(frame[:, :, 0] + 1.0)
+        logI[k] = np.log(ref_render_plane(spec, k * synth.SIM_STEP_MS) + 1.0)
     events = ref_threshold_crossings(logI, synth.SIM_STEP_MS, spec.threshold)
     if spec.noise_rate > 0:
         rng = np.random.default_rng(spec.seed)
@@ -299,8 +334,8 @@ def stream_of(rows):
 # -- strategies ----------------------------------------------------------------
 
 # a few shared levels give flat steps (cur == prev) and jumps of several
-# thresholds inside one step
-LEVELS = [0.0, 0.05, 0.15, 0.3, 0.45, 0.7, 1.0, -0.2]
+# thresholds inside one step; -0.0 equals 0.0 in a different bit pattern
+LEVELS = [0.0, 0.05, 0.15, 0.3, 0.45, 0.7, 1.0, -0.2, -0.0]
 
 
 @st.composite
@@ -315,6 +350,23 @@ def log_sequences(draw):
 
 
 @st.composite
+def scene_shapes(draw, i, size):
+    """Shape i of a size x size scene: it may start off the grid, leave
+    it, cross it within a step or two, or have a zero or negative size."""
+    extent = st.one_of(st.floats(-2.0, size / 2),
+                       st.sampled_from([0.0, -0.0]))
+    speed = st.one_of(st.floats(-0.5, 0.5),
+                      st.floats(-2.0 * size, 2.0 * size))
+    return synth.Shape(
+        kind="rectangle" if i % 2 == 0 else "disk",
+        position=(draw(st.floats(-size, 2 * size)),
+                  draw(st.floats(-size, 2 * size))),
+        size=(draw(extent), draw(extent)),
+        velocity=(draw(speed), draw(speed)),
+        intensity=draw(st.floats(0.0, 3.0)))
+
+
+@st.composite
 def scenes(draw):
     size = draw(st.integers(4, 14))
     spec = synth.SceneSpec(
@@ -324,12 +376,7 @@ def scenes(draw):
         noise_rate=draw(st.sampled_from([0.0, 0.02])),
         seed=draw(st.integers(0, 100)))
     for i in range(draw(st.integers(0, 3))):
-        spec.shapes.append(synth.Shape(
-            kind="rectangle" if i % 2 == 0 else "disk",
-            position=(draw(st.floats(0, size)), draw(st.floats(0, size))),
-            size=(draw(st.floats(1, size / 2)), draw(st.floats(1, size / 2))),
-            velocity=(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),
-            intensity=draw(st.floats(0.0, 3.0))))
+        spec.shapes.append(draw(scene_shapes(i, size)))
     return spec
 
 
@@ -374,6 +421,46 @@ class TestThresholdCrossings:
                                 (0.8, -0.4), 1.0),
                     synth.Shape("disk", (70.0, 70.0), (20.0, 0.0),
                                 (-0.6, 0.5), 0.6)])
+        assert synth.generate_events(spec) == stream_of(
+            ref_generate_events(spec))
+
+
+class TestSceneRender:
+    @staticmethod
+    def assert_matches_full_grid(spec, t):
+        want = ref_render_plane(spec, t)
+        frame = synth.render_frame(spec, t)
+        assert frame.dtype == np.float64
+        assert np.array_equal(frame, np.repeat(want[:, :, None], 3, axis=2))
+        got = synth.ground_truth_masks(spec, t)
+        want = ref_ground_truth_masks(spec, t)
+        assert got.ids == [i for i, _ in want]
+        assert all(np.array_equal(a, b)
+                   for a, (_, b) in zip(got.masks, want, strict=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenes(), st.floats(0.0, 1.0))
+    def test_frame_and_masks_match_full_grid(self, spec, at):
+        self.assert_matches_full_grid(spec, spec.window_ms * at)
+
+    @pytest.mark.parametrize("kind", synth.KINDS)
+    @pytest.mark.parametrize("position, size, velocity", [
+        ((-6.0, 5.0), (4.0, 3.0), (1.5, 0.0)),     # enters from the left
+        ((5.0, 5.0), (4.0, 4.0), (0.0, -2.5)),     # leaves at the top
+        ((-10.0, 12.0), (3.0, 3.0), (7.0, -3.0)),  # crosses in 3 steps
+        ((5.0, 5.0), (0.0, 0.0), (0.3, 0.0)),
+        ((5.0, 5.0), (-0.0, 2.0), (0.0, 0.0)),
+        ((5.5, 4.0), (-3.0, -2.0), (0.25, 0.5)),
+    ])
+    def test_edge_shapes_match_full_grid(self, kind, position, size,
+                                         velocity):
+        spec = synth.SceneSpec(
+            height=10, width=12, window_ms=8.0, threshold=0.15,
+            shapes=[synth.Shape("rectangle", (6.0, 5.0), (5.0, 5.0),
+                                (0.2, 0.0), 0.5),
+                    synth.Shape(kind, position, size, velocity, 1.0)])
+        for k in range(9):
+            self.assert_matches_full_grid(spec, float(k))
         assert synth.generate_events(spec) == stream_of(
             ref_generate_events(spec))
 
@@ -920,6 +1007,20 @@ class TestStackedStep:
         assert history == want[0]
         assert {n: a.tobytes() for n, a in params.items()} == \
             {n: a.tobytes() for n, a in want[1].items()}
+
+
+# -- layer norm ---------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(32, 16), (256, 32), (512, 192)])
+def test_layernorm_matches_mean_form(shape):
+    """The reduce-and-divide means equal ndarray.mean's, bit for bit."""
+    rng = np.random.default_rng(shape[1])
+    x, gain, bias = (rng.standard_normal(s) * 3.0 + 1.0
+                     for s in (shape, shape[1:], shape[1:]))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    want = (x - mu) * (1.0 / np.sqrt(var + 1e-6)) * gain + bias
+    assert np.array_equal(autodiff.layernorm(x, gain, bias).data, want)
 
 
 # -- flat Adam and the dataset-order teacher cache ----------------------------

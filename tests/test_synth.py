@@ -49,6 +49,16 @@ class TestRenderFrame:
         with pytest.raises(ValueError, match="shape kind"):
             render_frame(spec, 0.0)
 
+    @pytest.mark.parametrize("field", ["position", "size", "velocity"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_geometry_rejected(self, field, bad):
+        kw = dict(kind="rectangle", position=(4.0, 4.0), size=(2.0, 2.0),
+                  velocity=(0.0, 0.0))
+        kw[field] = (bad, 3.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Shape(**kw)
+
     def test_disk_footprint(self):
         spec = simple_scene(shapes=[Shape(kind="disk", position=(8.0, 8.0),
                                           size=(3.0, 0.0))])
@@ -155,6 +165,13 @@ class TestGenerateEvents:
         spec.threshold = theta
         with pytest.raises(ValueError, match="threshold"):
             generate_events(spec)
+
+    @pytest.mark.parametrize("window_ms", [0.0, -1.0, float("inf"),
+                                           float("nan")])
+    def test_window_must_be_finite_and_positive(self, window_ms):
+        with pytest.raises(ValueError,
+                           match="window_ms must be finite and > 0"):
+            simple_scene(window_ms=window_ms)
 
     @pytest.mark.parametrize("level", [float("inf"), -1.0])
     def test_infinite_log_intensity_rejected(self, level):
