@@ -211,12 +211,17 @@ def _aggregate(reports: list[MetricsReport]) -> dict:
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_train(args) -> int:
-    doc, run = load_run(args.config)
-    seed, config, plan = run.seed, run.model, run.plan
-    if run.scene.height != config.img_size or \
-            run.scene.width != config.img_size:
+def _load_model_run(path) -> tuple[dict, RunConfig]:
+    """load_run, for the commands whose model sees the scene's frames."""
+    doc, run = load_run(path)
+    if not run.scene.height == run.scene.width == run.model.img_size:
         raise ConfigError("scene.height/width must equal model.img_size")
+    return doc, run
+
+
+def cmd_train(args) -> int:
+    doc, run = _load_model_run(args.config)
+    seed, config, plan = run.seed, run.model, run.plan
     # not a RunConfig check: distill.layers defaults to ViT-B's depth
     deep = [s for s in run.distill.layers if s > config.depth]
     if deep:
@@ -255,7 +260,7 @@ def cmd_eval(args) -> int:
         print("eval: need --checkpoint with --config, or --gt-dir with "
               "--pred-dir", file=sys.stderr)
         return 2
-    doc, run = load_run(args.config)
+    doc, run = _load_model_run(args.config)
     state, meta, extra = load_checkpoint(args.checkpoint)
     if run.model != state.params.config:
         raise ConfigError("config/checkpoint model shapes differ")

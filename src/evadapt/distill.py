@@ -33,7 +33,9 @@ class DistillConfig:
 
     def __post_init__(self):
         if self.attention_source not in ATTENTION_SOURCES:
-            raise ValueError(f"unknown attention source: {self.attention_source}")
+            raise ValueError(f"attention_source must name an attention "
+                             f"source of {', '.join(ATTENTION_SOURCES)}, "
+                             f"got {self.attention_source!r}")
         if not self.layers:
             raise ValueError("layers must name at least one layer")
         if any(s < 0 for s in self.layers):
@@ -52,8 +54,8 @@ class DistillConfig:
         nonzero = [s for s in self.layers if s != 0]
         if len(self.gammas) != len(nonzero):
             raise ValueError(
-                f"{len(nonzero)} nonzero layers need {len(nonzero)} gammas, "
-                f"got {len(self.gammas)}")
+                f"gammas must hold {len(nonzero)} values, one per nonzero "
+                f"layer, got {len(self.gammas)}")
 
     def gamma_for(self, layer: int) -> float:
         if layer == 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 DEFAULT_BINS = 3
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class EventFormatError(ValueError):
@@ -141,26 +141,10 @@ _HEADER_RE = re.compile(r"#\s*H=(\d+)\s+W=(\d+)")
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _parse_ints(fields: list[str]):
-    """int() of each field as int64, up to the first field that int()
-    rejects or that does not fit in int64, whichever is on the earlier
-    line (int() first on a tie). Returns (values, index of that field or
-    None, what is wrong with it)."""
-    vals = []
-    stop = what = None
-    try:
-        # extend keeps what map yielded before int() raised
-        vals.extend(map(int, fields))
-    except ValueError:
-        stop, what = len(vals), "non-integer field"
-    try:
-        return np.array(vals, dtype=np.int64), stop, what
-    except OverflowError:
-        v = np.array(vals, dtype=object)
-        i = int(np.argmax((v < _INT64.min) | (v > _INT64.max)))
-        if stop is None or i // 4 < stop // 4:
-            stop, what = i, "integer field out of int64 range"
-        return np.array(vals[:i], dtype=np.int64), stop, what
+def _header(line: str) -> tuple[int, int] | None:
+    """(H, W) of a "# H=<int> W=<int>" comment line, or None."""
+    m = _HEADER_RE.search(line)
+    return (int(m.group(1)), int(m.group(2))) if m else None
 
 
 def _c_ints(text: str, rows: list[str]):
@@ -185,16 +169,57 @@ def _c_ints(text: str, rows: list[str]):
     return table.ravel() if table.shape == (len(rows), 4) else None
 
 
+def _read_lines(lines: list[str]):
+    """(stream, dims) of the stripped lines, read one line at a time as
+    the format is specified: the first bad line raises, naming the first
+    check it fails in the order header, field count, integer fields, int64
+    range, polarity, sign, order, bounds."""
+    rows, dims, last_t = [], None, 0
+    for no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                header = _header(line)
+                if header and (rows or dims is not None):
+                    raise EventFormatError("a second header, or a header "
+                                           "after the first event")
+                dims = header or dims
+                continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise EventFormatError("expected 't,x,y,p'")
+            try:
+                t, x, y, p = map(int, fields)
+            except ValueError:
+                raise EventFormatError("non-integer field") from None
+            if min(t, x, y, p) < _INT64_MIN or max(t, x, y, p) > _INT64_MAX:
+                raise EventFormatError("integer field out of int64 range")
+            if p not in (0, 1):
+                raise EventFormatError("polarity must be 0 or 1")
+            if t < 0:
+                raise EventFormatError("negative timestamp")
+            if t < last_t:
+                raise EventFormatError(f"decreasing timestamp {t} < {last_t}")
+            if dims is not None and not (0 <= x < dims[1]
+                                         and 0 <= y < dims[0]):
+                raise EventFormatError(f"coordinates ({x},{y}) out of bounds")
+        except EventFormatError as e:
+            raise EventFormatError(f"line {no}: {e}") from None
+        rows.append((t, x, y, p))
+        last_t = t
+    t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return EventStream(t, x, y, 2 * p - 1), dims
+
+
 def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     """Parse an event text file; returns (stream, (H, W) or None).
 
-    Verifies nondecreasing timestamps and, when the header declares
-    dimensions, coordinate bounds. Errors report the 1-based line number
-    of the first bad line, and for that line the first failing check in
-    the order: field count, integer fields, polarity, sign, order, bounds.
-    The data rows go through numpy's C reader; a file it refuses goes
-    through int() per field, so what is accepted, and every error, is
-    the same as int() alone gives.
+    A file whose rows numpy's C reader takes whole is returned from there
+    when whole-array checks pass: at most one header, before the first
+    event, and every row valid. Every other file goes to `_read_lines`,
+    the format's specification, so the files accepted, their values and
+    every error are its own.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -206,66 +231,21 @@ def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     hashed = np.fromiter(map(str.startswith, lines, repeat("#")), dtype=bool,
                          count=n)
     data = np.fromiter(map(bool, lines), dtype=bool, count=n) & ~hashed
-    data_no = np.flatnonzero(data) + 1
-    rows = list(compress(lines, data))
-
-    # (line number, check rank, what failed) of the first failure of each
-    # check; a line reports the first check it fails, in the order below
-    errors = []
-
-    def first(mask, line_no, what):
-        hit = np.flatnonzero(mask)
-        if hit.size:
-            i = int(hit[0])
-            errors.append((int(line_no[i]), len(errors),
-                           what(i) if callable(what) else what))
-
-    matches = list(map(_HEADER_RE.search, compress(lines, hashed)))
-    header_no = np.flatnonzero(hashed)[np.fromiter(
-        map(bool, matches), dtype=bool, count=len(matches))] + 1
-    dims = None
-    if header_no.size:
-        h = next(filter(None, matches))
-        dims = (int(h.group(1)), int(h.group(2)))
-        late = np.arange(header_no.size) > 0
-        if data_no.size:
-            late |= header_no > data_no[0]
-        first(late, header_no,
-              "a second header, or a header after the first event")
-
-    # numpy's C reader takes a well-formed file; int() per field reads any
-    # other, and finds its first bad line
-    vals = _c_ints(text, rows)
-    stop, line_no = None, data_no
+    vals = _c_ints(text, list(compress(lines, data)))
     if vals is None:
-        four = np.fromiter(map(str.count, rows, repeat(",")),
-                           dtype=np.int64, count=len(rows)) == 3
-        first(~four, data_no, "expected 't,x,y,p'")
-        line_no = data_no[four]
-        vals, stop, what = _parse_ints(
-            ",".join(compress(rows, four)).split(",") if four.any() else [])
-    parsed = vals.size // 4
-    if stop is not None:
-        # the line holding the bad field fails here, and no later line
-        # can fail first: only the lines before it go on to the checks
-        parsed = stop // 4
-        errors.append((int(line_no[parsed]), len(errors), what))
-    t, x, y, p = vals[:4 * parsed].reshape(-1, 4).T
-    line_no = line_no[:parsed]
-    first((p != 0) & (p != 1), line_no, "polarity must be 0 or 1")
-    first(t < 0, line_no, "negative timestamp")
-    first(np.r_[False, t[1:] < t[:-1]], line_no,
-          lambda i: f"decreasing timestamp {t[i]} < {t[i - 1]}")
-    if dims is not None:
+        return _read_lines(lines)
+    t, x, y, p = vals.reshape(-1, 4).T
+    heads = [i for i in np.flatnonzero(hashed).tolist() if _header(lines[i])]
+    dims = _header(lines[heads[0]]) if heads else None
+    ok = (len(heads) <= 1 and all(i < np.argmax(data) for i in heads)
+          and ((p == 0) | (p == 1)).all() and (t >= 0).all()
+          and (t[1:] >= t[:-1]).all())
+    if ok and dims is not None:
         H, W = dims
-        out = (line_no > header_no[0]) & ((x < 0) | (x >= W)
-                                          | (y < 0) | (y >= H))
-        first(out, line_no,
-              lambda i: f"coordinates ({x[i]},{y[i]}) out of bounds")
-    if errors:
-        lineno, _, what = min(errors)
-        raise EventFormatError(f"line {lineno}: {what}")
-    return EventStream(t, x, y, 2 * p - 1), dims
+        ok = ((x >= 0) & (x < W) & (y >= 0) & (y < H)).all()
+    if ok:
+        return EventStream(t, x, y, 2 * p - 1), dims
+    return _read_lines(lines)
 
 
 def write_events(path, stream: EventStream,

@@ -53,7 +53,8 @@ class TrainConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.decay_epoch > self.epochs:
-            raise ValueError("decay epoch must not exceed epochs")
+            raise ValueError(f"decay_epoch must not exceed epochs "
+                             f"({self.epochs}), got {self.decay_epoch}")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:

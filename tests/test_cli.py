@@ -367,6 +367,14 @@ class TestErrorHandling:
         ("train.seed", -1, "train.seed must be >= 0"),
         ("train.decay_epoch", 0, "train.decay_epoch must be >= 1"),
         ("train.decay_epoch", -3, "train.decay_epoch must be >= 1"),
+        # these three named their section only: "distill: unknown ..."
+        ("distill.attention_source", "teachr",
+         "distill.attention_source must name an attention source of "
+         "teacher, student, teacher_single_layer, uniform, got 'teachr'"),
+        ("distill.gammas", [0.5],
+         "distill.gammas must hold 2 values, one per nonzero layer, got 1"),
+        ("train.decay_epoch", 3,
+         "train.decay_epoch must not exceed epochs (1), got 3"),
     ])
     def test_out_of_range_rejected_at_load(self, tmp_path, capsys, key,
                                            value, message):
@@ -420,6 +428,23 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_scene_must_fit_model_before_any_file(self, tmp_path, capsys,
+                                                  cmd):
+        # eval used to read the checkpoint first and then fail on a frame
+        # with "input shape (16, 16, 3) does not match config"
+        doc = copy.deepcopy(TINY_DOC)
+        doc["scene"]["height"] = 16
+        p = tmp_path / "scene.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        argv = [cmd, "--config", str(p)]
+        argv += (["--out", str(tmp_path / "run")] if cmd == "train" else
+                 ["--checkpoint", str(tmp_path / "missing.evdt")])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: scene.height/width must equal model.img_size\n"
+        assert not (tmp_path / "run").exists()
 
     def test_synth_empty_scene_rejected(self, tmp_path, capsys):
         p = tmp_path / "empty.yaml"

@@ -290,17 +290,17 @@ class TestTextFormatFuzz:
 class TestEventReaders:
     def test_well_formed_file_skips_int_per_field(self, tmp_path,
                                                   monkeypatch):
-        # numpy's C reader takes it whole: int() per field never runs
+        # numpy's C reader takes it whole: the line reader never runs
         spec = synth.SceneSpec(noise_rate=0.01, seed=1, shapes=[synth.Shape(
             "disk", (9.0, 12.0), (5.0, 0.0), (0.5, 0.2))])
         stream = synth.generate_events(spec)
         p = tmp_path / "e.txt"
         write_events(p, stream, dims=(32, 32))
 
-        def refuse(fields):
-            raise AssertionError("int() per field ran")
+        def refuse(lines):
+            raise AssertionError("the line reader ran")
 
-        monkeypatch.setattr("evadapt.events._parse_ints", refuse)
+        monkeypatch.setattr("evadapt.events._read_lines", refuse)
         assert len(stream) > 100
         assert read_events(p) == (stream, (32, 32))
 

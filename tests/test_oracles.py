@@ -20,12 +20,13 @@ import os
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from evadapt import (autodiff, cli, distill, encoder, io, metrics,
+from evadapt import (autodiff, cli, distill, encoder, events, io, metrics,
                      significance, synth, trainer)
 from evadapt.autodiff import Tensor
 from evadapt.events import (EventFormatError, EventStream, read_events,
@@ -540,6 +541,29 @@ _EDGE_FIELDS = st.one_of(
               c=st.sampled_from(_PADS), d2=st.sampled_from(["", "7"])))
 
 
+@st.composite
+def _ascii_event_files(draw):
+    """Event text a writer might leave: rows, mostly time-sorted, among
+    comments, blank lines, padding and CRLF, with 4 x 4 headers anywhere,
+    so a row can go back in time, before 0 or outside the header, or the
+    header come late or twice."""
+    rows = draw(st.lists(st.tuples(st.integers(-1, 99), st.integers(-1, 4),
+                                   st.integers(-1, 4), st.integers(0, 1)),
+                         min_size=1, max_size=8))
+    if draw(st.integers(0, 3)):
+        rows.sort()
+    lines = [",".join(map(str, r)) for r in rows]
+    if draw(st.booleans()):
+        lines.insert(0, "# H=4 W=4")
+    for extra in draw(st.lists(st.sampled_from(
+            ["", "  ", "#", "# note", "# H=4 W=4", "# H=5 W=3"]),
+            max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(pad + line + pad for line in lines) + eol
+
+
 class TestEventText:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -606,6 +630,55 @@ class TestEventText:
                          dims=(24, 24))
         assert new.read_bytes() == ref.read_bytes()
         assert read_events(new) == (stream, (24, 24))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_ascii_event_files())
+    def test_fast_path_reads_as_line_reader(self, tmp_path, text):
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode())
+        with mock.patch.object(events, "_read_lines",
+                               wraps=events._read_lines) as line_reader:
+            got = read_outcome(read_events, p)
+        if not line_reader.called:
+            lines = [s.strip() for s in text.split("\n")]
+            assert got == events._read_lines(lines)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: ls + ["5,1,1,0"], "line 6: decreasing timestamp 5 < 40"),
+        (lambda ls: ls[:3] + ["20,1,1,2"] + ls[3:],
+         "line 4: polarity must be 0 or 1"),
+        (lambda ls: ls[:3] + ["20,1,4,0"] + ls[3:],
+         "line 4: coordinates (1,4) out of bounds"),
+        (lambda ls: ls[1:3] + ls[:1] + ls[3:],
+         "line 3: a second header, or a header after the first event"),
+        (lambda ls: ls[:1] + ["# H=8 W=8"] + ls[1:],
+         "line 2: a second header, or a header after the first event"),
+    ], ids=["decreasing", "polarity", "bounds", "late-header",
+            "second-header"])
+    def test_array_check_fault_reads_as_reference(self, tmp_path, edit,
+                                                  message):
+        # every row is ASCII integers, so numpy's C reader takes the file
+        # and only the whole-array checks can refuse it
+        p = tmp_path / "e.txt"
+        write_events(p, EventStream(np.array([10, 20, 30, 40]),
+                                    np.array([0, 1, 2, 3]),
+                                    np.array([3, 2, 1, 0]),
+                                    np.array([1, -1, 1, -1])), dims=(4, 4))
+        lines = edit(p.read_text(encoding="utf-8").splitlines())
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert events._c_ints(p.read_text(encoding="utf-8"),
+                              [s for s in lines if s[0] != "#"]) is not None
+        assert read_outcome(read_events, p) == message
+        assert read_outcome(ref_read_events, p) == message
+
+    @pytest.mark.parametrize("row", ["x,99999999999999999999,1,1",
+                                     "99999999999999999999,x,1,1"])
+    def test_non_integer_before_out_of_range(self, tmp_path, row):
+        p = tmp_path / "e.txt"
+        p.write_text(f"1,1,1,1\n{row}\n", encoding="utf-8")
+        assert read_outcome(read_events, p) == "line 2: non-integer field"
+        assert read_outcome(ref_read_events, p) == "line 2: non-integer field"
 
 
 # -- masks -------------------------------------------------------------------
