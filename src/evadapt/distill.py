@@ -90,43 +90,29 @@ def mix_tokens(event_tokens: Tensor, image_tokens: Tensor,
     return where_rows(mask.reshape(-1), image_tokens, event_tokens)
 
 
-def stack_weights(per_sample: list[list[np.ndarray | None]]
-                  ) -> list[np.ndarray | None]:
-    """Samples' layer weights as the weights of their stacked rows."""
-    return [None if ws[0] is None else np.concatenate(ws)
-            for ws in zip(*per_sample)]
-
-
 def layer_weights(cfg: DistillConfig,
-                  capture: EmbeddingCapture) -> list[np.ndarray | None]:
+                  attentions: list[np.ndarray]) -> list[np.ndarray | None]:
     """Significance weights of cfg.layers, in order; None weighs a layer
-    uniformly. `capture` is the network whose attention is rolled out: the
-    teacher's, or the student's under the "student" source. A stacked
-    capture rolls out each sample's maps and stacks the weights."""
+    uniformly. `attentions` are the maps of the network whose attention
+    is rolled out: the teacher's, or the student's under the "student"
+    source. Maps of m stacked samples, each (m, k, k), give each layer's
+    (m·k,) weights of the stacked rows in one rollout."""
     if cfg.attention_source == "uniform":
         return [None] * len(cfg.layers)
-    if capture.samples > 1:
-        return stack_weights([
-            _sample_weights(cfg, [a[i] for a in capture.attentions])
-            for i in range(capture.samples)])
-    return _sample_weights(cfg, capture.attentions)
-
-
-def _sample_weights(cfg: DistillConfig, attns: list[np.ndarray]):
-    """layer_weights of one sample's (k, k) attention maps."""
+    n = len(attentions)
     if cfg.attention_source == "teacher_single_layer":
         # layer 0..n-1 indexes attention of the block leaving that layer;
-        # the terminal layer falls back to its own incoming attention,
-        # the one layer n-1 rolls out, so each map is rolled out once
-        at = {layer: min(layer, len(attns) - 1) for layer in cfg.layers}
-        sig = {i: token_significance(transition_stack([attns[i]]), 1,
-                                     cfg.beta).values
-               for i in sorted({at[layer] for layer in cfg.layers if layer})}
-        return [None if layer == 0 else sig[at[layer]] for layer in cfg.layers]
-    stack = transition_stack(attns)
-    # rolling out from the terminal layer is an empty product: uniform
-    return [None if layer == 0 or layer >= len(stack) else token_significance(
-                stack, layer + 1, cfg.beta, horizon=cfg.rollout_horizon).values
+        # the terminal layer falls back to its own incoming attention
+        sigs = {layer: token_significance(
+                    transition_stack([attentions[min(layer, n - 1)]]), 1,
+                    cfg.beta) for layer in cfg.layers if layer}
+    else:
+        stack = transition_stack(attentions)
+        # rolling out from the terminal layer is an empty product: uniform
+        sigs = {layer: token_significance(stack, layer + 1, cfg.beta,
+                                          horizon=cfg.rollout_horizon)
+                for layer in cfg.layers if 0 < layer < n}
+    return [sigs[layer].values.reshape(-1) if layer in sigs else None
             for layer in cfg.layers]
 
 
@@ -138,8 +124,8 @@ def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
 
     Returns (total, per-layer breakdown of the unscaled layer losses).
     Teacher embeddings enter as constants. `weights` are layer_weights of
-    the source capture when the caller has them already (the trainer keeps
-    the teacher's per sample); otherwise they are rolled out here. For
+    the source capture's maps when the caller has them already (the
+    trainer caches the teacher's); otherwise they are rolled out here. For
     stacked captures every term is the sum of the samples' terms.
     """
     n = len(student.embeddings) - 1
@@ -147,8 +133,8 @@ def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,
         if layer > n:
             raise ValueError(f"layer {layer} exceeds encoder depth {n}")
     if weights is None:
-        weights = layer_weights(
-            cfg, student if cfg.attention_source == "student" else teacher)
+        weights = layer_weights(cfg, (student if cfg.attention_source
+                                      == "student" else teacher).attentions)
     total, terms = weighted_l1(
         [teacher.embeddings[s].data for s in cfg.layers],
         [student.embeddings[s] for s in cfg.layers],

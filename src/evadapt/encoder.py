@@ -225,7 +225,11 @@ def mark_trainable(params: ViTParams, plan: TrainablePlan):
 
 @dataclass
 class EmbeddingCapture:
-    """One sample's layers, or m stacked samples' (rows in sample order)."""
+    """One sample's layers, or m stacked samples' (rows in sample order).
+
+    distill.layer_weights rolls out `attentions` as they are: a stack's
+    (m, k, k) maps in one rollout, whose weights follow the stacked rows.
+    """
     embeddings: list[Tensor]        # X^(0) .. X^(n), each (m·k, c)
     attentions: list[np.ndarray]    # head-averaged A^(1) .. A^(n), each
                                     # (k, k), or (m, k, k) for m > 1

@@ -144,7 +144,13 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 def _header(line: str) -> tuple[int, int] | None:
     """(H, W) of a "# H=<int> W=<int>" comment line, or None."""
     m = _HEADER_RE.search(line)
-    return (int(m.group(1)), int(m.group(2))) if m else None
+    if m is None:
+        return None
+    try:
+        return int(m.group(1)), int(m.group(2))
+    except ValueError:  # beyond int()'s 4300-digit limit
+        raise EventFormatError("header dimension has too many digits") \
+            from None
 
 
 def _c_ints(text: str, rows: list[str]):
@@ -235,7 +241,11 @@ def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     if vals is None:
         return _read_lines(lines)
     t, x, y, p = vals.reshape(-1, 4).T
-    heads = [i for i in np.flatnonzero(hashed).tolist() if _header(lines[i])]
+    try:
+        heads = [i for i in np.flatnonzero(hashed).tolist()
+                 if _header(lines[i])]
+    except EventFormatError:  # the line reader names the line
+        return _read_lines(lines)
     dims = _header(lines[heads[0]]) if heads else None
     ok = (len(heads) <= 1 and all(i < np.argmax(data) for i in heads)
           and ((p == 0) | (p == 1)).all() and (t >= 0).all()

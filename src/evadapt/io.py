@@ -124,16 +124,13 @@ def _read_meta(raw: bytes) -> dict:
 
 # -- RLE masks --------------------------------------------------------------
 
-def write_masks(path, masks, ids=None, shape=None):
-    """Write instance masks as row-major run-length text."""
-    ids = ids if ids is not None else list(range(len(masks)))
+def write_masks(path, masks, ids, shape):
+    """Write instance masks as row-major run-length text under the
+    header of their (H, W) `shape`, one line per id."""
     if len(set(ids)) != len(ids) or len(ids) != len(masks):
         raise ValueError("mask ids must be distinct, one per mask")
     with open(path, "w", encoding="utf-8") as fh:
-        if shape is None and masks:
-            shape = masks[0].shape
-        if shape is not None:
-            fh.write(f"# H={shape[0]} W={shape[1]}\n")
+        fh.write(f"# H={shape[0]} W={shape[1]}\n")
         for mid, mask in zip(ids, masks):
             flat = np.asarray(mask, dtype=bool).ravel()
             edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
@@ -160,7 +157,11 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
                 if m is None or shape is not None:
                     raise DumpFormatError(
                         f"line {lineno}: expected one '# H=.. W=..' header")
-                shape = (int(m.group(1)), int(m.group(2)))
+                try:
+                    shape = (int(m.group(1)), int(m.group(2)))
+                except ValueError:  # beyond int()'s 4300-digit limit
+                    raise DumpFormatError(f"line {lineno}: header dimension "
+                                          "has too many digits") from None
                 continue
             if shape is None:
                 raise DumpFormatError("mask file missing '# H=.. W=..' header")

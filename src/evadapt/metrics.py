@@ -34,13 +34,6 @@ class MaskSet:
 
 
 @dataclass
-class MatchResult:
-    pairs: list[tuple[int, int, float]]   # (gt index, pred index, IoU)
-    unmatched_gt: list[int]
-    unmatched_pred: list[int]
-
-
-@dataclass
 class MetricsReport:
     mP: float
     mR: float
@@ -74,7 +67,9 @@ def _overlap_table(gt: MaskSet, pred: MaskSet) -> tuple[np.ndarray, np.ndarray, 
     return inter, np.count_nonzero(gm, axis=1), np.count_nonzero(pm, axis=1)
 
 
-def _greedy_match(inter, ga, pa) -> MatchResult:
+def _greedy_match(inter, ga, pa) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one (gt index, pred index, IoU) pairs in descending
+    IoU order."""
     G, P = inter.shape
     candidates = []
     for g in range(G):
@@ -93,19 +88,7 @@ def _greedy_match(inter, ga, pa) -> MatchResult:
         pairs.append((g, p, float(v)))
         used_g.add(g)
         used_p.add(p)
-    return MatchResult(
-        pairs=pairs,
-        unmatched_gt=[g for g in range(G) if g not in used_g],
-        unmatched_pred=[p for p in range(P) if p not in used_p],
-    )
-
-
-def match_instances(gt: MaskSet, pred: MaskSet) -> MatchResult:
-    """Greedy one-to-one matching in descending IoU order."""
-    if len(gt) == 0:
-        return MatchResult(pairs=[], unmatched_gt=[],
-                           unmatched_pred=list(range(len(pred))))
-    return _greedy_match(*_overlap_table(gt, pred))
+    return pairs
 
 
 def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
@@ -113,8 +96,8 @@ def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
     if len(gt) == 0:
         raise ValueError("ground-truth mask set is empty")
     inter, ga, pa = _overlap_table(gt, pred)
-    match = _greedy_match(inter, ga, pa)
-    by_gt = {g: (p, v) for g, p, v in match.pairs}
+    pairs = _greedy_match(inter, ga, pa)
+    by_gt = {g: (p, v) for g, p, v in pairs}
     instances = []
     ps, rs, ious, areas = [], [], [], []
     for g in range(len(gt)):
@@ -140,9 +123,9 @@ def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
         mR=float(np.mean(rs)),
         mIoU=float(np.mean(ious_a)),
         aIoU=float((areas * ious_a).sum() / areas.sum()),
-        tp=len(match.pairs),
-        fp=len(match.unmatched_pred),
-        fn=len(match.unmatched_gt),
+        tp=len(pairs),
+        fp=len(pred) - len(pairs),
+        fn=len(gt) - len(pairs),
         instances=instances,
     )
 

@@ -26,14 +26,15 @@ class SignificanceVector:
 def transition_stack(attentions: list[np.ndarray]) -> list[np.ndarray]:
     """Transpose head-averaged attention matrices into transition matrices.
 
-    The transitions are transposed views of the attention arrays, not copies.
+    Each map is one sample's (k, k) or m samples' stacked (m, k, k). The
+    transitions are transposed views of the attention arrays, not copies.
     """
     stack = []
     for a in attentions:
         a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise ValueError(f"attention matrix must be square, got {a.shape}")
-        stack.append(a.T)
+        stack.append(np.swapaxes(a, -1, -2))
     return stack
 
 
@@ -64,7 +65,7 @@ def transition_exact(stack: list[np.ndarray], s: int,
     mats = _layers(stack, s)
     if len(alphas) != len(mats):
         raise ValueError(f"need {len(mats)} alphas, got {len(alphas)}")
-    k = stack[0].shape[0]
+    k = stack[0].shape[-1]
     out = np.eye(k)
     for p, a in zip(mats, alphas):
         _check_range("alpha", a)
@@ -79,25 +80,27 @@ def token_significance(stack: list[np.ndarray], s: int, beta: float,
     Equals (beta * (P^(s) ... P^(n)) + (1 - beta) * I) @ ones, with the
     product truncated to `horizon` layers past s when it is set, evaluated
     right to left as one matrix-vector product per layer: O(n k^2), not
-    O(n k^3).
+    O(n k^3). A stack of m samples' (m, k, k) transitions gives their
+    (m, k) weights, each row the same as that sample's own rollout.
     """
     mats = _layers(stack, s, horizon)
     _check_range("beta", beta)
-    v = np.ones(stack[0].shape[0])
+    v = np.ones(stack[0].shape[:-1])
     for p in reversed(mats):
-        v = p @ v
+        v = (p @ v[..., None])[..., 0]
     return SignificanceVector(values=beta * v + (1.0 - beta))
 
 
 def convergence_diagnostic(stack: list[np.ndarray]) -> np.ndarray:
     """Frobenius gap between each prefix product and the full product.
 
-    Element i is ||P^(1) ... P^(i+1)  -  P^(1) ... P^(n)||_F; the last
-    element is exactly 0.
+    Element i is ||P^(1) ... P^(i+1)  -  P^(1) ... P^(n)||_F, one per
+    sample of a stacked stack; the last element is exactly 0.
     """
     if not stack:
         raise ValueError("stack must be nonempty")
-    prefixes = [np.eye(stack[0].shape[0])]
+    prefixes = [np.eye(stack[0].shape[-1])]
     for p in stack:
         prefixes.append(prefixes[-1] @ p)
-    return np.array([np.linalg.norm(q - prefixes[-1]) for q in prefixes[1:]])
+    return np.array([np.linalg.norm(q - prefixes[-1], axis=(-2, -1))
+                     for q in prefixes[1:]])

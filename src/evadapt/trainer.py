@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, grad_check
-from .distill import (DistillConfig, distill_loss, layer_weights, mix_tokens,
-                      stack_weights)
+from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
 from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
                       ViTParams, adapter_shapes, apply_lora, embed_image,
                       forward_tokens, init_params, mark_trainable,
@@ -216,11 +215,11 @@ class TeacherCache:
     event volumes, each kept as one array in dataset order.
 
     All of it is built here, before the first step: one forward_capture
-    and one layer_weights per sample. So a sample that no step uses, as
-    when steps x batch < N, still costs its teacher forward, and a sample
-    whose capture fails stops the run before step 1. A chunk's stacked
-    inputs are built once: views when its samples are consecutive, a copy
-    when the chunk wraps past the last sample.
+    per sample, then one layer_weights of their stacked maps. So a sample
+    that no step uses, as when steps x batch < N, still costs its teacher
+    forward, and a sample whose capture fails stops the run before step 1.
+    A chunk's stacked inputs are built once: views when its samples are
+    consecutive, a copy when the chunk wraps past the last sample.
     """
 
     def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig):
@@ -237,7 +236,7 @@ class TeacherCache:
         # per distilled layer an (N·k,) array, or None if uniform; None
         # under the student source, which rolls out the student every step
         self.weights = None if dcfg.attention_source == "student" else \
-            stack_weights([layer_weights(dcfg, c) for c in caps])
+            layer_weights(dcfg, self.attentions)
         self.volumes = np.stack([volume for _, volume in data])
         # index tuple -> (stacked capture, its weights, its volumes)
         self.chunks: dict[tuple, tuple] = {}

@@ -14,7 +14,8 @@ from evadapt.distill import DistillConfig, distill_loss, mix_tokens
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, count_trainable,
                              forward_capture, forward_tokens, init_params)
 from evadapt.events import EventStream, voxelize
-from evadapt.metrics import MaskSet, compute_report, iou, match_instances
+from evadapt.metrics import (MaskSet, _greedy_match, _overlap_table,
+                             compute_report, iou)
 from evadapt.significance import (convergence_diagnostic, token_significance,
                                   transition_exact, transition_stack)
 from evadapt.trainer import (TrainConfig, TrainState, load_checkpoint,
@@ -186,8 +187,8 @@ def test_07_metrics_oracle():
 
         gt = ms(int(rng.integers(1, 7)))
         pred = ms(int(rng.integers(1, 7)))
-        got = match_instances(gt, pred)
-        assert [(g, p) for g, p, _ in got.pairs] == greedy_oracle(gt, pred)
+        got = _greedy_match(*_overlap_table(gt, pred))
+        assert [(g, p) for g, p, _ in got] == greedy_oracle(gt, pred)
 
     a = np.zeros((4, 4), bool)
     a[0:2, 0:2] = True

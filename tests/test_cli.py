@@ -94,9 +94,10 @@ class TestEvalMaskDirs:
         pred_dir.mkdir()
         m = np.zeros((4, 4), dtype=bool)
         m[:2, :2] = True
-        write_masks(gt_dir / "a.rle", [m])
-        write_masks(pred_dir / "a.rle", [m])
-        write_masks(gt_dir / "b.rle", [m])  # no matching prediction
+        write_masks(gt_dir / "a.rle", [m], [0], m.shape)
+        write_masks(pred_dir / "a.rle", [m], [0], m.shape)
+        # no matching prediction
+        write_masks(gt_dir / "b.rle", [m], [0], m.shape)
         out = tmp_path / "r.json"
         assert main(["eval", "--gt-dir", str(gt_dir),
                      "--pred-dir", str(pred_dir), "--out", str(out)]) == 0
@@ -115,7 +116,8 @@ class TestEvalMaskDirs:
         # a missing --pred-dir used to score every frame as an empty
         # prediction and exit 0
         (tmp_path / "gt").mkdir()
-        write_masks(tmp_path / "gt" / "a.rle", [np.ones((2, 2), bool)])
+        write_masks(tmp_path / "gt" / "a.rle", [np.ones((2, 2), bool)], [0],
+                    (2, 2))
         pred = tmp_path / "pred"
         if kind == "file":
             pred.write_text("")

@@ -3,10 +3,11 @@ import pytest
 
 from evadapt.autodiff import Tensor
 from evadapt.distill import (ATTENTION_SOURCES, DistillConfig, distill_loss,
-                             layer_weights, mix_tokens, stack_weights)
+                             layer_weights, mix_tokens)
 from evadapt.encoder import EmbeddingCapture
 from evadapt.significance import token_significance, transition_stack
 from test_oracles import ref_stack_captures as stack_captures
+from test_oracles import ref_stack_weights as stack_weights
 
 
 def random_capture(rng, k=4, c=8, depth=3):
@@ -141,7 +142,8 @@ class TestDistillLoss:
         t, s = random_capture(rng), random_capture(rng)
         cfg = DistillConfig(layers=(0, 1, 2, 3), gammas=(0.1, 0.4, 1.0),
                             attention_source=source)
-        weights = layer_weights(cfg, s if source == "student" else t)
+        weights = layer_weights(
+            cfg, (s if source == "student" else t).attentions)
         # layer 0 and the terminal layer are uniform unless a single
         # layer's attention weighs them
         assert weights[0] is None
@@ -226,8 +228,8 @@ class TestStackedSamples:
         caps = [random_capture(rng) for _ in range(3)]
         cfg = DistillConfig(layers=(0, 1, 2, 3), gammas=(0.1, 0.4, 1.0),
                             attention_source=source)
-        got = layer_weights(cfg, stack_captures(caps))
-        want = stack_weights([layer_weights(cfg, c) for c in caps])
+        got = layer_weights(cfg, stack_captures(caps).attentions)
+        want = stack_weights([layer_weights(cfg, c.attentions) for c in caps])
         assert [None if w is None else w.tobytes() for w in got] == \
             [None if w is None else w.tobytes() for w in want]
         assert all(w is None or w.shape == (12,) for w in got)
@@ -248,7 +250,7 @@ class TestStackedSamples:
                 sum(p[1][layer] for p in parts), rel=1e-14)
 
 
-def test_single_layer_source_rolls_out_each_map_once(monkeypatch):
+def test_single_layer_source_rolls_out_once_per_weighted_layer(monkeypatch):
     from evadapt import distill
     rng = np.random.default_rng(14)
     cap = random_capture(rng, depth=3)
@@ -258,10 +260,10 @@ def test_single_layer_source_rolls_out_each_map_once(monkeypatch):
     rollout = distill.token_significance
     monkeypatch.setattr(distill, "token_significance",
                         lambda *a, **k: calls.append(a) or rollout(*a, **k))
-    weights = layer_weights(cfg, cap)
-    # the terminal layer 3 falls back to block 3's map, which layer 2 uses
-    assert len(calls) == 2
-    assert weights[2] is weights[3]
+    weights = layer_weights(cfg, cap.attentions)
+    # layers 1, 2 and 3 are weighted; the terminal layer 3 falls back to
+    # block 3's map, which layer 2 also uses
+    assert len(calls) == 3
     for layer, w in zip(cfg.layers[1:], weights[1:]):
         want = rollout(transition_stack([cap.attentions[min(layer, 2)]]), 1,
                        cfg.beta).values

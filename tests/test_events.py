@@ -192,6 +192,17 @@ class TestReadEvents:
         with pytest.raises(EventFormatError, match=f"line {line}: {what}"):
             read_events(p)
 
+    @pytest.mark.parametrize("body", ["", "1,0,0,1\n", "1,+0,0,1\n"])
+    def test_header_beyond_int_digit_limit_names_line(self, tmp_path, body):
+        # int() refuses more than 4300 digits with a plain ValueError that
+        # named no line; the rows go to the C reader, the line reader, none
+        p = tmp_path / "e.txt"
+        p.write_text(f"# H={'9' * 5000} W=4\n{body}")
+        with pytest.raises(EventFormatError,
+                           match="^line 1: header dimension has too many "
+                                 "digits$"):
+            read_events(p)
+
     def test_first_bad_line_and_first_failed_check(self, tmp_path):
         # line 3 fails polarity and sign, line 4 the field count: the
         # earliest line wins, and on it the earlier check

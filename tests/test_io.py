@@ -170,18 +170,27 @@ class TestMaskFiles:
         rng = np.random.default_rng(2)
         masks = [rng.random((6, 7)) < 0.4 for _ in range(3)]
         p = tmp_path / "m.rle"
-        write_masks(p, masks, ids=[4, 0, 2])
+        write_masks(p, masks, ids=[4, 0, 2], shape=(6, 7))
         got, ids, shape = read_masks(p)
         assert shape == (6, 7)
         assert ids == [4, 0, 2]
         for a, b in zip(masks, got):
             assert np.array_equal(a, b)
 
+    def test_empty_set_round_trips(self, tmp_path):
+        # shape is required: without it an empty set used to be written
+        # with no header, which read_masks rejects as an empty file
+        p = tmp_path / "m.rle"
+        with pytest.raises(TypeError):
+            write_masks(p, [], [])
+        write_masks(p, [], [], shape=(3, 5))
+        assert read_masks(p) == ([], [], (3, 5))
+
     def test_known_encoding(self, tmp_path):
         m = np.zeros((2, 3), dtype=bool)
         m[0, 1] = m[0, 2] = m[1, 2] = True
         p = tmp_path / "m.rle"
-        write_masks(p, [m])
+        write_masks(p, [m], [0], m.shape)
         lines = p.read_text().splitlines()
         assert lines == ["# H=2 W=3", "0: 1,2 5,1"]
 
@@ -211,7 +220,8 @@ class TestMaskFiles:
         # fewer ids than masks used to drop the last masks silently
         p = tmp_path / "m.rle"
         with pytest.raises(ValueError, match="distinct, one per mask"):
-            write_masks(p, [np.ones((2, 2), bool)] * 3, ids=ids)
+            write_masks(p, [np.ones((2, 2), bool)] * 3, ids=ids,
+                        shape=(2, 2))
         assert not p.exists()
 
     def test_missing_header_rejected(self, tmp_path):
@@ -224,6 +234,16 @@ class TestMaskFiles:
         p = tmp_path / "m.rle"
         p.write_text("")
         with pytest.raises(DumpFormatError, match="empty"):
+            read_masks(p)
+
+    @pytest.mark.parametrize("body", ["", "0: 1,2\n"])
+    def test_header_beyond_int_digit_limit_names_line(self, tmp_path, body):
+        # int() refuses more than 4300 digits with a plain ValueError
+        p = tmp_path / "m.rle"
+        p.write_text(f"# H=2 W={'9' * 5000}\n{body}")
+        with pytest.raises(DumpFormatError,
+                           match="^line 1: header dimension has too many "
+                                 "digits$"):
             read_masks(p)
 
 
@@ -255,7 +275,7 @@ class TestTextFormatFuzz:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         p = tmp_path / "m.rle"
         write_masks(p, [rng.random((H, W)) < 0.5 for _ in range(n)],
-                    shape=(H, W))
+                    list(range(n)), shape=(H, W))
         p.write_bytes(_mutate(data, p.read_bytes()))
         try:
             masks, ids, shape = read_masks(p)

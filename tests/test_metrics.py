@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evadapt.metrics import (MaskSet, compute_report, iou, match_instances,
-                             report_to_dict)
+from evadapt.metrics import (MaskSet, _greedy_match, _overlap_table,
+                             compute_report, iou, report_to_dict)
 
 
 def mask(H, W, cells):
@@ -10,6 +10,15 @@ def mask(H, W, cells):
     for y, x in cells:
         m[y, x] = True
     return m
+
+
+def match(gt, pred):
+    """The greedy (gt index, pred index, IoU) pairs compute_report uses."""
+    return _greedy_match(*_overlap_table(gt, pred))
+
+
+def unmatched(n, used):
+    return [i for i in range(n) if i not in used]
 
 
 def block(H, W, y0, x0, h, w):
@@ -75,36 +84,37 @@ class TestMatchInstances:
     def test_perfect_prediction(self):
         gt = MaskSet(masks=[block(6, 6, 0, 0, 2, 2), block(6, 6, 3, 3, 2, 2)])
         pred = MaskSet(masks=[m.copy() for m in gt.masks])
-        r = match_instances(gt, pred)
-        assert len(r.pairs) == 2
-        assert all(v == 1.0 for _, _, v in r.pairs)
-        assert not r.unmatched_gt and not r.unmatched_pred
+        pairs = match(gt, pred)
+        assert len(pairs) == 2
+        assert all(v == 1.0 for _, _, v in pairs)
+        assert not unmatched(len(gt), [g for g, _, _ in pairs])
+        assert not unmatched(len(pred), [p for _, p, _ in pairs])
 
     def test_contested_pred_goes_to_higher_iou(self):
         # one pred overlapping two gts: the greedy order forces gt0
         gt = MaskSet(masks=[block(8, 8, 0, 0, 2, 4), block(8, 8, 2, 0, 4, 4)])
         pred = MaskSet(masks=[block(8, 8, 0, 0, 3, 4)])
-        r = match_instances(gt, pred)
+        pairs = match(gt, pred)
         i0 = iou(gt.masks[0], pred.masks[0])
         i1 = iou(gt.masks[1], pred.masks[0])
         assert i0 > i1
-        assert r.pairs == [(0, 0, pytest.approx(i0))]
-        assert r.unmatched_gt == [1]
+        assert pairs == [(0, 0, pytest.approx(i0))]
+        assert unmatched(len(gt), [g for g, _, _ in pairs]) == [1]
 
     def test_empty_pred(self):
         gt = MaskSet(masks=[block(4, 4, 0, 0, 2, 2)])
-        r = match_instances(gt, MaskSet(masks=[]))
-        assert r.unmatched_gt == [0]
-        assert r.pairs == []
+        pairs = match(gt, MaskSet(masks=[]))
+        assert unmatched(len(gt), [g for g, _, _ in pairs]) == [0]
+        assert pairs == []
 
     def test_matches_step_verified_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             gt = random_mask_set(rng, 8, 8, int(rng.integers(1, 7)))
             pred = random_mask_set(rng, 8, 8, int(rng.integers(0, 7)) or 1)
-            got = match_instances(gt, pred)
+            got = match(gt, pred)
             want = greedy_oracle(gt, pred)
-            assert [(g, p) for g, p, _ in got.pairs] == \
+            assert [(g, p) for g, p, _ in got] == \
                 [(g, p) for g, p, _ in want]
 
 

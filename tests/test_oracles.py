@@ -156,11 +156,17 @@ def ref_read_events(path):
             if line.startswith("#"):
                 m = _HEADER_RE.search(line)
                 if m:
+                    try:
+                        header = (int(m.group(1)), int(m.group(2)))
+                    except ValueError:
+                        raise EventFormatError(
+                            f"line {lineno}: header dimension has too many "
+                            f"digits")
                     if events or dims is not None:
                         raise EventFormatError(
                             f"line {lineno}: a second header, or a header "
                             f"after the first event")
-                    dims = (int(m.group(1)), int(m.group(2)))
+                    dims = header
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -300,8 +306,9 @@ def ref_distill_loss(teacher, student, cfg, weights=None):
     """distill_loss as one node per operation: per layer the chain above,
     scaled by its gamma, summed left to right."""
     if weights is None:
-        weights = distill.layer_weights(
-            cfg, student if cfg.attention_source == "student" else teacher)
+        weights = distill.layer_weights(cfg, (
+            student if cfg.attention_source == "student" else teacher
+        ).attentions)
     breakdown, total = {}, None
     for layer, w in zip(cfg.layers, weights):
         term = ref_layer_loss(Tensor(teacher.embeddings[layer].data),
@@ -523,7 +530,9 @@ _LINES = st.one_of(
         lambda d: f"# H={d[0]} W={d[1]}"),
     st.sampled_from(["", "  ", "#", "# note", "1,2,3", "1,2,3,1,0", "a,1,1,1",
                      " 3 , 1 ,1, 0 ", "+4,1,1,1", "1_0,1,1,1", "\x0c5,1,1,1",
-                     "٣,1,1,1", "##H=2 W=2", "\r"]))
+                     "٣,1,1,1", "##H=2 W=2", "\r",
+                     # beyond int()'s 4300-digit limit
+                     f"# H=2 W={'9' * 5000}"]))
 
 
 # one field in the forms int() reads or refuses at its edges, which
@@ -893,6 +902,12 @@ def ref_stack_captures(captures):
                     for a in zip(*(c.attentions for c in captures))])
 
 
+def ref_stack_weights(per_sample):
+    """Single samples' layer weights as the weights of their stacked rows."""
+    return [None if ws[0] is None else np.concatenate(ws)
+            for ws in zip(*per_sample)]
+
+
 def ref_adam_step(state, grads, lr):
     """Bias-corrected Adam, one entry at a time in sorted order, each
     update a new array bound in place of the old."""
@@ -940,7 +955,8 @@ def ref_train(teacher, state, data, tcfg, dcfg, chunk=1):
                     cap = encoder.forward_capture(teacher, data[idx][0])
                     cache[idx] = (cap, None
                                   if dcfg.attention_source == "student"
-                                  else distill.layer_weights(dcfg, cap))
+                                  else distill.layer_weights(
+                                      dcfg, cap.attentions))
             caps = [cache[i][0] for i in idxs]
             weights = [cache[i][1] for i in idxs]
             for name in state.m:
@@ -955,7 +971,7 @@ def ref_train(teacher, state, data, tcfg, dcfg, chunk=1):
                     np.stack([data[i][1] for i in idxs]), dcfg,
                     mix_seeds=[[tcfg.seed, step, b] for b in bs],
                     weights=None if weights[0] is None
-                    else distill.stack_weights(weights))
+                    else ref_stack_weights(weights))
             loss.backward()
             total += loss.item()
             for layer, v in breakdown.items():
@@ -1000,7 +1016,7 @@ class TestStackedStep:
         caps = [encoder.forward_capture(teacher, rng.random((8, 8, 3)))
                 for _ in range(m)]
         weights = [None if source == "student"
-                   else distill.layer_weights(cfg, c) for c in caps]
+                   else distill.layer_weights(cfg, c.attentions) for c in caps]
         state = trainer.TrainState.create(
             encoder.init_params(STEP_CONFIG, seed=4), plan, seed=4)
         # move the student off its init so every block carries gradient
@@ -1039,7 +1055,7 @@ class TestStackedStep:
         got = self.run(state, lambda: trainer.student_step_loss(
             ref_stack_captures(caps), state.params, volumes, cfg,
             mix_seeds=seeds, weights=None if weights[0] is None
-            else distill.stack_weights(weights)))
+            else ref_stack_weights(weights)))
         total, breakdown, grads = 0.0, {}, {}
         for b in range(len(caps)):
             t, br, g = self.run(state, lambda: ref_student_step_loss(

@@ -171,6 +171,33 @@ class TestTokenSignificance:
         assert np.shares_memory(stack[0], attn[0])
         assert np.array_equal(stack[0], attn[0].T)
 
+    @pytest.mark.parametrize("horizon", [None, 2])
+    def test_stack_rolls_out_as_its_samples_bitwise(self, horizon):
+        rng = np.random.default_rng(10)
+        samples = [random_attention_stack(rng, 5, 4) for _ in range(3)]
+        attns = [np.stack(maps) for maps in zip(*samples)]   # (3, 5, 5)
+        stack = transition_stack(attns)
+        assert all(np.shares_memory(p, a) for p, a in zip(stack, attns))
+        for s in range(1, 5):
+            got = token_significance(stack, s, 0.5, horizon=horizon).values
+            want = np.stack([token_significance(transition_stack(a), s, 0.5,
+                                                horizon=horizon).values
+                             for a in samples])
+            assert got.shape == (3, 5)
+            assert got.tobytes() == want.tobytes()
+            alphas = [0.7] * (5 - s)
+            assert transition_exact(stack, s, alphas).tobytes() == np.stack(
+                [transition_exact(transition_stack(a), s, alphas)
+                 for a in samples]).tobytes()
+        assert convergence_diagnostic(stack).tobytes() == np.stack(
+            [convergence_diagnostic(transition_stack(a)) for a in samples],
+            axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 3, 3), (2, 3, 4)])
+    def test_non_square_maps_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            transition_stack([np.ones(shape)])
+
 
 class TestSingleLayer:
     """One-matrix stacks: what distill's teacher_single_layer source uses."""

@@ -240,17 +240,16 @@ def test_teacher_weights_rolled_out_once_per_sample(monkeypatch, source):
     tcfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=2,
                        decay_epoch=1)
     train(init_params(TINY, seed=0), tiny_state(), data, tcfg, dcfg)
-    samples = tcfg.steps_per_epoch * tcfg.batch_size
     # one loss per chunk; TINY's batch of 2 is one chunk
     assert trainer.chunk_size(TINY) >= tcfg.batch_size
     assert calls["loss"] == tcfg.steps_per_epoch
-    # layers 1 and 2 are weighted; the teacher source rolls out layer 1
-    # only (2 is the terminal layer), the single-layer source block 2's
-    # map, which serves both layers, and the student source every step
-    per_sample = {"teacher": 1, "teacher_single_layer": 1, "uniform": 0,
-                  "student": 1}[source]
-    visits = samples if source == "student" else len(data)
-    assert calls["rollout"] == visits * per_sample
+    # layers 1 and 2 are weighted. The teacher source rolls out layer 1
+    # only (2 is the terminal layer), once for all 3 samples' stacked
+    # maps; the single-layer source block 2's map once per weighted
+    # layer; the student source layer 1 once per chunk of every step
+    assert calls["rollout"] == {"teacher": 1, "teacher_single_layer": 2,
+                                "uniform": 0,
+                                "student": tcfg.steps_per_epoch}[source]
 
 
 class TestTeacherCache:
@@ -278,7 +277,7 @@ class TestTeacherCache:
                                    else (len(idxs), 4, 4))
             assert weights[0] is None and weights[2] is None  # 0, terminal
             assert weights[1].tobytes() == np.concatenate(
-                [distill.layer_weights(DCFG, caps[i])[1]
+                [distill.layer_weights(DCFG, caps[i].attentions)[1]
                  for i in idxs]).tobytes()
             assert volumes.tobytes() == np.stack(
                 [data[i][1] for i in idxs]).tobytes()
