@@ -48,12 +48,6 @@ class SceneConfig(synth.SceneSpec):
 
 
 @dataclass
-class EventsConfig:
-    signed: bool = False
-    normalize: bool = True
-
-
-@dataclass
 class RunConfig:
     """A whole run configuration document; its fields are the YAML schema."""
     seed: int = 0
@@ -64,7 +58,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     plan: TrainablePlan = field(default_factory=TrainablePlan)
     scene: SceneConfig = field(default_factory=SceneConfig)
-    events: EventsConfig = field(default_factory=EventsConfig)
 
     def __post_init__(self):
         for name in ("seed", "teacher_seed"):
@@ -124,7 +117,7 @@ def _scene_spec(scene: SceneConfig, seed: int) -> synth.SceneSpec:
 
 
 def make_dataset(doc: dict, n: int, seed: int):
-    """(image, event volume, scene) triples from jittered scenes."""
+    """(image, normalized voxel grid, scene) triples from jittered scenes."""
     run = from_doc(RunConfig, doc)
     samples = []
     for i in range(n):
@@ -132,10 +125,8 @@ def make_dataset(doc: dict, n: int, seed: int):
         image = synth.render_frame(spec, spec.window_ms)
         stream = synth.generate_events(spec)
         window = (0, int(spec.window_ms * 1000))
-        vol = ev.voxelize(stream, window, spec.height, spec.width,
-                          B=CHANNELS, signed=run.events.signed)
-        if run.events.normalize:
-            vol = ev.normalize_volume(vol)
+        vol = ev.normalize_volume(ev.voxelize(
+            stream, window, spec.height, spec.width, B=CHANNELS))
         samples.append((image, vol.grid, spec))
     return samples
 

@@ -232,7 +232,7 @@ class EmbeddingCapture:
     """
     embeddings: list[Tensor]        # X^(0) .. X^(n), each (m·k, c)
     attentions: list[np.ndarray]    # head-averaged A^(1) .. A^(n), each
-                                    # (k, k), or (m, k, k) for m > 1
+                                    # (k, k), or (m, k, k) for a stack
 
     @property
     def samples(self) -> int:

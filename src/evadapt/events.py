@@ -101,7 +101,8 @@ def voxelize(stream: EventStream, window: tuple[int, int], H: int, W: int,
 
     Event at time t lands in bin floor(B*(t-t_start)/(t_end-t_start)),
     clamped to B-1 at t = t_end. Out-of-window events are skipped; an
-    in-window event outside the H x W grid is an EventFormatError.
+    in-window event outside the H x W grid is an EventFormatError, and a
+    grid numpy cannot allocate a ValueError naming it.
     """
     t_start, t_end = window
     if t_end <= t_start:
@@ -122,8 +123,12 @@ def voxelize(stream: EventStream, window: tuple[int, int], H: int, W: int,
     b = np.minimum(b, B - 1)
     cell = (ys[keep] * W + xs[keep]) * B + b
     weights = stream.p[keep].astype(np.float64) if signed else None
-    counts = np.bincount(cell, weights=weights, minlength=H * W * B)
-    grid = counts.astype(np.float64).reshape(H, W, B)
+    try:
+        grid = np.bincount(cell, weights=weights, minlength=H * W * B) \
+            .astype(np.float64, copy=False).reshape(H, W, B)
+    except (OverflowError, ValueError, MemoryError):  # numpy cannot hold it
+        raise ValueError(f"the {H}x{W} grid of {B} bins is too large to "
+                         "hold") from None
     return EventVolume(grid=grid, window=(t_start, t_end), bins=B)
 
 

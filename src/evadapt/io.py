@@ -162,6 +162,7 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
                 except ValueError:  # beyond int()'s 4300-digit limit
                     raise DumpFormatError(f"line {lineno}: header dimension "
                                           "has too many digits") from None
+                header = lineno
                 continue
             if shape is None:
                 raise DumpFormatError("mask file missing '# H=.. W=..' header")
@@ -177,7 +178,12 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
                 raise DumpFormatError(
                     f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
             lines[mid] = lineno
-            flat = np.zeros(shape[0] * shape[1], dtype=bool)
+            try:
+                flat = np.zeros(shape[0] * shape[1], dtype=bool)
+            except (ValueError, MemoryError):  # numpy cannot hold it
+                raise DumpFormatError(
+                    f"line {header}: the {shape[0]}x{shape[1]} grid is too "
+                    "large to hold") from None
             for run in runs:
                 if (len(run) != 2 or run[0] < 0 or run[1] < 1
                         or sum(run) > flat.size):

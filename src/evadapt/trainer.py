@@ -129,14 +129,6 @@ class TrainState:
                                           v[sl].reshape(shape))
         return p, m, v
 
-    def gathered_grads(self) -> np.ndarray:
-        """The trainable entries' .grad in layout order, zero where None."""
-        entries = self.params.tensors
-        return np.concatenate([np.zeros(0)] + [
-            np.zeros(sl.stop - sl.start) if entries[name].grad is None
-            else entries[name].grad.ravel()
-            for name, (sl, _) in self.layout.items()])
-
 
 def adam_step(state: TrainState, g: np.ndarray, lr: float):
     """Bias-corrected Adam update of every trainable entry in one pass.
@@ -212,55 +204,53 @@ def student_step_loss(teacher: EmbeddingCapture, student_params: ViTParams,
 
 class TeacherCache:
     """The frozen teacher's capture and layer weights of a dataset, and its
-    event volumes, each kept as one array in dataset order.
+    event volumes, each kept as one array of samples 0 .. N + span - 2
+    modulo N. So a chunk of up to `span` consecutive samples, wrapping
+    past the last one or not, is a slice of them and costs no copy.
 
     All of it is built here, before the first step: one forward_capture
     per sample, then one layer_weights of their stacked maps. So a sample
     that no step uses, as when steps x batch < N, still costs its teacher
     forward, and a sample whose capture fails stops the run before step 1.
-    A chunk's stacked inputs are built once: views when its samples are
-    consecutive, a copy when the chunk wraps past the last sample.
     """
 
-    def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig):
+    def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig,
+                 span: int):
         # looked up per call, so a patched encoder.forward_capture applies
         from .encoder import forward_capture
         if not data:
             raise ValueError("data holds no samples")
         self.k = teacher.config.tokens
         caps = [forward_capture(teacher, image) for image, _ in data]
+        order = np.arange(len(data) + span - 1) % len(data)
+        caps = [caps[i] for i in order]
         self.embeddings = [np.concatenate([x.data for x in xs])
                            for xs in zip(*(c.embeddings for c in caps))]
         self.attentions = [np.stack(a)
                            for a in zip(*(c.attentions for c in caps))]
-        # per distilled layer an (N·k,) array, or None if uniform; None
-        # under the student source, which rolls out the student every step
+        # per distilled layer a weight per embedding row, or None if uniform;
+        # None under the student source, which rolls out the student each step
         self.weights = None if dcfg.attention_source == "student" else \
             layer_weights(dcfg, self.attentions)
-        self.volumes = np.stack([volume for _, volume in data])
-        # index tuple -> (stacked capture, its weights, its volumes)
-        self.chunks: dict[tuple, tuple] = {}
+        self.volumes = np.stack([data[i][1] for i in order])
+        # (first, m) -> (stacked capture, its weights, its volumes)
+        self.chunks: dict[tuple[int, int], tuple] = {}
 
-    def chunk(self, idxs: tuple[int, ...]) -> tuple:
+    def chunk(self, first: int, m: int) -> tuple:
         """(EmbeddingCapture, layer weights or None, (m, H, W, 3) volumes)
-        of the samples `idxs`, stacked in that order."""
-        got = self.chunks.get(idxs)
+        of the m samples first, first + 1, ... modulo N: 0 <= first < N,
+        1 <= m <= span."""
+        got = self.chunks.get((first, m))
         if got is not None:
             return got
-        first, m = idxs[0], len(idxs)
-        if idxs == tuple(range(first, first + m)):
-            samples = slice(first, first + m)
-            rows = slice(first * self.k, (first + m) * self.k)
-        else:
-            samples = np.array(idxs)
-            rows = (samples[:, None] * self.k + np.arange(self.k)).ravel()
+        samples = slice(first, first + m)
+        rows = slice(first * self.k, (first + m) * self.k)
         capture = EmbeddingCapture(
             embeddings=[Tensor(x[rows]) for x in self.embeddings],
-            attentions=[a[first if m == 1 else samples]
-                        for a in self.attentions])
+            attentions=[a[samples] for a in self.attentions])
         weights = None if self.weights is None else \
             [None if w is None else w[rows] for w in self.weights]
-        got = self.chunks[idxs] = (capture, weights, self.volumes[samples])
+        got = self.chunks[first, m] = (capture, weights, self.volumes[samples])
         return got
 
 
@@ -272,13 +262,17 @@ def train(teacher: ViTParams, state: TrainState, data: list,
     data is a list of (image, event_volume) pairs of (H, W, 3) arrays.
     history rows are dicts with step, epoch, lr, total, and per-layer terms.
     Each step runs its batch in chunks of chunk_size samples, one graph
-    and one backward per chunk, and adds each chunk's gradients into one
-    flat gradient for adam_step.
+    and one backward per chunk; each entry's .grad is added into its
+    slice of one flat gradient for adam_step and cleared, and cleared
+    before the first chunk too, so no stale gradient reaches a step.
     """
-    cache = TeacherCache(teacher, data, dcfg)
+    chunk = min(chunk_size(state.params.config), tcfg.batch_size)
+    cache = TeacherCache(teacher, data, dcfg, chunk)
     history: list[dict] = []
     entries = state.params.tensors
-    chunk = chunk_size(state.params.config)
+    trainable = [(sl, entries[name]) for name, (sl, _) in state.layout.items()]
+    for _, t in trainable:
+        t.zero_grad()
     steps = total_steps if total_steps is not None else \
         tcfg.epochs * tcfg.steps_per_epoch
     start = state.step
@@ -293,10 +287,8 @@ def train(teacher: ViTParams, state: TrainState, data: list,
         breakdown_sum: dict[int, float] = {}
         for first in range(0, tcfg.batch_size, chunk):
             bs = range(first, min(first + chunk, tcfg.batch_size))
-            capture, weights, volumes = cache.chunk(tuple(
-                (global_step * tcfg.batch_size + b) % len(data) for b in bs))
-            for name in state.layout:
-                entries[name].zero_grad()
+            capture, weights, volumes = cache.chunk(
+                (global_step * tcfg.batch_size + first) % len(data), len(bs))
             loss, breakdown = student_step_loss(
                 capture, state.params, volumes, dcfg,
                 mix_seeds=[[tcfg.seed, global_step, b] for b in bs],
@@ -309,7 +301,10 @@ def train(teacher: ViTParams, state: TrainState, data: list,
             total_val += loss.item()
             for s, v in breakdown.items():
                 breakdown_sum[s] = breakdown_sum.get(s, 0.0) + v
-            grads += state.gathered_grads() / tcfg.batch_size
+            for sl, t in trainable:
+                if t.grad is not None:
+                    grads[sl] += t.grad.ravel() / tcfg.batch_size
+                    t.zero_grad()
         adam_step(state, grads, lr)
         row = {"step": global_step + 1, "epoch": epoch, "lr": lr,
                "total": total_val / tcfg.batch_size}
@@ -409,7 +404,7 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
     images = rng.random((2, H, W, CHANNELS))
     volumes = rng.random((2, H, W, CHANNELS))
     teachers, weights, _ = TeacherCache(teacher, list(zip(images, volumes)),
-                                        dcfg).chunk((0, 1))
+                                        dcfg, 2).chunk(0, 2)
 
     def f():
         loss, _ = student_step_loss(teachers, student, volumes, dcfg,

@@ -313,6 +313,13 @@ class TestErrorHandling:
         assert main(["train", "--config", str(p)]) == 1
         assert "model.imgsize" in capsys.readouterr().err
 
+    def test_events_section_is_not_a_key(self, tmp_path, capsys):
+        # every run voxelizes unsigned and normalizes; neither was settable
+        p = tmp_path / "old.yaml"
+        p.write_text(yaml.safe_dump({"events": {"normalize": True}}))
+        assert main(["train", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == "error: unknown config key: events\n"
+
     @pytest.mark.parametrize("key,value", [
         ("train.steps_per_epoch", 0),
         ("train.epochs", 0),
@@ -574,6 +581,33 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'pred' / 'a.rle'}: line 2:")
         assert err.count("\n") == 1
+
+    # header grids that parse but no array can hold, each at least 2**60
+    # bytes so numpy refuses it before allocating: a count past int64 gave
+    # an OverflowError or "Maximum allowed dimension exceeded", a smaller
+    # one a MemoryError, each a traceback or a message naming nothing
+    @pytest.mark.parametrize("H, W", [(10 ** 20, 4), (2 ** 29, 2 ** 29)])
+    def test_voxelize_grid_too_large_named(self, tmp_path, capsys, H, W):
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text(f"# H={H} W={W}\n1,1,1,1\n")
+        assert main(["voxelize", "--events", str(ev_path),
+                     "--out", str(tmp_path / "v.evdt")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: the {H}x{W} grid of 3 bins is too large to hold\n"
+        assert not (tmp_path / "v.evdt").exists()
+
+    @pytest.mark.parametrize("H, W", [(10 ** 10, 10 ** 10),
+                                      (2 ** 30, 2 ** 30)])
+    def test_eval_mask_grid_too_large_named(self, tmp_path, capsys, H, W):
+        for d in ("gt", "pred"):
+            (tmp_path / d).mkdir()
+        # the message names the header line, not the mask line 3
+        (tmp_path / "gt" / "a.rle").write_text(f"# H={H} W={W}\n\n0: 1,2\n")
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'gt' / 'a.rle'}: line 1: the {H}x{W} "
+            f"grid is too large to hold\n")
 
     def test_eval_mask_dimensions_differ(self, tmp_path, capsys):
         for d, hw in (("gt", "2 W=2"), ("pred", "2 W=3")):

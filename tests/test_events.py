@@ -89,6 +89,16 @@ class TestVoxelize:
         v = voxelize(es, (0, 10), 1, 1, B=1, signed=True)
         assert v.grid[0, 0, 0] == 0.0
 
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("H, W", [(10 ** 20, 4), (2 ** 29, 2 ** 29)])
+    def test_grid_too_large_named(self, H, W, signed):
+        # at least 2**60 bytes, so numpy refuses it before allocating; it
+        # raised an OverflowError or a MemoryError
+        es = EventStream([1], [1], [1], [1])
+        with pytest.raises(ValueError, match=f"^the {H}x{W} grid of 3 bins "
+                                             f"is too large to hold$"):
+            voxelize(es, (0, 10), H, W, signed=signed)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
     def test_count_conservation(self, seed, n):

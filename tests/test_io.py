@@ -246,6 +246,18 @@ class TestMaskFiles:
                                  "digits$"):
             read_masks(p)
 
+    @pytest.mark.parametrize("H, W", [(10 ** 10, 10 ** 10),
+                                      (2 ** 30, 2 ** 30)])
+    def test_grid_too_large_names_header_line(self, tmp_path, H, W):
+        # at least 2**60 cells, so numpy refuses it before allocating; it
+        # raised "Maximum allowed dimension exceeded" or a MemoryError
+        p = tmp_path / "m.rle"
+        p.write_text(f"\n# H={H} W={W}\n0: 1,2\n")
+        with pytest.raises(DumpFormatError,
+                           match=f"^line 2: the {H}x{W} grid is too large "
+                                 f"to hold$"):
+            read_masks(p)
+
 
 # bytes the text formats give meaning to, plus any byte at all
 _BYTES = st.sampled_from(list(b"0123456789,:#HW= -\n\r")) | st.integers(0, 255)

@@ -1159,7 +1159,8 @@ def held_bytes(cache):
 
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
 def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
-    # 5 samples in batches of 2: the third step's chunk is (4, 0)
+    # 5 samples in batches of 2: the third step's chunk (4, 2) is samples
+    # 4 and 0
     cfg = distill.DistillConfig(layers=(0, 1, 2, 3), gammas=(0.3, 0.6, 1.0),
                                 mixing_ratio=0.25, attention_source=source)
     rng = np.random.default_rng(14)
@@ -1170,8 +1171,8 @@ def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
     caches = []
 
     class Recorded(trainer.TeacherCache):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, teacher, data, dcfg, span):
+            super().__init__(teacher, data, dcfg, span)
             caches.append(self)
 
     def run(fn, **kw):
@@ -1184,15 +1185,17 @@ def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
         patched.setattr(trainer, "TeacherCache", Recorded)
         assert run(trainer.train) == want
     cache, = caches
-    assert list(cache.chunks) == [(0, 1), (2, 3), (4, 0), (1, 2), (3, 4)]
-    # consecutive chunks are views; only (4, 0) holds its own copy, so
-    # the cache holds 7 samples where a stack per chunk would hold 10
-    one = trainer.TeacherCache(teacher, data[:1], cfg)
-    one.chunk((0,))
+    assert list(cache.chunks) == [(0, 2), (2, 2), (4, 2), (1, 2), (3, 2)]
+    # every chunk, (4, 2) = samples 4, 0 too, is a view of the cache, which
+    # holds 6 samples: the 5 and sample 0 again
+    one = trainer.TeacherCache(teacher, data[:1], cfg, 1)
+    one.chunk(0, 1)
     per_sample = held_bytes(one)
-    for key, (capture, weights, volumes) in cache.chunks.items():
-        assert np.shares_memory(volumes, cache.volumes) == (key != (4, 0))
-    assert held_bytes(cache) <= (len(data) + 2) * per_sample
+    for capture, weights, volumes in cache.chunks.values():
+        assert np.shares_memory(volumes, cache.volumes)
+        for x, held in zip(capture.embeddings, cache.embeddings):
+            assert np.shares_memory(x.data, held)
+    assert held_bytes(cache) <= (len(data) + 2 - 1) * per_sample
 
 
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)

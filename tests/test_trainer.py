@@ -14,7 +14,7 @@ from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
                              pipeline_grad_check, save_checkpoint, train)
-from test_oracles import dot, flat_grad
+from test_oracles import dot, flat_grad, state_bytes
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -260,43 +260,71 @@ class TestTeacherCache:
         monkeypatch.setattr(encoder, "forward_capture",
                             lambda p, image: forwards.append(1)
                             or forward_capture(p, image))
-        cache = trainer.TeacherCache(teacher, data, DCFG)
+        cache = trainer.TeacherCache(teacher, data, DCFG, 2)
         # every sample is captured once, at construction
         assert len(forwards) == 3
         caps = [forward_capture(teacher, image) for image, _ in data]
-        for idxs in [(1, 2), (2, 0), (0,), (1, 2)]:
-            capture, weights, volumes = cache.chunk(idxs)
-            assert capture.samples == len(idxs)
+        for first, m in [(1, 2), (2, 2), (0, 1), (1, 2)]:
+            idxs = [(first + j) % len(data) for j in range(m)]
+            capture, weights, volumes = cache.chunk(first, m)
+            assert capture.samples == m
             for layer, x in enumerate(capture.embeddings):
                 assert x.data.tobytes() == np.concatenate(
                     [caps[i].embeddings[layer].data for i in idxs]).tobytes()
             for layer, a in enumerate(capture.attentions):
                 want = [caps[i].attentions[layer] for i in idxs]
                 assert a.tobytes() == np.stack(want).tobytes()
-                assert a.shape == ((4, 4) if len(idxs) == 1
-                                   else (len(idxs), 4, 4))
+                assert a.shape == (m, 4, 4)
             assert weights[0] is None and weights[2] is None  # 0, terminal
             assert weights[1].tobytes() == np.concatenate(
                 [distill.layer_weights(DCFG, caps[i].attentions)[1]
                  for i in idxs]).tobytes()
             assert volumes.tobytes() == np.stack(
                 [data[i][1] for i in idxs]).tobytes()
-            # consecutive samples are views of the dataset-order arrays
-            consecutive = idxs != (2, 0)
-            assert np.shares_memory(capture.embeddings[1].data,
-                                    cache.embeddings[1]) == consecutive
-            assert np.shares_memory(volumes, cache.volumes) == consecutive
+            # every chunk, (2, 2) = samples 2, 0 too, is a view of the cache
+            for got, held in [*zip((x.data for x in capture.embeddings),
+                                   cache.embeddings),
+                              *zip(capture.attentions, cache.attentions),
+                              (weights[1], cache.weights[1]),
+                              (volumes, cache.volumes)]:
+                assert np.shares_memory(got, held)
         assert len(forwards) == 3
-        assert cache.chunk((1, 2)) is cache.chunk((1, 2))
+        assert cache.chunk(1, 2) is cache.chunk(1, 2)
+
+    def test_span_past_the_dataset_cycles(self):
+        # 3 samples from 2: the chunk (1, 3) is samples 1, 0, 1
+        data = tiny_data(n=2)
+        capture, _, volumes = trainer.TeacherCache(
+            init_params(TINY, seed=0), data, DCFG, 3).chunk(1, 3)
+        assert volumes.tobytes() == np.stack(
+            [data[i][1] for i in (1, 0, 1)]).tobytes()
+        assert capture.attentions[0].shape == (3, 4, 4)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="^data holds no samples$"):
-            trainer.TeacherCache(init_params(TINY, seed=0), [], DCFG)
+            trainer.TeacherCache(init_params(TINY, seed=0), [], DCFG, 1)
 
     def test_student_source_keeps_no_weights(self):
         cache = trainer.TeacherCache(init_params(TINY, seed=0), tiny_data(),
-                                     replace(DCFG, attention_source="student"))
-        assert cache.chunk((0, 1))[1] is None
+                                     replace(DCFG, attention_source="student"),
+                                     2)
+        assert cache.chunk(0, 2)[1] is None
+
+
+@pytest.mark.parametrize("stack", [1, trainer.STACK])
+def test_stale_grads_reach_no_step(monkeypatch, stack):
+    # STACK = 1 runs each batch of 2 as two chunks
+    monkeypatch.setattr(trainer, "STACK", stack)
+    teacher = init_params(TINY, seed=0)
+    tcfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=2,
+                       decay_epoch=1)
+    fresh, stale = tiny_state(), tiny_state()
+    for name in stale.m:
+        stale.params.tensors[name].grad = np.full(stale.m[name].shape, 1e3)
+    runs = [train(teacher, s, tiny_data(n=3), tcfg, DCFG)[1]
+            for s in (fresh, stale)]
+    assert runs[0] == runs[1]
+    assert state_bytes(fresh) == state_bytes(stale)
 
 
 class TestPackedState:
