@@ -109,8 +109,15 @@ class ViTParams:
     tensors: dict[str, Tensor] = field(default_factory=dict)
 
     def copy(self) -> "ViTParams":
-        return ViTParams(self.config, {k: Tensor(v.data.copy())
-                                       for k, v in self.tensors.items()})
+        """New Tensors over the same entries. A read-only array, as
+        init_params draws them, is shared as it is; a writable one, such as
+        a packed state's trainable view or a fresh adapter factor, is
+        copied. So nothing that can change is shared, and a student copied
+        from its teacher owns only the entries TrainState packs
+        (docs/EQUATIONS.md, "Flat layout")."""
+        return ViTParams(self.config, {
+            k: Tensor(v.data.copy() if v.data.flags.writeable else v.data)
+            for k, v in self.tensors.items()})
 
     def all_entries(self) -> dict[str, Tensor]:
         """`tensors` itself: name -> Tensor of every entry."""
@@ -143,16 +150,22 @@ def param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTParams:
-    """Weights and pos ~ N(0, scale^2) drawn in order, gains 1, biases 0."""
+    """Weights and pos ~ N(0, scale^2) drawn in order, gains 1, biases 0.
+
+    Every array is read-only, so copies share it (see ViTParams.copy) and
+    an in-place write raises ValueError instead of editing them all.
+    """
     rng = np.random.default_rng(seed)
     p = ViTParams(config)
     for name, shape in param_shapes(config).items():
         if name.endswith(".g"):
-            p.tensors[name] = Tensor(np.ones(shape))
+            a = np.ones(shape)
         elif name.endswith(".b"):
-            p.tensors[name] = Tensor(np.zeros(shape))
+            a = np.zeros(shape)
         else:
-            p.tensors[name] = Tensor(rng.normal(0.0, scale, shape))
+            a = rng.normal(0.0, scale, shape)
+        a.flags.writeable = False
+        p.tensors[name] = Tensor(a)
     return p
 
 

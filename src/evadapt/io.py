@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import re
 import struct
@@ -126,9 +127,20 @@ def _read_meta(raw: bytes) -> dict:
 
 def write_masks(path, masks, ids, shape):
     """Write instance masks as row-major run-length text under the
-    header of their (H, W) `shape`, one line per id."""
+    header of their (H, W) `shape`, one line per id.
+
+    The ids must be distinct integers, one per mask, and every mask must
+    have `shape`; otherwise ValueError names the id, before the file is
+    created.
+    """
     if len(set(ids)) != len(ids) or len(ids) != len(masks):
         raise ValueError("mask ids must be distinct, one per mask")
+    for mid, mask in zip(ids, masks):
+        if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
+            raise ValueError(f"mask id {mid!r} is not an integer")
+        if np.shape(mask) != tuple(shape):
+            raise ValueError(f"mask id {mid}: shape {np.shape(mask)}, "
+                             f"not the file's {tuple(shape)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# H={shape[0]} W={shape[1]}\n")
         for mid, mask in zip(ids, masks):

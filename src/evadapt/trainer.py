@@ -110,19 +110,22 @@ class TrainState:
 
     @functools.cached_property
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat (size,) buffers of values, m and v."""
+        """The flat (size,) buffers of values, m and v: rows of one block."""
         entries = self.params.tensors
         groups = {"value": [entries[n].data for n in self.layout],
                   "m": [self.m[n] for n in self.layout],
                   "v": [self.v[n] for n in self.layout]}
-        for kind, arrays in groups.items():
-            for (name, (_, shape)), a in zip(self.layout.items(), arrays):
+        # rows of one block: glibc trims the heap top once twice the largest
+        # mmapped block it has freed lies free there, and with three 9.5 MB
+        # buffers each train-mid chunk's ~23 MB graph was trimmed and
+        # faulted back in (docs/EQUATIONS.md, "Flat layout")
+        p, m, v = block = np.empty((3, self.size))
+        for row, (kind, arrays) in zip(block, groups.items()):
+            for (name, (sl, shape)), a in zip(self.layout.items(), arrays):
                 if a.shape != shape:
                     raise ValueError(f"{kind} of '{name}' has shape "
                                      f"{a.shape}, the plan {shape}")
-        p, m, v = (np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays],
-                                  dtype=np.float64)
-                   for arrays in groups.values())
+                row[sl] = a.ravel()
         for name, (sl, shape) in self.layout.items():
             entries[name].data = p[sl].reshape(shape)
             self.m[name], self.v[name] = (m[sl].reshape(shape),

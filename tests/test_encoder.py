@@ -63,8 +63,9 @@ class TestForward:
         cfg = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=1,
                         num_heads=2, mlp_hidden=16)
         p = init_params(cfg, seed=0)
-        # zero the qkv map so logits are constant
-        p.tensors["block.1.qkv.w"].data[:] = 0
+        # zero the qkv map so logits are constant; init_params' arrays
+        # are read-only, so rebind rather than write into one
+        p.tensors["block.1.qkv.w"].data = np.zeros((8, 24))
         cap = forward_tokens(p, Tensor(np.zeros((4, 8))))
         assert np.allclose(cap.attentions[0], 0.25)
 
@@ -173,12 +174,19 @@ class TestLora:
             f"{site}.{f}" for site in sites for f in ("lora_a", "lora_b")]
 
     def test_copy_shares_no_adapter_array(self, params):
+        # adapters are writable and copied; base entries are read-only and
+        # shared, so every entry of the copy equals the original's
         lp = apply_lora(params, trainable_shapes(TINY, LORA))
         cp = lp.copy()
         assert list(cp.tensors) == list(lp.tensors)
         for name, t in lp.tensors.items():
-            assert not np.shares_memory(cp.tensors[name].data, t.data), name
-            assert np.array_equal(cp.tensors[name].data, t.data), name
+            c = cp.tensors[name]
+            assert c is not t and np.array_equal(c.data, t.data), name
+            adapter = name.endswith((".lora_a", ".lora_b"))
+            assert t.data.flags.writeable == adapter, name
+            assert np.shares_memory(c.data, t.data) != adapter, name
+        with pytest.raises(ValueError, match="read-only"):
+            cp.tensors["embed.w"].data[0, 0] = 1.0
 
     def test_adapter_param_count_shape(self):
         # adapter on a c -> 4c map adds r * (c + 4c) scalars

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -223,6 +224,32 @@ class TestMaskFiles:
             write_masks(p, [np.ones((2, 2), bool)] * 3, ids=ids,
                         shape=(2, 2))
         assert not p.exists()
+
+    @pytest.mark.parametrize("mshape", [(3, 3), (1, 3), (4,), (2, 2, 1)])
+    def test_write_rejects_mask_of_other_shape(self, tmp_path, mshape):
+        # a (3, 3) mask under a 2x2 header wrote a run read_masks rejects,
+        # and a (1, 3) one read back as another 2x2 mask
+        p = tmp_path / "m.rle"
+        masks = [np.ones((2, 2), bool), np.ones(mshape, bool)]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"mask id 7: shape {mshape}, not the file's (2, 2)")):
+            write_masks(p, masks, ids=[3, 7], shape=(2, 2))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("mid", [True, np.bool_(False), 1.0, "1", None])
+    def test_write_rejects_non_integer_id(self, tmp_path, mid):
+        # id True wrote the line 'True: 0,4'
+        p = tmp_path / "m.rle"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"mask id {mid!r} is not an integer")):
+            write_masks(p, [np.ones((2, 2), bool)], ids=[mid], shape=(2, 2))
+        assert not p.exists()
+
+    def test_write_takes_numpy_integer_ids(self, tmp_path):
+        p = tmp_path / "m.rle"
+        write_masks(p, [np.ones((2, 2), bool)], ids=[np.int64(5)],
+                    shape=(2, 2))
+        assert read_masks(p)[1] == [5]
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "m.rle"

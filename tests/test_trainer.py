@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from evadapt import distill, encoder, trainer
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import (PLAN_MODES, TrainablePlan, ViTConfig,
-                             forward_capture, init_params)
+                             count_trainable, forward_capture, init_params)
 from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
@@ -380,6 +381,38 @@ class TestPackedState:
         assert len(read) == len(state.params.tensors) + 2 * len(state.m)
         for a, copy in read.values():
             assert a.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("rank", [None, 8], ids=["dense", "lora"])
+    def test_student_holds_only_what_it_trains(self, rank):
+        # train-mid's model shape, whose frozen entries are 33 MB: the
+        # student shares them with its teacher, so creating it allocates
+        # only the flat values, m and v of the entries it trains
+        mid = ViTConfig(img_size=32, patch_size=4, embed_dim=192, depth=12,
+                        num_heads=3, mlp_hidden=768)
+        plan = TrainablePlan(mode="embed+mlps", layers=(3, 6, 9, 12),
+                             lora_rank=rank)
+        teacher = init_params(mid, seed=0)
+        digest = {n: hashlib.sha256(t.data).hexdigest()
+                  for n, t in teacher.tensors.items()}
+        tracemalloc.start()
+        try:
+            state = TrainState.create(teacher.copy(), plan)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 3 * 8 * count_trainable(mid, plan) + 2 ** 20
+        frozen = [n for n in teacher.tensors if n not in state.m]
+        assert len(frozen) > len(state.m)
+        for name in frozen:
+            assert np.shares_memory(state.params.tensors[name].data,
+                                    teacher.tensors[name].data), name
+        rng = np.random.default_rng(0)
+        data = [(rng.random((32, 32, 3)), rng.random((32, 32, 3)))]
+        train(teacher, state, data, TrainConfig(
+            epochs=1, steps_per_epoch=1, decay_epoch=1), DistillConfig())
+        assert state.step == 1
+        assert {n: hashlib.sha256(t.data).hexdigest()
+                for n, t in teacher.tensors.items()} == digest
 
     def test_misshapen_moment_named_at_first_pack(self):
         shapes = encoder.trainable_shapes(TINY, PLAN)
