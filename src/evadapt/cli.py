@@ -347,7 +347,7 @@ def cmd_significance(args) -> int:
         if bad.size:
             raise DumpFormatError(f"{args.attn}: entry '{name}' row {bad[0]} "
                                   f"sums to {sums[bad[0]]:.9g}, not 1")
-    stack = transition_stack([m.astype(np.float64) for m in mats])
+    stack = transition_stack(mats)
     sig = token_significance(stack, args.layer, args.beta)
     diag = convergence_diagnostic(stack)
     rows = [("significance", i, v) for i, v in enumerate(sig.values)]
@@ -382,11 +382,7 @@ _PARAM_ROWS = [
 
 
 def cmd_params(args) -> int:
-    if args.config:
-        config = load_run(args.config)[1].model
-    else:
-        from .encoder import VIT_B
-        config = VIT_B
+    config = (load_run(args.config)[1] if args.config else RunConfig()).model
     total = count_trainable(config, TrainablePlan(mode="all"))
     print(f"{'Plan':36s} {'Trainable':>12s} {'% of total':>10s}")
     for label, plan in _PARAM_ROWS:
@@ -527,7 +523,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as e:
+    # MemoryError: an array numpy refuses to allocate
+    except (ConfigError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -58,8 +58,7 @@ class ViTConfig:
         return self.patch_size ** 2 * CHANNELS
 
 
-VIT_B = ViTConfig(img_size=512, patch_size=16, embed_dim=768, depth=12,
-                  num_heads=12, mlp_hidden=3072)
+VIT_B = ViTConfig()  # the defaults are ViT-B
 
 
 # the block parts each group kind trains; LoRA adapts only the affine ones
@@ -69,7 +68,6 @@ GROUPS = {"mlps": ("mlp1", "mlp2"),
 # mode -> (whole-model entries, group kind, layer set): the layer set is
 # none, the plan's `layers`, or every block
 PLAN_MODES = {
-    "none": ((), None, "none"),
     "embed": (("embed",), None, "none"),
     "embed+mlps": (("embed",), "mlps", "layers"),
     "embed+blocks": (("embed",), "blocks", "layers"),
@@ -124,26 +122,19 @@ class ViTParams:
         return self.tensors
 
 
-def affine_shapes(config: ViTConfig) -> dict[str, tuple[int, int]]:
-    """(in, out) shape of every affine map, keyed by parameter base name."""
-    c, h = config.embed_dim, config.mlp_hidden
-    shapes = {"embed": (config.patch_dim, c)}
-    for i in range(1, config.depth + 1):
-        shapes[f"block.{i}.qkv"] = (c, 3 * c)
-        shapes[f"block.{i}.proj"] = (c, c)
-        shapes[f"block.{i}.mlp1"] = (c, h)
-        shapes[f"block.{i}.mlp2"] = (h, c)
-    return shapes
-
-
 def param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every base parameter, in init_params order."""
-    c = config.embed_dim
-    shapes = {}
-    for name, (din, dout) in affine_shapes(config).items():
-        shapes[f"{name}.w"], shapes[f"{name}.b"] = (din, dout), (dout,)
+    """Shape of every base parameter, in init_params order: the affine
+    maps' (in, out) .w and (out,) .b, then pos, then the layernorms."""
+    c, h = config.embed_dim, config.mlp_hidden
+    blocks = range(1, config.depth + 1)
+    shapes = {"embed.w": (config.patch_dim, c), "embed.b": (c,)}
+    for i in blocks:
+        for part, din, dout in (("qkv", c, 3 * c), ("proj", c, c),
+                                ("mlp1", c, h), ("mlp2", h, c)):
+            shapes[f"block.{i}.{part}.w"] = (din, dout)
+            shapes[f"block.{i}.{part}.b"] = (dout,)
     shapes["pos"] = (config.tokens, c)
-    for i in range(1, config.depth + 1):
+    for i in blocks:
         for ln in ("ln1", "ln2"):
             shapes[f"block.{i}.{ln}.g"] = shapes[f"block.{i}.{ln}.b"] = (c,)
     return shapes

@@ -91,8 +91,6 @@ class EventStream:
 @dataclass
 class EventVolume:
     grid: np.ndarray          # (H, W, B) float64
-    window: tuple[int, int]   # (t_start, t_end) microseconds
-    bins: int
 
 
 def voxelize(stream: EventStream, window: tuple[int, int], H: int, W: int,
@@ -102,7 +100,8 @@ def voxelize(stream: EventStream, window: tuple[int, int], H: int, W: int,
     Event at time t lands in bin floor(B*(t-t_start)/(t_end-t_start)),
     clamped to B-1 at t = t_end. Out-of-window events are skipped; an
     in-window event outside the H x W grid is an EventFormatError, and a
-    grid numpy cannot allocate a ValueError naming it.
+    grid numpy cannot allocate, or of more than 2^63 - 1 cells, a
+    ValueError naming it.
     """
     t_start, t_end = window
     if t_end <= t_start:
@@ -119,27 +118,30 @@ def voxelize(stream: EventStream, window: tuple[int, int], H: int, W: int,
         raise EventFormatError(
             f"event {i}: coordinates ({xs[i]},{ys[i]}) outside the "
             f"{H}x{W} grid")
-    b = (B * (tf[keep] - t0) / (t1 - t0)).astype(np.int64)
-    b = np.minimum(b, B - 1)
-    cell = (ys[keep] * W + xs[keep]) * B + b
     weights = stream.p[keep].astype(np.float64) if signed else None
+    # a cell count past int64 stops at `size`, before the bin and cell
+    # arithmetic can overflow or warn of an invalid cast
     try:
-        grid = np.bincount(cell, weights=weights, minlength=H * W * B) \
+        size = np.int64(H * W * B)
+        b = (B * (tf[keep] - t0) / (t1 - t0)).astype(np.int64)
+        b = np.minimum(b, B - 1)
+        cell = (ys[keep] * W + xs[keep]) * B + b
+        grid = np.bincount(cell, weights=weights, minlength=size) \
             .astype(np.float64, copy=False).reshape(H, W, B)
-    except (OverflowError, ValueError, MemoryError):  # numpy cannot hold it
+    except (OverflowError, ValueError, MemoryError):
         raise ValueError(f"the {H}x{W} grid of {B} bins is too large to "
                          "hold") from None
-    return EventVolume(grid=grid, window=(t_start, t_end), bins=B)
+    return EventVolume(grid=grid)
 
 
 def normalize_volume(v: EventVolume) -> EventVolume:
     """Per-channel max normalization to [0, 1]; all-zero channels stay zero."""
     grid = v.grid.copy()
-    for b in range(v.bins):
+    for b in range(grid.shape[2]):
         m = np.abs(grid[:, :, b]).max()
         if m > 0:
             grid[:, :, b] = grid[:, :, b] / m
-    return EventVolume(grid=grid, window=v.window, bins=v.bins)
+    return EventVolume(grid=grid)
 
 
 _HEADER_RE = re.compile(r"#\s*H=(\d+)\s+W=(\d+)")

@@ -199,8 +199,8 @@ def student_step_loss(teacher: EmbeddingCapture, student_params: ViTParams,
     out. The loss and breakdown are sums over the samples.
     """
     event_tokens = embed_image(student_params, volumes)
-    image_tokens = Tensor(teacher.embeddings[0].data)
-    mixed = mix_tokens(event_tokens, image_tokens, dcfg.mixing_ratio, mix_seeds)
+    mixed = mix_tokens(event_tokens, teacher.embeddings[0], dcfg.mixing_ratio,
+                       mix_seeds)
     capture = forward_tokens(student_params, mixed)
     return distill_loss(teacher, capture, dcfg, weights)
 

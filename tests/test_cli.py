@@ -10,7 +10,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from evadapt.cli import _PARAM_ROWS, RunConfig, load_config, load_run, main
-from evadapt.encoder import VIT_B, affine_shapes, trainable_shapes
+from evadapt.encoder import (VIT_B, ViTConfig, param_shapes,
+                             trainable_shapes)
 from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
 
 TINY_DOC = {
@@ -263,6 +264,8 @@ class TestSynthAndVoxelize:
 
 class TestParamsAndGradcheck:
     def test_params_table(self, capsys):
+        # without a config the table is the run default's: ViT-B
+        assert ViTConfig() == VIT_B == RunConfig().model
         assert main(["params"]) == 0
         out = capsys.readouterr().out
         assert "590592" in out
@@ -280,12 +283,14 @@ class TestParamsAndGradcheck:
         rows = {label: plan for label, plan in _PARAM_ROWS
                 if label.startswith("LoRA")}
         assert list(rows) == list(want)
-        affine = affine_shapes(VIT_B)
+        shapes = param_shapes(VIT_B)
         for label, (r, layers, parts) in want.items():
             sites = [f"block.{i}.{p}" for i in layers for p in parts]
             entries = [("embed.w", (768, 768)), ("embed.b", (768,))]
-            entries += [(f"{s}.lora_a", (r, affine[s][0])) for s in sites]
-            entries += [(f"{s}.lora_b", (affine[s][1], r)) for s in sites]
+            entries += [(f"{s}.lora_a", (r, shapes[f"{s}.w"][0]))
+                        for s in sites]
+            entries += [(f"{s}.lora_b", (shapes[f"{s}.w"][1], r))
+                        for s in sites]
             assert list(trainable_shapes(VIT_B, rows[label]).items()) == \
                 entries, label
 
@@ -596,6 +601,48 @@ class TestErrorHandling:
             f"error: the {H}x{W} grid of 3 bins is too large to hold\n"
         assert not (tmp_path / "v.evdt").exists()
 
+    # a bin count or width past int64 overflowed in voxelize's bin and
+    # cell arithmetic, before the grid's guard: an OverflowError traceback
+    @pytest.mark.parametrize("header, flags, grid", [
+        ("# H=4 W=4\n", ["--bins", str(10 ** 20)], f"4x4 grid of {10 ** 20}"),
+        ("", ["--height", "4", "--width", str(10 ** 20)],
+         f"4x{10 ** 20} grid of 3"),
+        (f"# H=4 W={10 ** 20}\n", [], f"4x{10 ** 20} grid of 3"),
+    ], ids=["bins-flag", "width-flag", "width-header"])
+    def test_voxelize_bin_arithmetic_too_large_named(self, tmp_path, capsys,
+                                                     header, flags, grid):
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text(header + "1,1,1,1\n")
+        assert main(["voxelize", "--events", str(ev_path),
+                     "--out", str(tmp_path / "v.evdt")] + flags) == 1
+        assert capsys.readouterr().err == \
+            f"error: the {grid} bins is too large to hold\n"
+        assert not (tmp_path / "v.evdt").exists()
+
+    # allocations numpy refuses, each between 2**60 and 2**63 bytes, so it
+    # raises MemoryError (not "array is too big") before touching memory:
+    # each was a numpy._core._exceptions._ArrayMemoryError traceback
+    @pytest.mark.parametrize("cmd, doc, size", [
+        ("synth", {"scene": {"height": 2 ** 29, "width": 2 ** 29}},
+         "2.00 EiB"),
+        ("synth", {"scene": {"window_ms": float(2 ** 58)}}, "2.00 EiB"),
+        ("gradcheck", {"model": {"img_size": 8, "patch_size": 4,
+                                 "embed_dim": 2 ** 54, "num_heads": 1}},
+         "6.00 EiB"),
+    ], ids=["scene-grid", "scene-window", "model-width"])
+    def test_refused_allocation_one_line(self, tmp_path, capsys, cmd, doc,
+                                         size):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        argv = [cmd, "--config", str(p)]
+        if cmd == "synth":
+            argv += ["--out", str(tmp_path / "s")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Unable to allocate {size} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s" / "events.txt").exists()
+
     @pytest.mark.parametrize("H, W", [(10 ** 10, 10 ** 10),
                                       (2 ** 30, 2 ** 30)])
     def test_eval_mask_grid_too_large_named(self, tmp_path, capsys, H, W):
@@ -748,7 +795,8 @@ class TestRunConfig:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("plan, message", [
-        ({"mode": "none", "lora_rank": 2}, "got 2 under 'none'"),
+        ({"mode": "embed+all_mlps", "lora_rank": 0},
+         "got 0 under 'embed+all_mlps'"),
         ({"mode": "embed", "lora_rank": 16}, "got 16 under 'embed'"),
         ({"mode": "embed+blocks", "layers": [1], "lora_rank": 0},
          "got 0 under 'embed+blocks'"),
@@ -761,6 +809,13 @@ class TestRunConfig:
             from_doc(RunConfig, doc)
         assert str(exc.value) == ("plan.lora_rank must be >= 1 under a mode "
                                   f"with block parts, {message}")
+
+    def test_plan_that_trains_nothing_rejected(self):
+        # `none` was a mode that trained no entry
+        doc = {"model": TINY_DOC["model"], "plan": {"mode": "none"}}
+        with pytest.raises(ConfigError, match="^plan.mode must be one of "
+                                              "embed, .* got 'none'$"):
+            from_doc(RunConfig, doc)
 
     def test_unused_plan_layers_not_checked(self):
         # embed+all_mlps trains every block whatever `layers` holds

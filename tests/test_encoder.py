@@ -125,6 +125,24 @@ class TestCountTrainable:
             count_trainable(TINY, TrainablePlan(mode="embed+mlps", layers=(9,)))
 
 
+class TestParamShapes:
+    def test_order_is_init_params_draw_order(self):
+        # init_params draws in this order, so a reordering would change
+        # every initial weight
+        assert list(param_shapes(TINY)) == [
+            "embed.w", "embed.b",
+            "block.1.qkv.w", "block.1.qkv.b", "block.1.proj.w",
+            "block.1.proj.b", "block.1.mlp1.w", "block.1.mlp1.b",
+            "block.1.mlp2.w", "block.1.mlp2.b",
+            "block.2.qkv.w", "block.2.qkv.b", "block.2.proj.w",
+            "block.2.proj.b", "block.2.mlp1.w", "block.2.mlp1.b",
+            "block.2.mlp2.w", "block.2.mlp2.b",
+            "pos",
+            "block.1.ln1.g", "block.1.ln1.b", "block.1.ln2.g", "block.1.ln2.b",
+            "block.2.ln1.g", "block.2.ln1.b", "block.2.ln2.g", "block.2.ln2.b"]
+        assert list(init_params(TINY).tensors) == list(param_shapes(TINY))
+
+
 class TestTrainableShapes:
     def test_order_and_shapes(self):
         blocks = trainable_shapes(TINY, TrainablePlan(mode="embed+blocks",
@@ -136,7 +154,6 @@ class TestTrainableShapes:
         assert blocks["embed.w"] == (48, 8) and blocks["block.2.qkv.b"] == (24,)
         assert list(trainable_shapes(TINY, TrainablePlan(mode="all")))[:3] == \
             ["pos", "embed.w", "embed.b"]
-        assert trainable_shapes(TINY, TrainablePlan(mode="none")) == {}
         lora = TrainablePlan(mode="embed+mlps", layers=(2,), lora_rank=3)
         assert trainable_shapes(TINY, lora) == {
             "embed.w": (48, 8), "embed.b": (8,),

@@ -99,6 +99,16 @@ class TestVoxelize:
                                              f"is too large to hold$"):
             voxelize(es, (0, 10), H, W, signed=signed)
 
+    @pytest.mark.parametrize("W, B", [(10 ** 20, 3), (4, 10 ** 20)])
+    def test_bin_arithmetic_too_large_named(self, W, B):
+        # a width or bin count past int64 raised "Python int too large to
+        # convert to C long" in the bin and cell arithmetic, an
+        # OverflowError before the grid's own guard
+        es = EventStream([1], [1], [1], [1])
+        with pytest.raises(ValueError, match=f"^the 4x{W} grid of {B} bins "
+                                             f"is too large to hold$"):
+            voxelize(es, (0, 10), 4, W, B=B)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
     def test_count_conservation(self, seed, n):

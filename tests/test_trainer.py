@@ -176,16 +176,6 @@ class TestTrainLoop:
         train(teacher, state, data, tcfg, DCFG)
         assert frozen_sha(state) == sha0
 
-    def test_plan_that_trains_nothing_runs(self):
-        # an empty plan has no gradient to gather; the step still counts
-        teacher = init_params(TINY, seed=0)
-        state = TrainState.create(teacher.copy(), TrainablePlan(mode="none"))
-        sha0 = frozen_sha(state)
-        tcfg = TrainConfig(epochs=1, steps_per_epoch=2, decay_epoch=1)
-        state, history = train(teacher, state, tiny_data(), tcfg, DCFG)
-        assert state.step == 2 and len(history) == 2
-        assert frozen_sha(state) == sha0
-
     def test_deterministic_across_runs(self):
         data = tiny_data()
         teacher = init_params(TINY, seed=0)
