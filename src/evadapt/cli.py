@@ -152,10 +152,9 @@ def predict_masks(params, head: dict[str, np.ndarray],
     labels, count = _label_components(grid)
     ps = cfg.patch_size
     pixel = np.kron(labels, np.ones((ps, ps), dtype=np.int64))
-    masks = [pixel == i for i in range(1, count + 1)]
-    if not masks:
+    if not count:
         return None
-    return MaskSet(masks=masks)
+    return MaskSet(masks=list(pixel == np.arange(1, count + 1)[:, None, None]))
 
 
 def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -218,14 +217,15 @@ def cmd_train(args) -> int:
     if deep:
         raise ConfigError(f"distill.layers: layer {deep[0]} exceeds "
                           f"model.depth {config.depth}")
-    out_dir = args.out or run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     data = [(img, vol) for img, vol, _ in
             make_dataset(doc, run.scene.num_samples, seed)]
     teacher = init_params(config, seed=run.teacher_seed)
     state = TrainState.create(teacher.copy(), plan, seed=seed)
     state, history = train(teacher, state, data, run.train, run.distill)
     head = init_head(config.embed_dim, seed)
+    # made only now, so a run that fails leaves no empty directory
+    out_dir = args.out or run.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, "checkpoint.evdt")
     save_checkpoint(ckpt, state, extra_meta={"seed": seed},
                     extra_tensors=head)
@@ -434,10 +434,10 @@ def cmd_synth(args) -> int:
     _at_least("--seed", args.seed, 0)
     run = load_run(args.config)[1] if args.config else RunConfig()
     spec = _scene_spec(run.scene, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     frame = synth.render_frame(spec, spec.window_ms)
     stream = synth.generate_events(spec)
     masks = synth.ground_truth_masks(spec, spec.window_ms)
+    os.makedirs(args.out, exist_ok=True)  # after the work that can fail
     write_dump(os.path.join(args.out, "frame.evdt"), {"frame": frame})
     ev.write_events(os.path.join(args.out, "events.txt"), stream,
                     dims=(spec.height, spec.width))

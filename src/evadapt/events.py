@@ -225,6 +225,33 @@ def _read_lines(lines: list[str]):
     return EventStream(t, x, y, 2 * p - 1), dims
 
 
+def _line_kinds(text: str, lines: list[str]):
+    """Which stripped lines start with '#', and which hold data: neither
+    blank nor '#'.
+
+    When every '#' of the text opens its line, and the only blank line is
+    the last one, the '#' positions and a blank count settle both;
+    otherwise each line is tested.
+    """
+    n = len(lines)
+    hashed = np.zeros(n, dtype=bool)
+    at, row, seen = text.find("#"), 0, 0
+    while at != -1 and (at == 0 or text[at - 1] == "\n"):
+        row += text.count("\n", seen, at)
+        hashed[row] = True
+        at, seen = text.find("#", at + 1), at
+    blank = lines.count("")
+    if at != -1 or blank > 1 or (blank and lines[-1]):
+        hashed = np.fromiter(map(str.startswith, lines, repeat("#")),
+                             dtype=bool, count=n)
+        return hashed, np.fromiter(map(bool, lines), dtype=bool,
+                                   count=n) & ~hashed
+    data = ~hashed
+    if blank:
+        data[-1] = False
+    return hashed, data
+
+
 def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     """Parse an event text file; returns (stream, (H, W) or None).
 
@@ -240,10 +267,7 @@ def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
         except UnicodeDecodeError as e:
             raise EventFormatError(f"byte {e.start}: not UTF-8") from None
     lines = list(map(str.strip, text.split("\n")))
-    n = len(lines)
-    hashed = np.fromiter(map(str.startswith, lines, repeat("#")), dtype=bool,
-                         count=n)
-    data = np.fromiter(map(bool, lines), dtype=bool, count=n) & ~hashed
+    hashed, data = _line_kinds(text, lines)
     vals = _c_ints(text, list(compress(lines, data)))
     if vals is None:
         return _read_lines(lines)

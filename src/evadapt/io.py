@@ -24,6 +24,7 @@ Run configurations and checkpoint metadata are plain mappings that
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -141,25 +142,42 @@ def write_masks(path, masks, ids, shape):
         if np.shape(mask) != tuple(shape):
             raise ValueError(f"mask id {mid}: shape {np.shape(mask)}, "
                              f"not the file's {tuple(shape)}")
+    n, size = len(masks), shape[0] * shape[1]
+    body = ""
+    if n:  # an empty set needs no stack, whatever its grid
+        # every row between two clear cells, so each run's start and end
+        # edges fall inside its own row of the flat stack
+        cells = np.zeros((n, size + 2), dtype=bool)
+        cells[:, 1:-1] = np.array(masks, dtype=bool).reshape(n, size)
+        flat = cells.ravel()
+        edges = np.flatnonzero(flat[1:] != flat[:-1])
+        starts, ends = edges[0::2], edges[1::2]
+        rows = starts // (size + 2)
+        runs = np.stack([starts - rows * (size + 2), ends - starts], axis=1)
+        # one format for the file, so each run is formatted in one pass
+        fmt = "".join(f"{mid}: " + " ".join(["%d,%d"] * k) + "\n" for mid, k
+                      in zip(ids, np.bincount(rows, minlength=n).tolist()))
+        body = fmt % tuple(runs.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# H={shape[0]} W={shape[1]}\n")
-        for mid, mask in zip(ids, masks):
-            flat = np.asarray(mask, dtype=bool).ravel()
-            edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
-            runs = " ".join(f"{i},{j - i}" for i, j in
-                            zip(edges[0::2].tolist(), edges[1::2].tolist()))
-            fh.write(f"{mid}: {runs}\n")
+        fh.write(f"# H={shape[0]} W={shape[1]}\n{body}")
 
 
 def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
-    """Parse an RLE mask file; errors raise DumpFormatError naming the line."""
+    """Parse an RLE mask file; errors raise DumpFormatError naming the line.
+
+    Lines are parsed and checked one at a time, the runs of all lines in
+    one array pass; a bad run raises before the error of any later line.
+    """
     shape = None
-    masks, lines = [], {}  # lines: id -> the line that gave it
+    lines = {}  # id -> the line that gave it
+    # every run's ints, each run's comma count and each line's run count
+    fields, commas, counts = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise DumpFormatError(f"byte {e.start}: not UTF-8") from None
+    try:
         for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
@@ -179,34 +197,81 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
             if shape is None:
                 raise DumpFormatError("mask file missing '# H=.. W=..' header")
             head, _, body = line.partition(":")
+            runs = body.split()
             try:
                 mid = int(head)
-                runs = [[int(v) for v in run.split(",")]
-                        for run in body.split()]
+                vals = list(map(int, ",".join(runs).split(","))) if runs \
+                    else []
             except ValueError:
                 raise DumpFormatError(
                     f"line {lineno}: expected 'id: start,len ...'") from None
             if mid in lines:
                 raise DumpFormatError(
                     f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
+            if not lines:
+                _grid(shape, header, 1)  # a grid too large fails here
             lines[mid] = lineno
-            try:
-                flat = np.zeros(shape[0] * shape[1], dtype=bool)
-            except (ValueError, MemoryError):  # numpy cannot hold it
-                raise DumpFormatError(
-                    f"line {header}: the {shape[0]}x{shape[1]} grid is too "
-                    "large to hold") from None
-            for run in runs:
-                if (len(run) != 2 or run[0] < 0 or run[1] < 1
-                        or sum(run) > flat.size):
-                    raise DumpFormatError(
-                        f"line {lineno}: run {run} is not a nonempty start,len "
-                        f"inside the {shape[0]}x{shape[1]} grid")
-                flat[run[0]:sum(run)] = True
-            masks.append(flat.reshape(shape))
+            fields += vals
+            commas += map(str.count, runs, itertools.repeat(","))
+            counts.append(len(runs))
+    except DumpFormatError:
+        if counts:  # a bad run on an earlier line comes first
+            _mask_runs(fields, commas, counts, list(lines.values()), shape)
+        raise
     if shape is None:
         raise DumpFormatError("empty mask file")
-    return masks, list(lines), shape
+    if not lines:
+        return [], [], shape
+    starts, lengths = _mask_runs(fields, commas, counts, list(lines.values()),
+                                 shape)
+    cells = _grid(shape, header, len(lines))
+    # runs as stretches of the flat stack, overlapping ones merged, so the
+    # index below holds each set cell once however the runs overlap
+    firsts = np.repeat(np.arange(len(lines)), counts) * cells.shape[1] + starts
+    order = np.argsort(firsts, kind="stable")
+    firsts, ends = firsts[order], (firsts + lengths)[order]
+    reach = np.maximum.accumulate(ends)  # the furthest end so far
+    opens = np.flatnonzero(firsts > np.r_[-1, reach[:-1]])
+    firsts, lengths = (firsts[opens],
+                       np.maximum.reduceat(ends, opens) - firsts[opens])
+    # each stretch's cells: one count over all of them, shifted from where
+    # the stretch starts in the count to its first cell
+    shift = firsts - (np.cumsum(lengths) - lengths)
+    cells.ravel()[np.arange(lengths.sum()) + np.repeat(shift, lengths)] = True
+    return list(cells.reshape(len(lines), *shape)), list(lines), shape
+
+
+def _grid(shape, header: int, n: int) -> np.ndarray:
+    """A clear (n, H * W) stack, or the error naming the header line."""
+    try:
+        return np.zeros((n, shape[0] * shape[1]), dtype=bool)
+    except (ValueError, MemoryError):  # numpy cannot hold it
+        raise DumpFormatError(f"line {header}: the {shape[0]}x{shape[1]} grid "
+                              "is too large to hold") from None
+
+
+def _mask_runs(fields, commas, counts, linenos, shape):
+    """The runs' starts and lengths; the first run, in file order, that is
+    not a nonempty start,len inside the grid raises, naming its line."""
+    width = np.array(commas, dtype=np.int64) + 1  # each run's field count
+    at = np.cumsum(width) - width  # each run's first field
+    try:
+        vals = np.array(fields, dtype=np.int64)
+    except OverflowError:  # clipped, a field past int64 still fails its run
+        vals = np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in fields],
+                        dtype=np.int64)
+    starts = vals[at]
+    lengths = vals[np.minimum(at + 1, vals.size - 1)]
+    size = shape[0] * shape[1]
+    bad = np.flatnonzero((width != 2) | (starts < 0) | (lengths < 1)
+                         | (lengths > size - np.maximum(starts, 0)))
+    if bad.size:
+        i = bad[0]
+        line = linenos[np.searchsorted(np.cumsum(counts), i, side="right")]
+        raise DumpFormatError(
+            f"line {line}: run {fields[at[i]:at[i] + width[i]]} is not a "
+            f"nonempty start,len inside the {shape[0]}x{shape[1]} grid")
+    return starts, lengths
 
 
 # -- run configuration ------------------------------------------------------

@@ -25,9 +25,10 @@ class MaskSet:
         dims = {m.shape for m in self.masks}
         if len(dims) > 1:
             raise ValueError("inconsistent mask dimensions")
-        for i, m in enumerate(self.masks):
-            if not m.any():
-                raise ValueError(f"mask {self.ids[i]} is empty")
+        stack = np.array(self.masks, dtype=bool)
+        empty = np.flatnonzero(~stack.any(axis=tuple(range(1, stack.ndim))))
+        if empty.size:
+            raise ValueError(f"mask {self.ids[empty[0]]} is empty")
 
     def __len__(self):
         return len(self.masks)
@@ -55,16 +56,29 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(inter) / float(union) if union else 0.0
 
 
+def _packed(masks: MaskSet, size: int) -> np.ndarray:
+    """The masks as rows of 64-bit words, one bit a cell, zero-padded."""
+    bits = np.packbits(np.array(masks.masks, dtype=bool)
+                       .reshape(len(masks), size), axis=1)
+    words = np.zeros((len(masks), -(-size // 64) * 8), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    return words.view(np.uint64)
+
+
+def _cells(words: np.ndarray) -> np.ndarray:
+    """The set bits in each row of packed words."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
 def _overlap_table(gt: MaskSet, pred: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(G, P) intersection counts and the gt and pred mask areas."""
     shape = gt.masks[0].shape
     if any(m.shape != shape for m in pred.masks):
         raise ValueError("gt and pred mask dimensions differ")
-    gm, pm = (np.array([np.ravel(m) for m in s.masks], dtype=bool)
-              .reshape(len(s), gt.masks[0].size) for s in (gt, pred))
-    # one GT row at a time: no int copy of either stack
-    inter = np.stack([np.count_nonzero(pm & g, axis=1) for g in gm])
-    return inter, np.count_nonzero(gm, axis=1), np.count_nonzero(pm, axis=1)
+    gw, pw = (_packed(s, gt.masks[0].size) for s in (gt, pred))
+    # one GT row at a time: no (G, P, words) temporary
+    inter = np.stack([_cells(pw & g) for g in gw])
+    return inter, _cells(gw), _cells(pw)
 
 
 def _greedy_match(inter, ga, pa) -> list[tuple[int, int, float]]:

@@ -75,7 +75,7 @@ class SceneSpec:
 def _span(inside: np.ndarray) -> slice:
     """The slice from the first to the last column of the (T, n) `inside`
     that holds at some step."""
-    hit = np.flatnonzero(inside.any(axis=0))
+    hit = inside.any(axis=0).nonzero()[0]
     return slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
 
 
@@ -117,11 +117,11 @@ def _paint(spec: SceneSpec, ts: np.ndarray, values: np.ndarray):
     return planes
 
 
-def _frame(spec: SceneSpec, t_ms: float, values: np.ndarray) -> np.ndarray:
-    """The (H, W) plane _paint makes at time t."""
+def _at(spec: SceneSpec, t_ms: float) -> np.ndarray:
+    """The one-step time array of t, inside the scene's window."""
     if not 0.0 <= t_ms <= spec.window_ms:
         raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
-    return _paint(spec, np.array([t_ms], dtype=np.float64), values)[0]
+    return np.array([t_ms], dtype=np.float64)
 
 
 def _levels(spec: SceneSpec) -> np.ndarray:
@@ -132,20 +132,23 @@ def _levels(spec: SceneSpec) -> np.ndarray:
 
 def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
     """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
-    frame = _frame(spec, t_ms, _levels(spec))
+    frame = _paint(spec, _at(spec, t_ms), _levels(spec))[0]
     return np.repeat(frame[:, :, None], 3, axis=2)
 
 
 def ground_truth_masks(spec: SceneSpec, t_ms: float) -> MaskSet:
     """One mask per shape at time t; later shapes occlude earlier ones."""
-    top = _frame(spec, t_ms, np.arange(-1, len(spec.shapes)))
-    masks = []
-    ids = []
-    for i in range(len(spec.shapes)):
-        vis = top == i
+    ts, H, W = _at(spec, t_ms), spec.height, spec.width
+    above = np.zeros((H, W), dtype=bool)  # the later shapes' cells
+    masks, ids = [], []
+    for i in reversed(range(len(spec.shapes))):
+        (rows, cols), (fp,) = _swept_footprints(spec.shapes[i], H, W, ts)
+        box, vis = above[rows, cols], np.zeros((H, W), dtype=bool)
+        vis[rows, cols] = fp & ~box
+        box |= fp
         if vis.any():
-            masks.append(vis)
-            ids.append(i)
+            masks.insert(0, vis)
+            ids.insert(0, i)
     return MaskSet(masks=masks, ids=ids)
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -57,6 +58,21 @@ class TestTrainEval:
         for k in ("mP", "mR", "mIoU", "aIoU"):
             assert 0.0 <= agg[k] <= 1.0
         assert len(got["frames"]) == 2
+
+    def test_tiny_profile_eval_bytes_pinned(self, tmp_path, capsys):
+        # README's quick start: the eval report of configs/tiny.yaml, whose
+        # every mask goes through predict_masks, ground_truth_masks and the
+        # overlap table, byte for byte as the per-mask code wrote it
+        config = str(Path(__file__).resolve().parents[1] / "configs"
+                     / "tiny.yaml")
+        out = tmp_path / "run"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        report = tmp_path / "eval.json"
+        assert main(["eval", "--config", config,
+                     "--checkpoint", str(out / "checkpoint.evdt"),
+                     "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "b20f44438c97cb8c5758605cde7a6427036c30ebbd30a530d59452019ff90b58")
 
     def test_lora_end_to_end(self, tmp_path, capsys):
         doc = copy.deepcopy(TINY_DOC)
@@ -642,6 +658,29 @@ class TestErrorHandling:
         assert err.startswith(f"error: Unable to allocate {size} ")
         assert err.count("\n") == 1
         assert not (tmp_path / "s" / "events.txt").exists()
+
+    # a refused allocation used to leave an empty --out directory behind
+    @pytest.mark.parametrize("cmd, doc", [
+        ("synth", {"scene": {"height": 2 ** 29, "width": 2 ** 29}}),
+        ("train", {**TINY_DOC, "scene": {**TINY_DOC["scene"],
+                                         "window_ms": float(2 ** 58)}}),
+    ], ids=["synth", "train"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_makes_no_out_dir(self, tmp_path, capsys, cmd, doc,
+                                         existing):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        if existing:  # an --out that was there stays, with its files
+            out.mkdir()
+            (out / "keep.txt").write_text("kept\n")
+        assert main([cmd, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        if existing:
+            assert [f.name for f in out.iterdir()] == ["keep.txt"]
+            assert (out / "keep.txt").read_text() == "kept\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("H, W", [(10 ** 10, 10 ** 10),
                                       (2 ** 30, 2 ** 30)])

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,28 @@ class TestMaskFiles:
         p.write_text("# H=2 W=2\n0: 3,1\n")
         masks, _, _ = read_masks(p)
         assert masks[0].sum() == 1 and masks[0][1, 1]
+
+    @pytest.mark.parametrize("text", ["# H=0 W=3\n0:\n1:\n",
+                                      "# H=2 W=0\n5: \n"])
+    def test_zero_cell_grid(self, tmp_path, text):
+        p = tmp_path / "m.rle"
+        p.write_text(text)
+        masks, ids, shape = read_masks(p)
+        assert [m.shape for m in masks] == [shape] * len(ids)
+
+    def test_overlapping_runs_held_once(self, tmp_path):
+        # one full-grid run a thousand times over fills one mask; held run
+        # by run, its cells would take a thousand masks' memory
+        p = tmp_path / "m.rle"
+        p.write_text("# H=100 W=100\n0:" + " 0,10000" * 1000 + "\n")
+        tracemalloc.start()
+        try:
+            masks, _, _ = read_masks(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks[0].all()
+        assert peak < 2e6
 
     def test_repeated_id_names_line(self, tmp_path):
         # two lines with one id used to be scored as two instances

@@ -9,7 +9,10 @@ elementwise, so every comparison is exact. Reference events are
 same way against the chain of single-operation graph nodes it replaced,
 the stacked student step against the one-graph-per-sample step, the
 flat Adam pass against the per-entry update, and the dataset-order
-teacher cache against restacking every chunk every step.
+teacher cache against restacking every chunk every step. The per-mask
+RLE writer, the one-loop mask reader, the `count_nonzero` overlap table
+and the per-line event classification are kept as they were before one
+array pass replaced each, and the pass must match them exactly.
 
 The test-only graph nodes and the one-term rollout approximation
 `transition_approx` live here too; the other test modules import them.
@@ -20,6 +23,7 @@ import os
 import re
 import tempfile
 import warnings
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -256,6 +260,95 @@ def ref_write_masks(path, masks, ids, shape):
                 else:
                     i += 1
             fh.write(f"{mid}: {' '.join(runs)}\n")
+
+
+def ref_write_masks_per_mask(path, masks, ids, shape):
+    """write_masks with one edge pass and one line of text per mask."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# H={shape[0]} W={shape[1]}\n")
+        for mid, mask in zip(ids, masks):
+            flat = np.asarray(mask, dtype=bool).ravel()
+            edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+            runs = " ".join(f"{i},{j - i}" for i, j in
+                            zip(edges[0::2].tolist(), edges[1::2].tolist()))
+            fh.write(f"{mid}: {runs}\n")
+
+
+def ref_read_masks(path):
+    """read_masks as one loop: each line parsed, checked and filled in
+    turn, one run at a time."""
+    shape = None
+    masks, lines = [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise io.DumpFormatError(f"byte {e.start}: not UTF-8") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = io._MASK_HEADER.fullmatch(line)
+                if m is None or shape is not None:
+                    raise io.DumpFormatError(
+                        f"line {lineno}: expected one '# H=.. W=..' header")
+                try:
+                    shape = (int(m.group(1)), int(m.group(2)))
+                except ValueError:
+                    raise io.DumpFormatError(f"line {lineno}: header "
+                                             "dimension has too many digits")
+                header = lineno
+                continue
+            if shape is None:
+                raise io.DumpFormatError(
+                    "mask file missing '# H=.. W=..' header")
+            head, _, body = line.partition(":")
+            try:
+                mid = int(head)
+                runs = [[int(v) for v in run.split(",")]
+                        for run in body.split()]
+            except ValueError:
+                raise io.DumpFormatError(
+                    f"line {lineno}: expected 'id: start,len ...'") from None
+            if mid in lines:
+                raise io.DumpFormatError(
+                    f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
+            lines[mid] = lineno
+            try:
+                flat = np.zeros(shape[0] * shape[1], dtype=bool)
+            except (ValueError, MemoryError):
+                raise io.DumpFormatError(
+                    f"line {header}: the {shape[0]}x{shape[1]} grid is too "
+                    "large to hold") from None
+            for run in runs:
+                if (len(run) != 2 or run[0] < 0 or run[1] < 1
+                        or sum(run) > flat.size):
+                    raise io.DumpFormatError(
+                        f"line {lineno}: run {run} is not a nonempty "
+                        f"start,len inside the {shape[0]}x{shape[1]} grid")
+                flat[run[0]:sum(run)] = True
+            masks.append(flat.reshape(shape))
+    if shape is None:
+        raise io.DumpFormatError("empty mask file")
+    return masks, list(lines), shape
+
+
+def ref_overlap_table(gt, pred):
+    """_overlap_table counting cells of bool stacks, one GT row at a time."""
+    gm, pm = (np.array([np.ravel(m) for m in s.masks], dtype=bool)
+              .reshape(len(s), gt.masks[0].size) for s in (gt, pred))
+    inter = np.stack([np.count_nonzero(pm & g, axis=1) for g in gm])
+    return inter, np.count_nonzero(gm, axis=1), np.count_nonzero(pm, axis=1)
+
+
+def ref_line_kinds(lines):
+    """Each stripped line tested on its own: starts with '#', and holds
+    data (neither blank nor '#')."""
+    n = len(lines)
+    hashed = np.fromiter(map(str.startswith, lines, repeat("#")), dtype=bool,
+                         count=n)
+    return hashed, np.fromiter(map(bool, lines), dtype=bool, count=n) & ~hashed
 
 
 # -- test-only graph nodes ----------------------------------------------------
@@ -690,6 +783,59 @@ class TestEventText:
         assert read_outcome(ref_read_events, p) == "line 2: non-integer field"
 
 
+
+# files whose '#' and blank lines the position scan must classify as the
+# per-line tests do: '#' mid-line or after padding, whitespace-only and
+# \x00 lines, headers after data or twice, CRLF, no final newline
+_KIND_LINES = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4),
+              st.integers(0, 1)).map(lambda r: ",".join(map(str, r))),
+    st.sampled_from(["# H=4 W=4", "# H=5 W=3", "# note", "#", "1,1,# 1,1",
+                     "2,1,1,1 # late", " # padded", "\t# H=4 W=4", "",
+                     "  ", "\t", "\x0b", "\x00", "\x001,1,1,1", "1,1,1,\x00"]))
+
+
+def line_reader_outcome(path):
+    """_read_lines' (stream, dims) for the file, or its error message."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [s.strip() for s in fh.read().split("\n")]
+    try:
+        return events._read_lines(lines)
+    except EventFormatError as e:
+        return str(e)
+
+
+class TestLineKinds:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_KIND_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]),
+           st.booleans())
+    def test_scan_matches_per_line_tests(self, tmp_path, lines, eol, final):
+        p = tmp_path / "e.txt"
+        p.write_bytes((eol.join(lines) + (eol if final else "")).encode())
+        with open(p, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        stripped = list(map(str.strip, text.split("\n")))
+        got = events._line_kinds(text, stripped)
+        want = ref_line_kinds(stripped)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert read_outcome(read_events, p) == line_reader_outcome(p)
+
+    @pytest.mark.parametrize("text", [
+        "# H=4 W=4\n1,1,1,1\n2,2,2,0\n", "1,1,1,1\n2,2,2,0", "",
+        "# H=4 W=4\r\n1,1,1,1\r\n", "3,1,1,1\n", "# H=4 W=4\n",
+    ], ids=["written", "no-final-newline", "empty", "crlf", "headerless",
+            "header-only"])
+    def test_settled_files(self, tmp_path, text):
+        # the files the scan settles without the per-line tests
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode())
+        with mock.patch.object(np, "fromiter", wraps=np.fromiter) as tests:
+            got = read_outcome(read_events, p)
+        assert not tests.called
+        assert got == line_reader_outcome(p)
+
+
 # -- masks -------------------------------------------------------------------
 
 def mask_lists(shape, min_size=0, max_size=4):
@@ -772,6 +918,102 @@ class TestWriteMasks:
             ref_write_masks(ref, masks, ids, shape)
             with open(new, "rb") as a, open(ref, "rb") as b:
                 assert a.read() == b.read()
+
+
+@st.composite
+def mask_cases(draw, shape=None):
+    """(shape, masks): 1x1 and 1xN grids and cell counts on and off a
+    multiple of 64 among others; each mask all clear, all set, random,
+    or random with a run ending on the last cell; the empty set too."""
+    if shape is None:
+        shape = draw(st.sampled_from([(1, 1), (1, 7), (1, 64), (1, 65),
+                                      (8, 8), (3, 21), (9, 9)])
+                     | st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    size = shape[0] * shape[1]
+    masks = []
+    for kind in draw(st.lists(st.sampled_from(["clear", "full", "random",
+                                               "last"]), max_size=5)):
+        m = np.zeros(size, dtype=bool) if kind == "clear" else \
+            np.ones(size, dtype=bool) if kind == "full" else np.array(draw(
+                st.lists(st.booleans(), min_size=size, max_size=size)),
+                dtype=bool)
+        m[-1] |= kind == "last"
+        masks.append(m.reshape(shape))
+    return shape, masks
+
+
+def masks_outcome(read, path):
+    """(masks, ids, shape) as read, or the DumpFormatError message."""
+    try:
+        masks, ids, shape = read(path)
+    except io.DumpFormatError as e:
+        return str(e)
+    assert all(m.dtype == bool and m.shape == shape for m in masks)
+    return [m.tolist() for m in masks], ids, shape
+
+
+class TestMaskIdentity:
+    """The array passes against the per-mask and per-run code they
+    replaced: the same file bytes, masks, errors and overlap counts."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mask_cases(), st.data())
+    def test_writer_and_reader_match_per_mask_code(self, tmp_path, case,
+                                                    data):
+        shape, masks = case
+        ids = data.draw(st.permutations(range(len(masks))).map(
+            lambda p: [3 * i - 4 for i in p]))
+        new, ref = tmp_path / "new.rle", tmp_path / "ref.rle"
+        io.write_masks(new, masks, ids, shape=shape)
+        ref_write_masks_per_mask(ref, masks, ids, shape)
+        assert new.read_bytes() == ref.read_bytes()
+        got = masks_outcome(io.read_masks, new)
+        assert got == masks_outcome(ref_read_masks, new)
+        assert got == ([m.tolist() for m in masks], ids, shape)
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mask_cases(), st.data())
+    def test_mutated_file_reads_as_one_loop_reader(self, tmp_path, case,
+                                                   data):
+        # the first error in file order, whichever check finds it
+        shape, masks = case
+        p = tmp_path / "m.rle"
+        io.write_masks(p, masks, list(range(len(masks))), shape=shape)
+        p.write_bytes(_mutate(data, p.read_bytes()))
+        assert masks_outcome(io.read_masks, p) == masks_outcome(
+            ref_read_masks, p)
+
+    @pytest.mark.parametrize("text", [
+        "0: 0,1 3,9\n1: x\n", "0: 0,1\n1: 2,2,1\n0: 1,1\n",
+        "0: 1,1\n1: 0,5\n# H=2 W=2\n", "0: 0,4 1\n1: 0,1\n",
+        f"0: 0,{2 ** 64}\n1: x\n", f"0: {-2 ** 70},1 0,{2 ** 63}\n",
+        f"0: {2 ** 62},{2 ** 62}\n", "0: 0,1 1,0\n", "0: 1,1 -1,2\n",
+        "0: 3,1 0,2 1,2\n1:\n2: 0,4\n",
+    ], ids=["bad-run-before-parse", "bad-run-before-repeat",
+            "bad-run-before-header", "one-field-run", "past-int64-length",
+            "past-int64-fields", "sum-past-int64", "zero-length",
+            "negative-start", "overlapping-runs"])
+    def test_run_errors_in_file_order(self, tmp_path, text):
+        p = tmp_path / "m.rle"
+        p.write_text("# H=2 W=2\n" + text)
+        assert masks_outcome(io.read_masks, p) == masks_outcome(
+            ref_read_masks, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_overlap_matches_count_nonzero_table(self, data):
+        shape, gt = data.draw(mask_cases())
+        _, pred = data.draw(mask_cases(shape))
+        gt, pred = ([m for m in ms if m.any()] for ms in (gt, pred))
+        assume(gt)
+        gt, pred = metrics.MaskSet(masks=gt), metrics.MaskSet(masks=pred)
+        got, want = metrics._overlap_table(gt, pred), ref_overlap_table(gt,
+                                                                        pred)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 # -- distillation objective --------------------------------------------------
