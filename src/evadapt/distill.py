@@ -42,10 +42,12 @@ class DistillConfig:
             raise ValueError("layers must be >= 0")
         if len(set(self.layers)) != len(self.layers):
             raise ValueError(f"layers must be distinct, got {list(self.layers)}")
-        if self.gamma0 < 0:
-            raise ValueError("gamma0 must be >= 0")
-        if any(g < 0 for g in self.gammas):
-            raise ValueError("gammas must be >= 0")
+        if not 0 <= self.gamma0 < np.inf:
+            raise ValueError(f"gamma0 must be >= 0 and finite, "
+                             f"got {self.gamma0}")
+        if not all(0 <= g < np.inf for g in self.gammas):
+            raise ValueError(f"gammas must be >= 0 and finite, "
+                             f"got {self.gammas}")
         for name in ("beta", "mixing_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

@@ -112,9 +112,11 @@ class ViTParams:
         a packed state's trainable view or a fresh adapter factor, is
         copied. So nothing that can change is shared, and a student copied
         from its teacher owns only the entries TrainState packs
-        (docs/EQUATIONS.md, "Flat layout")."""
+        (docs/EQUATIONS.md, "Flat layout"). A shared entry was checked
+        finite when its Tensor was built, so only a copy is scanned."""
         return ViTParams(self.config, {
-            k: Tensor(v.data.copy() if v.data.flags.writeable else v.data)
+            k: Tensor(v.data.copy()) if v.data.flags.writeable
+            else Tensor._from_op(v.data, (), None)
             for k, v in self.tensors.items()})
 
     def all_entries(self) -> dict[str, Tensor]:
@@ -233,15 +235,16 @@ class EmbeddingCapture:
 
     distill.layer_weights rolls out `attentions` as they are: a stack's
     (m, k, k) maps in one rollout, whose weights follow the stacked rows.
+    A trainer.TeacherCache chunk holds some layers by number and no maps.
     """
-    embeddings: list[Tensor]        # X^(0) .. X^(n), each (m·k, c)
-    attentions: list[np.ndarray]    # head-averaged A^(1) .. A^(n), each
-                                    # (k, k), or (m, k, k) for a stack
+    embeddings: list[Tensor] | dict[int, Tensor]  # X^(layer), each (m·k, c)
+    attentions: list[np.ndarray] | None  # head-averaged A^(1) .. A^(n), each
+                                         # (k, k), or (m, k, k) for a stack
 
     @property
     def samples(self) -> int:
         a = self.attentions
-        return len(a[0]) if a and a[0].ndim == 3 else 1
+        return len(a[0]) if a[0].ndim == 3 else 1
 
 
 def _effective_weight(params: ViTParams, site: str) -> Tensor:

@@ -18,6 +18,8 @@ import numpy as np
 class MaskSet:
     masks: list[np.ndarray]          # each (H, W) bool/0-1
     ids: list[int] = field(default_factory=list)
+    # the masks as one (n, H, W) bool array, stacked once here
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ids:
@@ -25,7 +27,7 @@ class MaskSet:
         dims = {m.shape for m in self.masks}
         if len(dims) > 1:
             raise ValueError("inconsistent mask dimensions")
-        stack = np.array(self.masks, dtype=bool)
+        stack = self.stack = np.array(self.masks, dtype=bool)
         empty = np.flatnonzero(~stack.any(axis=tuple(range(1, stack.ndim))))
         if empty.size:
             raise ValueError(f"mask {self.ids[empty[0]]} is empty")
@@ -58,8 +60,7 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def _packed(masks: MaskSet, size: int) -> np.ndarray:
     """The masks as rows of 64-bit words, one bit a cell, zero-padded."""
-    bits = np.packbits(np.array(masks.masks, dtype=bool)
-                       .reshape(len(masks), size), axis=1)
+    bits = np.packbits(masks.stack.reshape(len(masks), size), axis=1)
     words = np.zeros((len(masks), -(-size // 64) * 8), dtype=np.uint8)
     words[:, :bits.shape[1]] = bits
     return words.view(np.uint64)

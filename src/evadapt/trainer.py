@@ -1,8 +1,8 @@
 """Adam training loop for the student encoder, with checkpoint/resume.
 
-The teacher is frozen; its capture of every sample, and the significance
-weights rolled out from it, are computed before the first step and kept
-in dataset order. Each step embeds its samples' event volumes with the
+The teacher is frozen; the layers of its capture the loss reads, and the
+significance weights rolled out from its maps, are computed before the
+first step for every sample and kept in dataset order. Each step embeds its samples' event volumes with the
 student, replaces a seeded random subset of each sample's tokens with
 the teacher's layer-0 image tokens (fresh positions every step), runs
 the student, and minimizes the weighted distillation objective. A batch runs
@@ -49,8 +49,9 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("lr", "decay_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if self.decay_epoch > self.epochs:
             raise ValueError(f"decay_epoch must not exceed epochs "
                              f"({self.epochs}), got {self.decay_epoch}")
@@ -68,12 +69,12 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 class TrainState:
     """Parameters, Adam moments and step of a run.
 
-    The trainable entries' values, m and v live in three flat buffers in
-    `layout` order (sorted names). The first read of `flat` copies them
-    in and binds each trainable Tensor.data and each m/v array to its view,
-    so the arrays the state was built from are never written. `create`
-    packs at once, while no graph holds memory; a loaded state packs at
-    its first update, so a checkpoint that is only read costs no copy.
+    The trainable entries' values, m and v live in the three rows of one
+    (3, size) block, in `layout` order (sorted names). The first read of
+    `flat` copies them in and binds each trainable Tensor.data and each m/v
+    array to its view, so the arrays the state was built from are never
+    written. `create` packs at once, while no graph holds memory; a loaded
+    state packs at its first update, so a checkpoint only read costs no copy.
     """
     params: ViTParams
     plan: TrainablePlan
@@ -206,15 +207,16 @@ def student_step_loss(teacher: EmbeddingCapture, student_params: ViTParams,
 
 
 class TeacherCache:
-    """The frozen teacher's capture and layer weights of a dataset, and its
-    event volumes, each kept as one array of samples 0 .. N + span - 2
-    modulo N. So a chunk of up to `span` consecutive samples, wrapping
-    past the last one or not, is a slice of them and costs no copy.
+    """What the loss reads of the frozen teacher's side of a dataset: the
+    embeddings of layer 0 and of the distilled layers, their weights and
+    the event volumes, each one array of samples 0 .. N + span - 2 modulo
+    N. So a chunk of up to `span` consecutive samples is a slice: no copy.
 
     All of it is built here, before the first step: one forward_capture
-    per sample, then one layer_weights of their stacked maps. So a sample
-    that no step uses, as when steps x batch < N, still costs its teacher
-    forward, and a sample whose capture fails stops the run before step 1.
+    per sample, cut at once to the kept layers, then one layer_weights of
+    the stacked maps, which are then dropped. So a sample that no step
+    uses, as when steps x batch < N, still costs its teacher forward, and
+    a sample whose capture fails stops the run before step 1.
     """
 
     def __init__(self, teacher: ViTParams, data: list, dcfg: DistillConfig,
@@ -224,37 +226,35 @@ class TeacherCache:
         if not data:
             raise ValueError("data holds no samples")
         self.k = teacher.config.tokens
-        caps = [forward_capture(teacher, image) for image, _ in data]
+        # a layer past the depth is left for distill_loss to reject
+        layers = dict.fromkeys(s for s in (0, *dcfg.layers)
+                               if s <= teacher.config.depth)
+        cut = [([c.embeddings[s].data for s in layers], c.attentions) for c
+               in (forward_capture(teacher, image) for image, _ in data)]
         order = np.arange(len(data) + span - 1) % len(data)
-        caps = [caps[i] for i in order]
-        self.embeddings = [np.concatenate([x.data for x in xs])
-                           for xs in zip(*(c.embeddings for c in caps))]
-        self.attentions = [np.stack(a)
-                           for a in zip(*(c.attentions for c in caps))]
+        kept, maps = zip(*(cut[i] for i in order))
+        self.embeddings = {s: np.concatenate(xs)
+                           for s, xs in zip(layers, zip(*kept))}
+        self.volumes = np.stack([data[i][1] for i in order])
         # per distilled layer a weight per embedding row, or None if uniform;
         # None under the student source, which rolls out the student each step
         self.weights = None if dcfg.attention_source == "student" else \
-            layer_weights(dcfg, self.attentions)
-        self.volumes = np.stack([data[i][1] for i in order])
+            layer_weights(dcfg, [np.stack(a) for a in zip(*maps)])
         # (first, m) -> (stacked capture, its weights, its volumes)
         self.chunks: dict[tuple[int, int], tuple] = {}
 
     def chunk(self, first: int, m: int) -> tuple:
-        """(EmbeddingCapture, layer weights or None, (m, H, W, 3) volumes)
-        of the m samples first, first + 1, ... modulo N: 0 <= first < N,
-        1 <= m <= span."""
-        got = self.chunks.get((first, m))
-        if got is not None:
-            return got
-        samples = slice(first, first + m)
-        rows = slice(first * self.k, (first + m) * self.k)
-        capture = EmbeddingCapture(
-            embeddings=[Tensor(x[rows]) for x in self.embeddings],
-            attentions=[a[samples] for a in self.attentions])
-        weights = None if self.weights is None else \
-            [None if w is None else w[rows] for w in self.weights]
-        got = self.chunks[first, m] = (capture, weights, self.volumes[samples])
-        return got
+        """(EmbeddingCapture of the kept layers without maps, layer weights
+        or None, (m, H, W, 3) volumes) of the m samples first, first + 1,
+        ... modulo N: 0 <= first < N, 1 <= m <= span."""
+        if (first, m) not in self.chunks:
+            rows = slice(first * self.k, (first + m) * self.k)
+            weights = None if self.weights is None else \
+                [None if w is None else w[rows] for w in self.weights]
+            self.chunks[first, m] = (EmbeddingCapture(
+                {s: Tensor(x[rows]) for s, x in self.embeddings.items()},
+                attentions=None), weights, self.volumes[first:first + m])
+        return self.chunks[first, m]
 
 
 def train(teacher: ViTParams, state: TrainState, data: list,

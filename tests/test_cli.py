@@ -405,6 +405,22 @@ class TestErrorHandling:
          "distill.gammas must hold 2 values, one per nonzero layer, got 1"),
         ("train.decay_epoch", 3,
          "train.decay_epoch must not exceed epochs (1), got 3"),
+        # these four passed their checks (nan <= 0 is false) and failed
+        # mid-run on a non-finite softmax input or loss
+        ("train.lr", float("inf"),
+         "train.lr must be positive and finite, got inf"),
+        ("train.lr", float("nan"),
+         "train.lr must be positive and finite, got nan"),
+        ("train.decay_factor", float("nan"),
+         "train.decay_factor must be positive and finite, got nan"),
+        ("distill.gammas", [float("nan"), 1.0],
+         "distill.gammas must be >= 0 and finite, got (nan, 1.0)"),
+        ("distill.gammas", [0.5, float("inf")],
+         "distill.gammas must be >= 0 and finite, got (0.5, inf)"),
+        ("distill.gamma0", float("inf"),
+         "distill.gamma0 must be >= 0 and finite, got inf"),
+        ("distill.gamma0", float("nan"),
+         "distill.gamma0 must be >= 0 and finite, got nan"),
     ])
     def test_out_of_range_rejected_at_load(self, tmp_path, capsys, key,
                                            value, message):

@@ -22,7 +22,8 @@ def random_capture(rng, k=4, c=8, depth=3):
 def layer_loss(x_m: Tensor, x_e: Tensor, w: np.ndarray | None) -> float:
     """The unscaled term distill_loss reports for one layer weighed by w."""
     cfg = DistillConfig(layers=(1,), gammas=(1.0,), attention_source="uniform")
-    cap = lambda x: EmbeddingCapture(embeddings=[x, x], attentions=[])
+    cap = lambda x: EmbeddingCapture(embeddings=[x, x],
+                                     attentions=[np.eye(len(x.data))])
     _, breakdown = distill_loss(cap(x_m), cap(x_e), cfg, weights=[w])
     return breakdown[1]
 
@@ -199,6 +200,25 @@ class TestDistillLoss:
                             attention_source="teacher_single_layer")
         total, _ = distill_loss(t, s, cfg)
         assert total.item() > 0
+
+    @pytest.mark.parametrize("source", ["teacher", "teacher_single_layer"])
+    def test_chunk_without_maps_is_neither_rolled_out_nor_counted(self,
+                                                                  source):
+        # a TeacherCache chunk holds the kept layers by number and no maps:
+        # an empty map list would roll out to uniform weights and count one
+        # sample, so a chunk's maps are None and both raise
+        rng = np.random.default_rng(10)
+        s = random_capture(rng)
+        t = EmbeddingCapture(embeddings=dict(enumerate(s.embeddings)),
+                             attentions=None)
+        cfg = DistillConfig(layers=(0, 1), gammas=(1.0,),
+                            attention_source=source)
+        with pytest.raises(TypeError):
+            distill_loss(t, s, cfg)
+        with pytest.raises(TypeError):
+            t.samples
+        total, _ = distill_loss(t, s, cfg, layer_weights(cfg, s.attentions))
+        assert total.item() == 0.0
 
 
 class TestStackedSamples:

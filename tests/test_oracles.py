@@ -23,6 +23,7 @@ import os
 import re
 import tempfile
 import warnings
+import weakref
 from itertools import repeat
 from unittest import mock
 
@@ -1384,19 +1385,31 @@ def test_flat_adam_matches_per_entry_adam(plan):
         .tobytes()
 
 
+def held_arrays(cache):
+    """The distinct buffers of every array reachable from a TeacherCache,
+    through its attributes, containers, captures and Tensors."""
+    owners, seen, todo = {}, set(), [cache]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owners[id(o)] = o
+        elif isinstance(o, dict):
+            todo += [*o.keys(), *o.values()]
+        elif isinstance(o, (list, tuple)):
+            todo += o
+        elif hasattr(o, "__dict__"):
+            todo += vars(o).values()
+    return list(owners.values())
+
+
 def held_bytes(cache):
     """Bytes of the distinct buffers a TeacherCache's arrays live in."""
-    arrays = [*cache.embeddings, *cache.attentions, cache.volumes,
-              *(w for w in cache.weights or () if w is not None)]
-    for capture, weights, volumes in cache.chunks.values():
-        arrays += [x.data for x in capture.embeddings] + capture.attentions
-        arrays += [volumes, *(w for w in weights or () if w is not None)]
-    owners = {}
-    for a in arrays:
-        while a.base is not None:
-            a = a.base
-        owners[id(a)] = a
-    return sum(a.nbytes for a in owners.values())
+    return sum(a.nbytes for a in held_arrays(cache))
 
 
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
@@ -1435,9 +1448,77 @@ def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
     per_sample = held_bytes(one)
     for capture, weights, volumes in cache.chunks.values():
         assert np.shares_memory(volumes, cache.volumes)
-        for x, held in zip(capture.embeddings, cache.embeddings):
-            assert np.shares_memory(x.data, held)
+        for s, x in capture.embeddings.items():
+            assert np.shares_memory(x.data, cache.embeddings[s])
     assert held_bytes(cache) <= (len(data) + 2 - 1) * per_sample
+
+
+def ref_teacher_chunk(teacher, data, cfg, span, first, m):
+    """The chunk (first, m) as the cache built it when it kept every
+    layer and map: whole captures of samples 0 .. N + span - 2 modulo N,
+    stacked, one rollout of all the stacked maps, then row slices.
+    Returns (every layer's rows, the weights)."""
+    order = np.arange(len(data) + span - 1) % len(data)
+    caps = [encoder.forward_capture(teacher, data[i][0]) for i in order]
+    embeddings = [np.concatenate([x.data for x in xs])
+                  for xs in zip(*(c.embeddings for c in caps))]
+    weights = None if cfg.attention_source == "student" else \
+        distill.layer_weights(cfg, [np.stack(a) for a in
+                                    zip(*(c.attentions for c in caps))])
+    k = teacher.config.tokens
+    rows = slice(first * k, (first + m) * k)
+    return ([x[rows] for x in embeddings],
+            None if weights is None else
+            [None if w is None else w[rows] for w in weights])
+
+
+@pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
+@pytest.mark.parametrize("layers, gammas", [
+    ((0, 1, 2, 3), (0.3, 0.6, 1.0)),    # every layer kept
+    ((3, 1), (1.0, 0.5)),               # layer 0 kept for mixing, 2 dropped
+    ((0, 2), (1.0,))], ids=["every", "unsorted", "skipped"])
+def test_cut_cache_chunks_bitwise_whole_capture_cache(monkeypatch, source,
+                                                      layers, gammas):
+    # 5 samples in chunks of up to 2, wrapping past the last one
+    cfg = distill.DistillConfig(layers=layers, gammas=gammas,
+                                attention_source=source)
+    rng = np.random.default_rng(16)
+    data = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(5)]
+    teacher = encoder.init_params(STEP_CONFIG, seed=3)
+    maps = []     # every map a forward returns, to see none outlives it
+
+    def recording(params, image):
+        c = capture(params, image)
+        maps.extend(weakref.ref(a) for a in c.attentions)
+        return c
+
+    capture = encoder.forward_capture
+    with monkeypatch.context() as patched:
+        patched.setattr(encoder, "forward_capture", recording)
+        cache = trainer.TeacherCache(teacher, data, cfg, 2)
+    assert len(maps) == 5 * STEP_CONFIG.depth
+    for first, m in [(0, 2), (4, 2), (3, 1), (2, 2)]:
+        got, weights, _ = cache.chunk(first, m)
+        want, want_weights = ref_teacher_chunk(teacher, data, cfg, 2,
+                                               first, m)
+        assert list(got.embeddings) == list(dict.fromkeys((0, *layers)))
+        for s, x in got.embeddings.items():
+            assert x.data.tobytes() == want[s].tobytes(), s
+        assert got.attentions is None
+        if want_weights is None:
+            assert weights is None
+        else:
+            assert [None if w is None else w.tobytes() for w in weights] \
+                == [None if w is None else w.tobytes() for w in want_weights]
+    # no map outlives construction, and none is reachable from the cache:
+    # it holds (N + span - 1) k c floats per kept layer, k per weighted
+    # layer, and the volumes
+    assert all(ref() is None for ref in maps)
+    k, c = STEP_CONFIG.tokens, STEP_CONFIG.embed_dim
+    assert not any(a.shape[-2:] == (k, k) for a in held_arrays(cache))
+    weighted = sum(w is not None for w in weights or ())
+    assert held_bytes(cache) == 6 * 8 * (
+        k * c * len(got.embeddings) + k * weighted + 8 * 8 * 3)
 
 
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)

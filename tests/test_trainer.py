@@ -15,7 +15,7 @@ from evadapt.io import DumpFormatError, read_dump, write_dump
 from evadapt.trainer import (TrainConfig, TrainState,
                              adam_step, load_checkpoint, lr_at,
                              pipeline_grad_check, save_checkpoint, train)
-from test_oracles import dot, flat_grad, state_bytes
+from test_oracles import dot, flat_grad, held_bytes, state_bytes
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
@@ -258,14 +258,14 @@ class TestTeacherCache:
         for first, m in [(1, 2), (2, 2), (0, 1), (1, 2)]:
             idxs = [(first + j) % len(data) for j in range(m)]
             capture, weights, volumes = cache.chunk(first, m)
-            assert capture.samples == m
-            for layer, x in enumerate(capture.embeddings):
+            # the layers the loss reads, by number, and no maps: the maps
+            # reach the chunk only through the weights rolled out of them
+            assert list(capture.embeddings) == [0, 1, 2]
+            assert capture.attentions is None
+            for layer, x in capture.embeddings.items():
+                assert x.shape == (m * 4, 8)
                 assert x.data.tobytes() == np.concatenate(
                     [caps[i].embeddings[layer].data for i in idxs]).tobytes()
-            for layer, a in enumerate(capture.attentions):
-                want = [caps[i].attentions[layer] for i in idxs]
-                assert a.tobytes() == np.stack(want).tobytes()
-                assert a.shape == (m, 4, 4)
             assert weights[0] is None and weights[2] is None  # 0, terminal
             assert weights[1].tobytes() == np.concatenate(
                 [distill.layer_weights(DCFG, caps[i].attentions)[1]
@@ -273,9 +273,8 @@ class TestTeacherCache:
             assert volumes.tobytes() == np.stack(
                 [data[i][1] for i in idxs]).tobytes()
             # every chunk, (2, 2) = samples 2, 0 too, is a view of the cache
-            for got, held in [*zip((x.data for x in capture.embeddings),
-                                   cache.embeddings),
-                              *zip(capture.attentions, cache.attentions),
+            for got, held in [*((x.data, cache.embeddings[s])
+                                for s, x in capture.embeddings.items()),
                               (weights[1], cache.weights[1]),
                               (volumes, cache.volumes)]:
                 assert np.shares_memory(got, held)
@@ -285,11 +284,40 @@ class TestTeacherCache:
     def test_span_past_the_dataset_cycles(self):
         # 3 samples from 2: the chunk (1, 3) is samples 1, 0, 1
         data = tiny_data(n=2)
-        capture, _, volumes = trainer.TeacherCache(
+        capture, weights, volumes = trainer.TeacherCache(
             init_params(TINY, seed=0), data, DCFG, 3).chunk(1, 3)
         assert volumes.tobytes() == np.stack(
             [data[i][1] for i in (1, 0, 1)]).tobytes()
-        assert capture.attentions[0].shape == (3, 4, 4)
+        assert capture.embeddings[0].shape == (3 * 4, 8)
+        assert weights[1].shape == (3 * 4,)
+
+    def test_train_mid_cache_bytes(self):
+        # train-mid's shape: 8 samples of k = 64 tokens of width 192 in
+        # chunks of 1 under the default layers (0, 3, 6, 9, 12). The cache
+        # holds (N + span - 1) k c floats per kept layer, k per weighted
+        # layer (3, 6, 9; the terminal 12 is uniform) and the volumes:
+        # 3.93 MB of embeddings where every layer and map took 13.37 MB
+        rng = np.random.default_rng(0)
+        data = [(rng.random((32, 32, 3)), rng.random((32, 32, 3)))
+                for _ in range(8)]
+        cache = trainer.TeacherCache(init_params(MID_PROFILE, seed=0), data,
+                                     DistillConfig(), 1)
+        for first in range(8):
+            cache.chunk(first, 1)
+        k, c = MID_PROFILE.tokens, MID_PROFILE.embed_dim
+        assert list(cache.embeddings) == [0, 3, 6, 9, 12]
+        assert 8 * k * c * 8 * 5 == 3_932_160
+        assert held_bytes(cache) == 8 * 8 * (k * c * 5 + k * 3 + 32 * 32 * 3)
+
+    def test_layer_past_the_depth_named(self):
+        # the cache keeps only the layers it can capture, so the loss's
+        # own check names the layer, as when the cache kept every layer
+        dcfg = replace(DCFG, layers=(0, 1, 3))
+        tcfg = TrainConfig(epochs=1, steps_per_epoch=1, decay_epoch=1)
+        with pytest.raises(ValueError,
+                           match="^layer 3 exceeds encoder depth 2$"):
+            train(init_params(TINY, seed=0), tiny_state(), tiny_data(),
+                  tcfg, dcfg)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="^data holds no samples$"):
