@@ -5,7 +5,10 @@ Evaluation masks come from a minimal stand-in head: a per-token linear
 classifier over the final embeddings, rasterized back to patches,
 thresholded, and split into instances by connected-component labeling.
 It exists so the metric pipeline runs end to end; it is not a trained
-decoder and its absolute numbers carry no meaning.
+decoder and its absolute numbers carry no meaning. Prediction runs the
+encoder on a frozen view of the checkpoint's arrays (ViTParams.frozen),
+so it records no autodiff graph, though `load_checkpoint` marks the
+plan's entries trainable.
 """
 
 from __future__ import annotations
@@ -140,9 +143,10 @@ def init_head(embed_dim: int, seed: int) -> dict[str, np.ndarray]:
 
 def predict_masks(params, head: dict[str, np.ndarray],
                   volume: np.ndarray) -> MaskSet | None:
-    """Threshold per-token logits, rasterize to patches, label components."""
+    """Threshold per-token logits, rasterize to patches, label components.
+    The forward runs on params.frozen(), so it records no graph."""
     cfg = params.config
-    capture = forward_capture(params, volume)
+    capture = forward_capture(params.frozen(), volume)
     final = capture.embeddings[-1].data
     logits = final @ head["head.w"] + head["head.b"][0]
     grid = (logits > 0).reshape(cfg.grid, cfg.grid)
@@ -150,11 +154,11 @@ def predict_masks(params, head: dict[str, np.ndarray],
     # components first appear, so token-grid labels upsample to the
     # pixel-grid labels.
     labels, count = _label_components(grid)
-    ps = cfg.patch_size
-    pixel = np.kron(labels, np.ones((ps, ps), dtype=np.int64))
     if not count:
         return None
-    return MaskSet(masks=list(pixel == np.arange(1, count + 1)[:, None, None]))
+    ps = cfg.patch_size
+    pixel = np.kron(labels, np.ones((ps, ps), dtype=np.int64))
+    return MaskSet(masks=pixel == np.arange(1, count + 1)[:, None, None])
 
 
 def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:

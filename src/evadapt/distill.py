@@ -98,10 +98,14 @@ def layer_weights(cfg: DistillConfig,
     uniformly. `attentions` are the maps of the network whose attention
     is rolled out: the teacher's, or the student's under the "student"
     source. Maps of m stacked samples, each (m, k, k), give each layer's
-    (m·k,) weights of the stacked rows in one rollout."""
+    (m·k,) weights of the stacked rows in one rollout. An empty map list
+    raises ValueError under every source but "uniform", which reads none."""
     if cfg.attention_source == "uniform":
         return [None] * len(cfg.layers)
     n = len(attentions)
+    if not n:
+        raise ValueError(f"the {cfg.attention_source!r} source rolls out an "
+                         f"empty attention-map list")
     if cfg.attention_source == "teacher_single_layer":
         # layer 0..n-1 indexes attention of the block leaving that layer;
         # the terminal layer falls back to its own incoming attention

@@ -119,6 +119,14 @@ class ViTParams:
             else Tensor._from_op(v.data, (), None)
             for k, v in self.tensors.items()})
 
+    def frozen(self) -> "ViTParams":
+        """New Tensors over the same arrays, none requiring grad, so a
+        forward through them records no graph and keeps no backward
+        state (attention's per-head probabilities, gelu's x² and th)."""
+        return ViTParams(self.config, {
+            k: Tensor._from_op(v.data, (), None)
+            for k, v in self.tensors.items()})
+
     def all_entries(self) -> dict[str, Tensor]:
         """`tensors` itself: name -> Tensor of every entry."""
         return self.tensors

@@ -148,7 +148,7 @@ def write_masks(path, masks, ids, shape):
         # every row between two clear cells, so each run's start and end
         # edges fall inside its own row of the flat stack
         cells = np.zeros((n, size + 2), dtype=bool)
-        cells[:, 1:-1] = np.array(masks, dtype=bool).reshape(n, size)
+        cells[:, 1:-1] = np.asarray(masks, dtype=bool).reshape(n, size)
         flat = cells.ravel()
         edges = np.flatnonzero(flat[1:] != flat[:-1])
         starts, ends = edges[0::2], edges[1::2]

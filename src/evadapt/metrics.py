@@ -16,9 +16,11 @@ import numpy as np
 
 @dataclass
 class MaskSet:
-    masks: list[np.ndarray]          # each (H, W) bool/0-1
+    # each (H, W) bool/0-1, or one (n, H, W) array of them
+    masks: list[np.ndarray] | np.ndarray
     ids: list[int] = field(default_factory=list)
-    # the masks as one (n, H, W) bool array, stacked once here
+    # the masks as one (n, H, W) bool array: a bool array given is kept
+    # as it is, anything else is stacked once here
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -27,7 +29,7 @@ class MaskSet:
         dims = {m.shape for m in self.masks}
         if len(dims) > 1:
             raise ValueError("inconsistent mask dimensions")
-        stack = self.stack = np.array(self.masks, dtype=bool)
+        stack = self.stack = np.asarray(self.masks, dtype=bool)
         empty = np.flatnonzero(~stack.any(axis=tuple(range(1, stack.ndim))))
         if empty.size:
             raise ValueError(f"mask {self.ids[empty[0]]} is empty")

@@ -107,14 +107,21 @@ def _swept_footprints(shape: Shape, H: int, W: int, ts: np.ndarray):
 
 
 def _paint(spec: SceneSpec, ts: np.ndarray, values: np.ndarray):
-    """The (len(ts), H, W) planes at the times ts: values[0] everywhere,
-    shape i's footprint painted values[i + 1], later shapes on top."""
-    planes = np.full((len(ts), spec.height, spec.width), values[0])
-    for shape, value in zip(spec.shapes, values[1:]):
-        (rows, cols), fp = _swept_footprints(shape, spec.height, spec.width,
-                                             ts)
-        planes[:, rows, cols][fp] = value
-    return planes
+    """The planes at the times ts inside the union of the shapes' swept
+    boxes: values[0] everywhere, shape i's footprint painted
+    values[i + 1], later shapes on top. Outside that box every plane is
+    values[0] at every time. Returns the box, (rows, cols) slices of the
+    (H, W) grid, and the (len(ts), rows, cols) planes in it."""
+    swept = [(value, *_swept_footprints(shape, spec.height, spec.width, ts))
+             for shape, value in zip(spec.shapes, values[1:])]
+    swept = [s for s in swept if s[2].size]  # an empty box paints nothing
+    y0, x0 = (min((s[1][a].start for s in swept), default=0) for a in (0, 1))
+    y1, x1 = (max((s[1][a].stop for s in swept), default=0) for a in (0, 1))
+    planes = np.full((len(ts), y1 - y0, x1 - x0), values[0])
+    for value, (rows, cols), fp in swept:
+        planes[:, rows.start - y0:rows.stop - y0,
+               cols.start - x0:cols.stop - x0][fp] = value
+    return (slice(y0, y1), slice(x0, x1)), planes
 
 
 def _at(spec: SceneSpec, t_ms: float) -> np.ndarray:
@@ -132,7 +139,10 @@ def _levels(spec: SceneSpec) -> np.ndarray:
 
 def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
     """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
-    frame = _paint(spec, _at(spec, t_ms), _levels(spec))[0]
+    ts, levels = _at(spec, t_ms), _levels(spec)
+    frame = np.full((spec.height, spec.width), levels[0])
+    box, planes = _paint(spec, ts, levels)
+    frame[box] = planes[0]
     return np.repeat(frame[:, :, None], 3, axis=2)
 
 
@@ -207,11 +217,19 @@ def generate_events(spec: SceneSpec) -> EventStream:
     levels = _levels(spec)
     if not np.all((-1.0 < levels) & (levels < np.inf)):
         raise ValueError("scene intensities must be finite and above -1")
-    n_steps = int(spec.window_ms // SIM_STEP_MS) + 1
     H, W = spec.height, spec.width
-    logI = _paint(spec, np.arange(n_steps) * SIM_STEP_MS,
-                  np.log(levels + 1.0))
+    steps = np.arange(int(spec.window_ms // SIM_STEP_MS) + 1) * SIM_STEP_MS
+    # an event's t <= 1000 window_ms, so its sort key (t·H + y)·W + x is
+    # under (1000 window_ms + 1)·H·W; no (T, H, W) stack is allocated,
+    # so a grid too large for the key would not fail on memory first
+    if (int(spec.window_ms * 1000) + 1) * H * W > 2 ** 63:
+        raise ValueError(f"a {H}x{W} grid over {spec.window_ms} ms "
+                         f"overflows the int64 event sort key")
+    # no pixel outside the shapes' swept box changes, so none can cross
+    (rows, cols), logI = _paint(spec, steps, np.log(levels + 1.0))
     ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)
+    xs += cols.start
+    ys += rows.start
     if spec.noise_rate > 0:
         rng = np.random.default_rng(spec.seed)
         n_noise = rng.poisson(spec.noise_rate * spec.window_ms * H * W)
@@ -222,8 +240,7 @@ def generate_events(spec: SceneSpec) -> EventStream:
                         rng.choice([-1, 1]))
         ts, xs, ys, ps = (np.concatenate([a, noise[:, j]])
                           for j, a in enumerate((ts, xs, ys, ps)))
-    # sort on one int64 key (t, y, x); t <= 1000 window_ms, so the key
-    # is under 1001 times logI's cell count and cannot overflow. Stable,
-    # so each pixel keeps its own emission order
+    # sort on one int64 key (t, y, x), checked above to fit. Stable, so
+    # each pixel keeps its own emission order
     order = np.argsort((ts * H + ys) * W + xs, kind="stable")
     return EventStream(ts[order], xs[order], ys[order], ps[order])

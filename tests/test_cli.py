@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import json
@@ -10,10 +11,13 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from evadapt import cli, encoder
+from evadapt.autodiff import Tensor
 from evadapt.cli import _PARAM_ROWS, RunConfig, load_config, load_run, main
-from evadapt.encoder import (VIT_B, ViTConfig, param_shapes,
-                             trainable_shapes)
+from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, init_params,
+                             param_shapes, trainable_shapes)
 from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
+from evadapt.trainer import TrainState, load_checkpoint, save_checkpoint
 
 TINY_DOC = {
     "seed": 0,
@@ -102,6 +106,64 @@ class TestTrainEval:
         assert main(["eval", "--config", str(p2),
                      "--checkpoint", str(out / "checkpoint.evdt")]) == 1
         assert "differ" in capsys.readouterr().err
+
+
+class TestPredictMasks:
+    def test_prediction_records_no_graph(self, tmp_path, monkeypatch):
+        # a reloaded embed+all_mlps checkpoint: load_checkpoint marks the
+        # plan's entries trainable, and prediction must still read the
+        # same arrays without recording a graph
+        config = ViTConfig(img_size=16, patch_size=4, embed_dim=8, depth=2,
+                           num_heads=2, mlp_hidden=16)
+        plan = TrainablePlan(mode="embed+all_mlps")
+        state = TrainState.create(init_params(config, seed=3).copy(), plan)
+        head = cli.init_head(config.embed_dim, 3)
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, state, extra_tensors=head)
+        model = load_checkpoint(ck)[0].params
+        assert {k for k, t in model.tensors.items() if t.requires_grad} \
+            == set(trainable_shapes(config, plan))
+        volume = np.random.default_rng(4).normal(size=(16, 16, 3))
+
+        calls, inputs, params = [], [], []
+        for name in ("attention", "gelu", "affine", "layernorm"):
+            def spy(*args, _name=name, _op=getattr(encoder, name), **kwargs):
+                calls.append(_name)
+                inputs.append(args[0])
+                params.extend(a for a in args[1:] if isinstance(a, Tensor))
+                return _op(*args, **kwargs)
+            monkeypatch.setattr(encoder, name, spy)
+        views = []
+        monkeypatch.setattr(cli, "forward_capture", lambda params, image: (
+            views.append(params) or encoder.forward_capture(params, image)))
+        pred = cli.predict_masks(model, head, volume)
+        (view,) = views
+        assert list(view.tensors) == list(model.tensors)
+        assert all(t.data is model.tensors[k].data and not t.requires_grad
+                   for k, t in view.tensors.items())
+        assert collections.Counter(calls) == {
+            "attention": 2, "gelu": 2, "affine": 9, "layernorm": 4}
+        assert not any(x.requires_grad for x in inputs + params)
+        assert len(params) == 9 * 2 + 4 * 2 and all(
+            any(np.shares_memory(p.data, t.data)
+                for t in model.tensors.values()) for p in params)
+        assert pred is not None and np.shares_memory(pred.stack, pred.masks)
+
+        # the graph-recording forward on the marked entries gives the same
+        # masks bit for bit
+        monkeypatch.undo()
+        recorded = []
+
+        def recording(params, image):
+            capture = encoder.forward_capture(params, image)
+            recorded.append(capture.embeddings[-1].requires_grad)
+            return capture
+        monkeypatch.setattr(cli, "forward_capture", recording)
+        monkeypatch.setattr(encoder.ViTParams, "frozen", lambda self: self)
+        want = cli.predict_masks(model, head, volume)
+        assert recorded == [True]
+        assert pred.ids == want.ids
+        assert pred.stack.tobytes() == want.stack.tobytes()
 
 
 class TestEvalMaskDirs:

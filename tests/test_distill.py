@@ -220,6 +220,21 @@ class TestDistillLoss:
         total, _ = distill_loss(t, s, cfg, layer_weights(cfg, s.attentions))
         assert total.item() == 0.0
 
+    @pytest.mark.parametrize("layers, gammas", [((0, 1), (1.0,)), ((0,), ())])
+    @pytest.mark.parametrize("source", ["teacher", "student",
+                                        "teacher_single_layer"])
+    def test_empty_map_list_named(self, source, layers, gammas):
+        # no maps would roll out to uniform weights without a word
+        cfg = DistillConfig(layers=layers, gammas=gammas,
+                            attention_source=source)
+        with pytest.raises(ValueError, match="empty attention-map list"):
+            layer_weights(cfg, [])
+
+    def test_uniform_source_reads_no_maps(self):
+        cfg = DistillConfig(layers=(0, 1), gammas=(1.0,),
+                            attention_source="uniform")
+        assert layer_weights(cfg, []) == [None, None]
+
 
 class TestStackedSamples:
     def test_mix_draws_each_samples_positions(self):

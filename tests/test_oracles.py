@@ -19,6 +19,7 @@ The test-only graph nodes and the one-term rollout approximation
 """
 
 import functools
+import hashlib
 import os
 import re
 import tempfile
@@ -514,6 +515,40 @@ class TestThresholdCrossings:
     def test_generate_events_matches_reference(self, spec):
         assert synth.generate_events(spec) == stream_of(
             ref_generate_events(spec))
+
+    @pytest.mark.parametrize("shapes, noise_rate, box", [
+        # far apart: the union of the swept boxes holds a background gap
+        ([synth.Shape("rectangle", (3.0, 3.0), (3.0, 2.0), (0.4, 0.0), 1.0),
+          synth.Shape("disk", (26.0, 20.0), (3.0, 0.0), (0.0, -0.5), 0.6)],
+         0.0, (slice(2, 24), slice(2, 30))),
+        # wholly off the grid beside a shape on it: the box is the other's
+        ([synth.Shape("disk", (-40.0, 10.0), (4.0, 0.0), (0.5, 0.0), 1.0),
+          synth.Shape("rectangle", (15.0, 12.0), (6.0, 5.0), (-0.3, 0.2),
+                      0.7)], 0.0, (slice(10, 17), slice(9, 19))),
+        ([], 0.01, (slice(0, 0), slice(0, 0))),
+    ], ids=["far-apart", "off-grid", "no-shapes-noise"])
+    def test_union_box_matches_reference(self, shapes, noise_rate, box):
+        spec = synth.SceneSpec(height=24, width=30, window_ms=10.0,
+                               noise_rate=noise_rate, seed=3, shapes=shapes)
+        got, planes = synth._paint(spec, np.arange(11.0), synth._levels(spec))
+        assert got == box
+        assert planes.shape == (11, box[0].stop - box[0].start,
+                                box[1].stop - box[1].start)
+        events = synth.generate_events(spec)
+        assert len(events) and events == stream_of(ref_generate_events(spec))
+
+    def test_eval_scene_event_text_pinned(self, tmp_path):
+        # a 128x128 scene shaped like the eval benchmark's, its event file
+        # byte for byte as the full-grid simulation wrote it
+        spec = synth.SceneSpec(height=128, width=128, shapes=[
+            synth.Shape("rectangle", (52.3, 70.1), (30.5, 30.5),
+                        (0.21, -0.35), 0.8),
+            synth.Shape("disk", (80.2, 55.7), (25.0, 25.0), (-0.3, 0.12),
+                        0.6)])
+        path = tmp_path / "events.txt"
+        write_events(path, synth.generate_events(spec), dims=(128, 128))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "85967a1d0c25c2f1229ef06d8b0ccb90d5340bf4637c119220cbb563c52b0069")
 
     def test_generate_events_at_128(self):
         spec = synth.SceneSpec(

@@ -183,3 +183,11 @@ class TestGenerateEvents:
         spec.shapes[0].intensity = level
         with pytest.raises(ValueError, match="intensities"):
             generate_events(spec)
+
+    def test_sort_key_overflow_rejected(self):
+        # only the swept box is painted, so no (T, H, W) stack fails to
+        # allocate first: the (t, y, x) key's range is checked up front
+        spec = SceneSpec(height=10 ** 5, width=10 ** 5, window_ms=1e6,
+                         shapes=[Shape("disk", (4.0, 4.0), (2.0, 0.0))])
+        with pytest.raises(ValueError, match="overflows the int64 event"):
+            generate_events(spec)
