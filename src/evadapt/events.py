@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -160,26 +159,41 @@ def _header(line: str) -> tuple[int, int] | None:
             from None
 
 
-def _c_ints(text: str, rows: list[str]):
-    """The rows' fields as int64 through numpy's C reader, or None when it
-    refuses a field, reads other than four fields a row, or warns.
+def _c_reader(text: str):
+    """(stream, dims) of text in the layout `write_events` writes, read
+    by numpy's C reader in one call, or None.
 
-    Where it accepts a field, int() gives the same value, but only in
+    The layout: the only '#' opens line 1, whose header gives the dims,
+    every other line is empty or four int64 fields, and whole-array
+    checks pass: polarity, sign, order, and bounds under a header.
+    Where numpy accepts a field, int() gives the same value, but only in
     ASCII text without the separators \\x1c-\\x1f: numpy strips those as
     whitespace and int() rejects them, and numpy 2.4 reads some non-ASCII
     letters as digits ("\\u01fe" as 462). Other text gets None.
     """
-    if not text.isascii() or any(map(text.__contains__, _SEPARATORS)):
+    if (not text.isascii() or any(map(text.__contains__, _SEPARATORS))
+            or text.count("#") != text.startswith("#")):
         return None
+    lines = text.split("\n")
     try:
+        dims = _header(lines[0])
         with warnings.catch_warnings():
-            # a numpy that still reads "1.0" as an integer warns
+            # a numpy that still reads "1.0" as an integer warns, and a
+            # file of no rows warns
             warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=np.int64, delimiter=",",
-                               comments=None, ndmin=2)
-    except (ValueError, OverflowError, Warning):
+            table = np.loadtxt(lines, dtype=np.int64, delimiter=",",
+                               comments="#", ndmin=2)
+    except (ValueError, OverflowError, Warning):  # EventFormatError too
         return None
-    return table.ravel() if table.shape == (len(rows), 4) else None
+    if table.shape[1] != 4:
+        return None
+    t, x, y, p = table.T
+    ok = (((p == 0) | (p == 1)).all() and (t >= 0).all()
+          and (t[1:] >= t[:-1]).all())
+    if ok and dims is not None:
+        H, W = dims
+        ok = ((x >= 0) & (x < W) & (y >= 0) & (y < H)).all()
+    return (EventStream(t, x, y, 2 * p - 1), dims) if ok else None
 
 
 def _read_lines(lines: list[str]):
@@ -225,68 +239,20 @@ def _read_lines(lines: list[str]):
     return EventStream(t, x, y, 2 * p - 1), dims
 
 
-def _line_kinds(text: str, lines: list[str]):
-    """Which stripped lines start with '#', and which hold data: neither
-    blank nor '#'.
-
-    When every '#' of the text opens its line, and the only blank line is
-    the last one, the '#' positions and a blank count settle both;
-    otherwise each line is tested.
-    """
-    n = len(lines)
-    hashed = np.zeros(n, dtype=bool)
-    at, row, seen = text.find("#"), 0, 0
-    while at != -1 and (at == 0 or text[at - 1] == "\n"):
-        row += text.count("\n", seen, at)
-        hashed[row] = True
-        at, seen = text.find("#", at + 1), at
-    blank = lines.count("")
-    if at != -1 or blank > 1 or (blank and lines[-1]):
-        hashed = np.fromiter(map(str.startswith, lines, repeat("#")),
-                             dtype=bool, count=n)
-        return hashed, np.fromiter(map(bool, lines), dtype=bool,
-                                   count=n) & ~hashed
-    data = ~hashed
-    if blank:
-        data[-1] = False
-    return hashed, data
-
-
 def read_events(path) -> tuple[EventStream, tuple[int, int] | None]:
     """Parse an event text file; returns (stream, (H, W) or None).
 
-    A file whose rows numpy's C reader takes whole is returned from there
-    when whole-array checks pass: at most one header, before the first
-    event, and every row valid. Every other file goes to `_read_lines`,
-    the format's specification, so the files accepted, their values and
-    every error are its own.
+    A file in the layout `write_events` writes is read by `_c_reader`.
+    Every other file goes to `_read_lines`, the format's specification,
+    which gives the same values for a file both accept, and every error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise EventFormatError(f"byte {e.start}: not UTF-8") from None
-    lines = list(map(str.strip, text.split("\n")))
-    hashed, data = _line_kinds(text, lines)
-    vals = _c_ints(text, list(compress(lines, data)))
-    if vals is None:
-        return _read_lines(lines)
-    t, x, y, p = vals.reshape(-1, 4).T
-    try:
-        heads = [i for i in np.flatnonzero(hashed).tolist()
-                 if _header(lines[i])]
-    except EventFormatError:  # the line reader names the line
-        return _read_lines(lines)
-    dims = _header(lines[heads[0]]) if heads else None
-    ok = (len(heads) <= 1 and all(i < np.argmax(data) for i in heads)
-          and ((p == 0) | (p == 1)).all() and (t >= 0).all()
-          and (t[1:] >= t[:-1]).all())
-    if ok and dims is not None:
-        H, W = dims
-        ok = ((x >= 0) & (x < W) & (y >= 0) & (y < H)).all()
-    if ok:
-        return EventStream(t, x, y, 2 * p - 1), dims
-    return _read_lines(lines)
+    return (_c_reader(text)
+            or _read_lines(list(map(str.strip, text.split("\n")))))
 
 
 def write_events(path, stream: EventStream,

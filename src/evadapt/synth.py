@@ -27,6 +27,14 @@ def _check_level(name: str, v: float):
         raise ValueError(f"{name} must be finite and above -1, got {v}")
 
 
+def _check_sort_key(H: int, W: int, window_ms: float):
+    # an event's t <= 1000 window_ms, so its sort key (t·H + y)·W + x is
+    # under (1000 window_ms + 1)·H·W
+    if (int(window_ms * 1000) + 1) * H * W > 2 ** 63:
+        raise ValueError(f"a {H}x{W} grid over {window_ms} ms "
+                         f"overflows the int64 event sort key")
+
+
 @dataclass
 class Shape:
     kind: str                  # "rectangle" | "disk"
@@ -70,6 +78,7 @@ class SceneSpec:
         if not 0.0 <= self.noise_rate < np.inf:
             raise ValueError(f"noise_rate must be finite and >= 0, "
                              f"got {self.noise_rate}")
+        _check_sort_key(self.height, self.width, self.window_ms)
 
 
 def _span(inside: np.ndarray) -> slice:
@@ -219,12 +228,10 @@ def generate_events(spec: SceneSpec) -> EventStream:
         raise ValueError("scene intensities must be finite and above -1")
     H, W = spec.height, spec.width
     steps = np.arange(int(spec.window_ms // SIM_STEP_MS) + 1) * SIM_STEP_MS
-    # an event's t <= 1000 window_ms, so its sort key (t·H + y)·W + x is
-    # under (1000 window_ms + 1)·H·W; no (T, H, W) stack is allocated,
-    # so a grid too large for the key would not fail on memory first
-    if (int(spec.window_ms * 1000) + 1) * H * W > 2 ** 63:
-        raise ValueError(f"a {H}x{W} grid over {spec.window_ms} ms "
-                         f"overflows the int64 event sort key")
+    # again for a spec edited after it was built: no (T, H, W) stack is
+    # allocated, so a grid too large for the sort key would not fail on
+    # memory first
+    _check_sort_key(H, W, spec.window_ms)
     # no pixel outside the shapes' swept box changes, so none can cross
     (rows, cols), logI = _paint(spec, steps, np.log(levels + 1.0))
     ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)

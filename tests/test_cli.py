@@ -524,8 +524,11 @@ class TestErrorHandling:
         ({"shapes": [{"kind": "disk", "position": [4, 4], "size": [2, 2],
                       "velocity": [0.1, -float("inf")]}]},
          "scene.shapes[0].velocity must be finite, got (0.1, -inf)"),
+        ({"window_ms": float(2 ** 58)},
+         f"scene: a 8x8 grid over {float(2 ** 58)} ms overflows the int64 "
+         "event sort key"),
     ], ids=["threshold", "noise_rate", "background", "window_ms", "kind",
-            "intensity", "position", "size", "velocity"])
+            "intensity", "position", "size", "velocity", "sort-key"])
     def test_bad_scene_rejected_at_load(self, tmp_path, capsys, cmd, scene,
                                         message):
         doc = copy.deepcopy(TINY_DOC)
@@ -713,19 +716,24 @@ class TestErrorHandling:
             f"error: the {grid} bins is too large to hold\n"
         assert not (tmp_path / "v.evdt").exists()
 
-    # allocations numpy refuses, each between 2**60 and 2**63 bytes, so it
-    # raises MemoryError (not "array is too big") before touching memory:
-    # each was a numpy._core._exceptions._ArrayMemoryError traceback
-    @pytest.mark.parametrize("cmd, doc, size", [
+    # each was a numpy._core._exceptions._ArrayMemoryError traceback. The
+    # model's 6 EiB is refused by numpy before touching memory (between
+    # 2**60 and 2**63 bytes, so MemoryError, not "array is too big"); the
+    # scenes' int64 event sort key overflows, so they are refused at load,
+    # whatever the work would allocate first
+    @pytest.mark.parametrize("cmd, doc, message", [
         ("synth", {"scene": {"height": 2 ** 29, "width": 2 ** 29}},
-         "2.00 EiB"),
-        ("synth", {"scene": {"window_ms": float(2 ** 58)}}, "2.00 EiB"),
+         "error: scene: a 536870912x536870912 grid over 40.0 ms overflows "
+         "the int64 event sort key\n"),
+        ("synth", {"scene": {"window_ms": float(2 ** 58)}},
+         f"error: scene: a 32x32 grid over {float(2 ** 58)} ms overflows "
+         "the int64 event sort key\n"),
         ("gradcheck", {"model": {"img_size": 8, "patch_size": 4,
                                  "embed_dim": 2 ** 54, "num_heads": 1}},
-         "6.00 EiB"),
+         "error: Unable to allocate 6.00 EiB "),
     ], ids=["scene-grid", "scene-window", "model-width"])
     def test_refused_allocation_one_line(self, tmp_path, capsys, cmd, doc,
-                                         size):
+                                         message):
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump(doc))
         argv = [cmd, "--config", str(p)]
@@ -733,15 +741,20 @@ class TestErrorHandling:
             argv += ["--out", str(tmp_path / "s")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: Unable to allocate {size} ")
+        assert err.startswith(message)
         assert err.count("\n") == 1
-        assert not (tmp_path / "s" / "events.txt").exists()
+        assert not (tmp_path / "s").exists()
 
-    # a refused allocation used to leave an empty --out directory behind
+    # a refused allocation used to leave an empty --out directory behind.
+    # Both configs load; numpy refuses the first array of the work: the
+    # synth frame of 256 TiB, past any 47-bit address space, and the train
+    # patch embedding of 6 EiB. The scene's axes stay short, so its
+    # per-axis arrays are small whichever allocation comes first
     @pytest.mark.parametrize("cmd, doc", [
-        ("synth", {"scene": {"height": 2 ** 29, "width": 2 ** 29}}),
-        ("train", {**TINY_DOC, "scene": {**TINY_DOC["scene"],
-                                         "window_ms": float(2 ** 58)}}),
+        ("synth", {"scene": {"height": 2 ** 22, "width": 2 ** 23,
+                             "window_ms": 1.0}}),
+        ("train", {**TINY_DOC, "model": {**TINY_DOC["model"],
+                                         "embed_dim": 2 ** 54}}),
     ], ids=["synth", "train"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_run_makes_no_out_dir(self, tmp_path, capsys, cmd, doc,
@@ -753,7 +766,9 @@ class TestErrorHandling:
             out.mkdir()
             (out / "keep.txt").write_text("kept\n")
         assert main([cmd, "--config", str(p), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
         if existing:
             assert [f.name for f in out.iterdir()] == ["keep.txt"]
             assert (out / "keep.txt").read_text() == "kept\n"

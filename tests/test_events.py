@@ -215,7 +215,8 @@ class TestReadEvents:
     @pytest.mark.parametrize("body", ["", "1,0,0,1\n", "1,+0,0,1\n"])
     def test_header_beyond_int_digit_limit_names_line(self, tmp_path, body):
         # int() refuses more than 4300 digits with a plain ValueError that
-        # named no line; the rows go to the C reader, the line reader, none
+        # named no line; after it no rows, rows numpy reads, rows only
+        # int() reads
         p = tmp_path / "e.txt"
         p.write_text(f"# H={'9' * 5000} W=4\n{body}")
         with pytest.raises(EventFormatError,

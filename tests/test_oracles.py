@@ -10,9 +10,9 @@ same way against the chain of single-operation graph nodes it replaced,
 the stacked student step against the one-graph-per-sample step, the
 flat Adam pass against the per-entry update, and the dataset-order
 teacher cache against restacking every chunk every step. The per-mask
-RLE writer, the one-loop mask reader, the `count_nonzero` overlap table
-and the per-line event classification are kept as they were before one
-array pass replaced each, and the pass must match them exactly.
+RLE writer, the one-loop mask reader and the `count_nonzero` overlap
+table are kept as they were before one array pass replaced each, and the
+pass must match them exactly.
 
 The test-only graph nodes and the one-term rollout approximation
 `transition_approx` live here too; the other test modules import them.
@@ -25,7 +25,6 @@ import re
 import tempfile
 import warnings
 import weakref
-from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -342,15 +341,6 @@ def ref_overlap_table(gt, pred):
               .reshape(len(s), gt.masks[0].size) for s in (gt, pred))
     inter = np.stack([np.count_nonzero(pm & g, axis=1) for g in gm])
     return inter, np.count_nonzero(gm, axis=1), np.count_nonzero(pm, axis=1)
-
-
-def ref_line_kinds(lines):
-    """Each stripped line tested on its own: starts with '#', and holds
-    data (neither blank nor '#')."""
-    n = len(lines)
-    hashed = np.fromiter(map(str.startswith, lines, repeat("#")), dtype=bool,
-                         count=n)
-    return hashed, np.fromiter(map(bool, lines), dtype=bool, count=n) & ~hashed
 
 
 # -- test-only graph nodes ----------------------------------------------------
@@ -796,17 +786,18 @@ class TestEventText:
             "second-header"])
     def test_array_check_fault_reads_as_reference(self, tmp_path, edit,
                                                   message):
-        # every row is ASCII integers, so numpy's C reader takes the file
-        # and only the whole-array checks can refuse it
+        # the C reader takes the file as written, and refuses each fault:
+        # a misplaced header by its '#', the rest by whole-array checks
         p = tmp_path / "e.txt"
-        write_events(p, EventStream(np.array([10, 20, 30, 40]),
-                                    np.array([0, 1, 2, 3]),
-                                    np.array([3, 2, 1, 0]),
-                                    np.array([1, -1, 1, -1])), dims=(4, 4))
-        lines = edit(p.read_text(encoding="utf-8").splitlines())
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert events._c_ints(p.read_text(encoding="utf-8"),
-                              [s for s in lines if s[0] != "#"]) is not None
+        stream = EventStream(np.array([10, 20, 30, 40]),
+                             np.array([0, 1, 2, 3]), np.array([3, 2, 1, 0]),
+                             np.array([1, -1, 1, -1]))
+        write_events(p, stream, dims=(4, 4))
+        text = p.read_text(encoding="utf-8")
+        assert events._c_reader(text) == (stream, (4, 4))
+        p.write_text("\n".join(edit(text.splitlines())) + "\n",
+                     encoding="utf-8")
+        assert events._c_reader(p.read_text(encoding="utf-8")) is None
         assert read_outcome(read_events, p) == message
         assert read_outcome(ref_read_events, p) == message
 
@@ -820,9 +811,9 @@ class TestEventText:
 
 
 
-# files whose '#' and blank lines the position scan must classify as the
-# per-line tests do: '#' mid-line or after padding, whitespace-only and
-# \x00 lines, headers after data or twice, CRLF, no final newline
+# files the C reader must refuse or read as the line reader does: '#'
+# mid-line or after padding, whitespace-only and \x00 lines, headers after
+# data or twice, CRLF, no final newline
 _KIND_LINES = st.one_of(
     st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4),
               st.integers(0, 1)).map(lambda r: ",".join(map(str, r))),
@@ -841,6 +832,27 @@ def line_reader_outcome(path):
         return str(e)
 
 
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def _valid_streams(draw):
+    """A stream `read_events` must accept, and its dims or None: t >= 0
+    and non-decreasing, coordinates inside the dims when there are any."""
+    dims = draw(st.one_of(st.none(), st.tuples(st.integers(1, 2 ** 64),
+                                               st.integers(1, 2 ** 64))))
+    xs, ys = ((_INT64, _INT64) if dims is None else
+              (st.integers(0, min(dims[1], 2 ** 63) - 1),
+               st.integers(0, min(dims[0], 2 ** 63) - 1)))
+    rows = draw(st.lists(st.tuples(xs, ys, st.sampled_from([-1, 1])),
+                         min_size=1, max_size=8))
+    t = sorted(draw(st.lists(st.integers(0, 2 ** 63 - 1),
+                             min_size=len(rows), max_size=len(rows))))
+    x, y, p = zip(*rows)
+    return EventStream(*(np.array(a, dtype=np.int64)
+                         for a in (t, x, y, p))), dims
+
+
 class TestLineKinds:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -849,27 +861,36 @@ class TestLineKinds:
     def test_scan_matches_per_line_tests(self, tmp_path, lines, eol, final):
         p = tmp_path / "e.txt"
         p.write_bytes((eol.join(lines) + (eol if final else "")).encode())
-        with open(p, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = list(map(str.strip, text.split("\n")))
-        got = events._line_kinds(text, stripped)
-        want = ref_line_kinds(stripped)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert read_outcome(read_events, p) == line_reader_outcome(p)
 
-    @pytest.mark.parametrize("text", [
-        "# H=4 W=4\n1,1,1,1\n2,2,2,0\n", "1,1,1,1\n2,2,2,0", "",
-        "# H=4 W=4\r\n1,1,1,1\r\n", "3,1,1,1\n", "# H=4 W=4\n",
+    @pytest.mark.parametrize("text, c_reader", [
+        ("# H=4 W=4\n1,1,1,1\n2,2,2,0\n", True),
+        ("1,1,1,1\n2,2,2,0", True), ("", False),
+        ("# H=4 W=4\r\n1,1,1,1\r\n", True), ("3,1,1,1\n", True),
+        ("# H=4 W=4\n", False),
     ], ids=["written", "no-final-newline", "empty", "crlf", "headerless",
             "header-only"])
-    def test_settled_files(self, tmp_path, text):
-        # the files the scan settles without the per-line tests
+    def test_settled_files(self, tmp_path, text, c_reader):
+        # the C reader takes each file with events in the written layout;
+        # a file of none warns in numpy and goes to the line reader
         p = tmp_path / "e.txt"
         p.write_bytes(text.encode())
-        with mock.patch.object(np, "fromiter", wraps=np.fromiter) as tests:
+        with mock.patch.object(events, "_read_lines",
+                               wraps=events._read_lines) as line_reader:
             got = read_outcome(read_events, p)
-        assert not tests.called
+        assert line_reader.called != c_reader
         assert got == line_reader_outcome(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_valid_streams())
+    def test_written_file_takes_c_reader(self, tmp_path, stream_dims):
+        # the layout write_events writes never pays for the line reader
+        stream, dims = stream_dims
+        p = tmp_path / "e.txt"
+        write_events(p, stream, dims=dims)
+        assert events._c_reader(p.read_text(encoding="utf-8")) == \
+            (stream, dims)
 
 
 # -- masks -------------------------------------------------------------------

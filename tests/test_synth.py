@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,25 @@ class TestGenerateEvents:
 
     def test_sort_key_overflow_rejected(self):
         # only the swept box is painted, so no (T, H, W) stack fails to
-        # allocate first: the (t, y, x) key's range is checked up front
-        spec = SceneSpec(height=10 ** 5, width=10 ** 5, window_ms=1e6,
-                         shapes=[Shape("disk", (4.0, 4.0), (2.0, 0.0))])
+        # allocate first: the (t, y, x) key's range is checked up front,
+        # also for a spec edited after it was built
+        spec = simple_scene()
+        spec.height = spec.width = 10 ** 5
+        spec.window_ms = 1e6
         with pytest.raises(ValueError, match="overflows the int64 event"):
             generate_events(spec)
+
+    @pytest.mark.parametrize("H, W, window_ms", [
+        (10 ** 5, 10 ** 5, 1e6), (2 ** 29, 2 ** 29, 40.0),
+        (32, 32, float(2 ** 58)), (1, 2 ** 54, 1.0)])
+    def test_sort_key_overflow_refused_at_build(self, H, W, window_ms):
+        # such a scene was refused only by whichever allocation came first
+        # in the work, or by generate_events after a frame was rendered
+        with pytest.raises(ValueError, match=re.escape(
+                f"a {H}x{W} grid over {window_ms} ms overflows the int64 "
+                "event sort key")):
+            SceneSpec(height=H, width=W, window_ms=window_ms)
+
+    def test_largest_sort_key_builds(self):
+        # (1000 window_ms + 1)·H·W == 2^63 is the last key range that fits
+        SceneSpec(height=2 ** 26, width=2 ** 27, window_ms=1.0235)
