@@ -36,7 +36,7 @@ from .trainer import (TrainConfig, TrainState, load_checkpoint,
                       pipeline_grad_check, save_checkpoint, train)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig(synth.SceneSpec):
     """The `scene` section: each sample's SceneSpec seed comes from the run."""
     seed: int = field(default=0, init=False)
@@ -95,19 +95,16 @@ def load_run(path) -> tuple[dict, RunConfig]:
 
 
 def _scene_spec(scene: SceneConfig, seed: int) -> synth.SceneSpec:
-    spec = synth.SceneSpec(**{f.name: getattr(scene, f.name)
-                              for f in fields(synth.SceneSpec)})
-    spec.seed = seed
-    spec.shapes = list(scene.shapes)
-    if not spec.shapes:
+    shapes = list(scene.shapes)
+    if not shapes:
         rng = np.random.default_rng(seed)
-        H, W = spec.height, spec.width
+        H, W = scene.height, scene.width
         # cap the per-window travel at ~15% of the frame so shapes stay visible
-        v_max = 0.15 * min(H, W) / max(spec.window_ms, 1.0)
+        v_max = 0.15 * min(H, W) / max(scene.window_ms, 1.0)
         for i in range(scene.num_shapes):
             kind = "rectangle" if i % 2 == 0 else "disk"
             size = float(rng.uniform(0.15, 0.3) * min(H, W))
-            spec.shapes.append(synth.Shape(
+            shapes.append(synth.Shape(
                 kind=kind,
                 position=(float(rng.uniform(0.3, 0.7) * W),
                           float(rng.uniform(0.3, 0.7) * H)),
@@ -116,7 +113,8 @@ def _scene_spec(scene: SceneConfig, seed: int) -> synth.SceneSpec:
                           float(rng.uniform(-v_max, v_max))),
                 intensity=float(rng.uniform(0.5, 1.0)),
             ))
-    return spec
+    kw = {f.name: getattr(scene, f.name) for f in fields(synth.SceneSpec)}
+    return synth.SceneSpec(**(kw | {"seed": seed, "shapes": shapes}))
 
 
 def make_dataset(doc: dict, n: int, seed: int):
@@ -422,8 +420,9 @@ def cmd_voxelize(args) -> int:
               f"'# H={dims[0]} W={dims[1]}' header", file=sys.stderr)
         return 2
     t_start = args.t_start
+    # events come in time order; t_start may lie past int64
     t_end = args.t_end if args.t_end is not None else \
-        (int(stream.t[-1]) if len(stream) else t_start + 1)
+        max([t_start + 1, *stream.t[-1:].tolist()])
     vol = ev.voxelize(stream, (t_start, t_end), dims[0], dims[1],
                       B=args.bins, signed=args.signed)
     if args.normalize:

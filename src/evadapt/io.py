@@ -162,8 +162,10 @@ def write_masks(path, masks, ids, shape):
         fh.write(f"# H={shape[0]} W={shape[1]}\n{body}")
 
 
-def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
-    """Parse an RLE mask file; errors raise DumpFormatError naming the line.
+def read_masks(path) -> tuple[np.ndarray | list, list[int], tuple[int, int]]:
+    """Parse an RLE mask file into one (n, H, W) bool array, its ids and
+    its (H, W) grid; an empty set reads as ([], [], shape). Errors raise
+    DumpFormatError naming the line.
 
     Lines are parsed and checked one at a time, the runs of all lines in
     one array pass; a bad run raises before the error of any later line.
@@ -238,7 +240,7 @@ def read_masks(path) -> tuple[list[np.ndarray], list[int], tuple[int, int]]:
     # the stretch starts in the count to its first cell
     shift = firsts - (np.cumsum(lengths) - lengths)
     cells.ravel()[np.arange(lengths.sum()) + np.repeat(shift, lengths)] = True
-    return list(cells.reshape(len(lines), *shape)), list(lines), shape
+    return cells.reshape(len(lines), *shape), list(lines), shape
 
 
 def _grid(shape, header: int, n: int) -> np.ndarray:

@@ -16,21 +16,21 @@ import numpy as np
 
 @dataclass
 class MaskSet:
-    # each (H, W) bool/0-1, or one (n, H, W) array of them
-    masks: list[np.ndarray] | np.ndarray
+    """Instance masks as one (n, H, W) bool array, with an id each.
+
+    A bool array given is kept as it is; anything else, such as a list of
+    (H, W) bool or 0/1 masks, is stacked once here.
+    """
+    masks: np.ndarray
     ids: list[int] = field(default_factory=list)
-    # the masks as one (n, H, W) bool array: a bool array given is kept
-    # as it is, anything else is stacked once here
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ids:
             self.ids = list(range(len(self.masks)))
-        dims = {m.shape for m in self.masks}
-        if len(dims) > 1:
+        if len({m.shape for m in self.masks}) > 1:
             raise ValueError("inconsistent mask dimensions")
-        stack = self.stack = np.asarray(self.masks, dtype=bool)
-        empty = np.flatnonzero(~stack.any(axis=tuple(range(1, stack.ndim))))
+        masks = self.masks = np.asarray(self.masks, dtype=bool)
+        empty = np.flatnonzero(~masks.any(axis=tuple(range(1, masks.ndim))))
         if empty.size:
             raise ValueError(f"mask {self.ids[empty[0]]} is empty")
 
@@ -62,7 +62,7 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def _packed(masks: MaskSet, size: int) -> np.ndarray:
     """The masks as rows of 64-bit words, one bit a cell, zero-padded."""
-    bits = np.packbits(masks.stack.reshape(len(masks), size), axis=1)
+    bits = np.packbits(masks.masks.reshape(len(masks), size), axis=1)
     words = np.zeros((len(masks), -(-size // 64) * 8), dtype=np.uint8)
     words[:, :bits.shape[1]] = bits
     return words.view(np.uint64)

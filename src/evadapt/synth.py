@@ -27,15 +27,7 @@ def _check_level(name: str, v: float):
         raise ValueError(f"{name} must be finite and above -1, got {v}")
 
 
-def _check_sort_key(H: int, W: int, window_ms: float):
-    # an event's t <= 1000 window_ms, so its sort key (t·H + y)·W + x is
-    # under (1000 window_ms + 1)·H·W
-    if (int(window_ms * 1000) + 1) * H * W > 2 ** 63:
-        raise ValueError(f"a {H}x{W} grid over {window_ms} ms "
-                         f"overflows the int64 event sort key")
-
-
-@dataclass
+@dataclass(frozen=True)
 class Shape:
     kind: str                  # "rectangle" | "disk"
     position: tuple[float, float]   # (x, y) center at t = 0, pixels
@@ -54,8 +46,11 @@ class Shape:
         _check_level("intensity", self.intensity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
+    """A scene, checked once when it is built: a spec and its shapes are
+    frozen, so the simulator takes every check as read. Only the shapes
+    list can grow, and only by shapes that passed their own checks."""
     height: int = 32
     width: int = 32
     shapes: list[Shape] = field(default_factory=list)
@@ -78,7 +73,12 @@ class SceneSpec:
         if not 0.0 <= self.noise_rate < np.inf:
             raise ValueError(f"noise_rate must be finite and >= 0, "
                              f"got {self.noise_rate}")
-        _check_sort_key(self.height, self.width, self.window_ms)
+        # an event's t <= 1000 window_ms, so its sort key (t·H + y)·W + x
+        # is under (1000 window_ms + 1)·H·W
+        H, W = self.height, self.width
+        if (int(self.window_ms * 1000) + 1) * H * W > 2 ** 63:
+            raise ValueError(f"a {H}x{W} grid over {self.window_ms} ms "
+                             f"overflows the int64 event sort key")
 
 
 def _span(inside: np.ndarray) -> slice:
@@ -107,12 +107,10 @@ def _swept_footprints(shape: Shape, H: int, W: int, ts: np.ndarray):
         in_y = np.abs(ys - cy) <= h / 2.0
         rows, cols = _span(in_y), _span(in_x)
         return (rows, cols), in_y[:, rows, None] & in_x[:, None, cols]
-    if shape.kind == "disk":
-        rr = shape.size[0] * shape.size[0]
-        dx2, dy2 = (xs - cx) ** 2, (ys - cy) ** 2
-        rows, cols = _span(dy2 <= rr), _span(dx2 <= rr)
-        return (rows, cols), dx2[:, None, cols] + dy2[:, rows, None] <= rr
-    raise ValueError(f"unknown shape kind: {shape.kind}")
+    rr = shape.size[0] * shape.size[0]  # a disk
+    dx2, dy2 = (xs - cx) ** 2, (ys - cy) ** 2
+    rows, cols = _span(dy2 <= rr), _span(dx2 <= rr)
+    return (rows, cols), dx2[:, None, cols] + dy2[:, rows, None] <= rr
 
 
 def _paint(spec: SceneSpec, ts: np.ndarray, values: np.ndarray):
@@ -133,42 +131,36 @@ def _paint(spec: SceneSpec, ts: np.ndarray, values: np.ndarray):
     return (slice(y0, y1), slice(x0, x1)), planes
 
 
-def _at(spec: SceneSpec, t_ms: float) -> np.ndarray:
-    """The one-step time array of t, inside the scene's window."""
-    if not 0.0 <= t_ms <= spec.window_ms:
-        raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
-    return np.array([t_ms], dtype=np.float64)
-
-
 def _levels(spec: SceneSpec) -> np.ndarray:
     """The background's intensity, then each shape's."""
     return np.array([spec.background] + [s.intensity for s in spec.shapes],
                     dtype=np.float64)
 
 
+def _plane(spec: SceneSpec, t_ms: float, values: np.ndarray) -> np.ndarray:
+    """The (H, W) plane at time t, inside the scene's window: values[0]
+    everywhere, shape i's visible cells values[i + 1]."""
+    if not 0.0 <= t_ms <= spec.window_ms:
+        raise ValueError(f"t={t_ms} ms outside window [0, {spec.window_ms}]")
+    plane = np.full((spec.height, spec.width), values[0])
+    box, planes = _paint(spec, np.array([t_ms], dtype=np.float64), values)
+    plane[box] = planes[0]
+    return plane
+
+
 def render_frame(spec: SceneSpec, t_ms: float) -> np.ndarray:
     """Rasterize the scene at time t into an (H, W, 3) grayscale frame."""
-    ts, levels = _at(spec, t_ms), _levels(spec)
-    frame = np.full((spec.height, spec.width), levels[0])
-    box, planes = _paint(spec, ts, levels)
-    frame[box] = planes[0]
-    return np.repeat(frame[:, :, None], 3, axis=2)
+    return np.repeat(_plane(spec, t_ms, _levels(spec))[:, :, None], 3, axis=2)
 
 
 def ground_truth_masks(spec: SceneSpec, t_ms: float) -> MaskSet:
-    """One mask per shape at time t; later shapes occlude earlier ones."""
-    ts, H, W = _at(spec, t_ms), spec.height, spec.width
-    above = np.zeros((H, W), dtype=bool)  # the later shapes' cells
-    masks, ids = [], []
-    for i in reversed(range(len(spec.shapes))):
-        (rows, cols), (fp,) = _swept_footprints(spec.shapes[i], H, W, ts)
-        box, vis = above[rows, cols], np.zeros((H, W), dtype=bool)
-        vis[rows, cols] = fp & ~box
-        box |= fp
-        if vis.any():
-            masks.insert(0, vis)
-            ids.insert(0, i)
-    return MaskSet(masks=masks, ids=ids)
+    """The mask of each shape visible at time t, as one stack: the scene
+    painted with shape i as i + 1, so later shapes occlude earlier ones."""
+    n = len(spec.shapes)
+    plane = _plane(spec, t_ms, np.arange(n + 1))
+    masks = plane == np.arange(1, n + 1)[:, None, None]
+    shown = masks.any(axis=(1, 2))
+    return MaskSet(masks=masks[shown], ids=np.flatnonzero(shown).tolist())
 
 
 def _threshold_crossings(logI: np.ndarray, step_ms: float, theta: float):
@@ -219,21 +211,10 @@ def _threshold_crossings(logI: np.ndarray, step_ms: float, theta: float):
 
 def generate_events(spec: SceneSpec) -> EventStream:
     """Simulate the event stream over the scene window, sorted by time."""
-    # a pixel emits until it is within one threshold of its level, so a
-    # threshold <= 0 or an infinite log level would never stop emitting
-    if not spec.threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {spec.threshold}")
-    levels = _levels(spec)
-    if not np.all((-1.0 < levels) & (levels < np.inf)):
-        raise ValueError("scene intensities must be finite and above -1")
     H, W = spec.height, spec.width
     steps = np.arange(int(spec.window_ms // SIM_STEP_MS) + 1) * SIM_STEP_MS
-    # again for a spec edited after it was built: no (T, H, W) stack is
-    # allocated, so a grid too large for the sort key would not fail on
-    # memory first
-    _check_sort_key(H, W, spec.window_ms)
     # no pixel outside the shapes' swept box changes, so none can cross
-    (rows, cols), logI = _paint(spec, steps, np.log(levels + 1.0))
+    (rows, cols), logI = _paint(spec, steps, np.log(_levels(spec) + 1.0))
     ts, xs, ys, ps = _threshold_crossings(logI, SIM_STEP_MS, spec.threshold)
     xs += cols.start
     ys += rows.start
@@ -247,7 +228,7 @@ def generate_events(spec: SceneSpec) -> EventStream:
                         rng.choice([-1, 1]))
         ts, xs, ys, ps = (np.concatenate([a, noise[:, j]])
                           for j, a in enumerate((ts, xs, ys, ps)))
-    # sort on one int64 key (t, y, x), checked above to fit. Stable, so
-    # each pixel keeps its own emission order
+    # sort on one int64 key (t, y, x), which SceneSpec checked to fit.
+    # Stable, so each pixel keeps its own emission order
     order = np.argsort((ts * H + ys) * W + xs, kind="stable")
     return EventStream(ts[order], xs[order], ys[order], ps[order])

@@ -2,7 +2,7 @@ import collections
 import copy
 import hashlib
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -11,12 +11,13 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from evadapt import cli, encoder
+from evadapt import cli, encoder, synth
 from evadapt.autodiff import Tensor
 from evadapt.cli import _PARAM_ROWS, RunConfig, load_config, load_run, main
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, init_params,
                              param_shapes, trainable_shapes)
 from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
+from evadapt.metrics import MaskSet
 from evadapt.trainer import TrainState, load_checkpoint, save_checkpoint
 
 TINY_DOC = {
@@ -133,9 +134,11 @@ class TestPredictMasks:
                 params.extend(a for a in args[1:] if isinstance(a, Tensor))
                 return _op(*args, **kwargs)
             monkeypatch.setattr(encoder, name, spy)
-        views = []
+        views, stacks = [], []
         monkeypatch.setattr(cli, "forward_capture", lambda params, image: (
             views.append(params) or encoder.forward_capture(params, image)))
+        monkeypatch.setattr(cli, "MaskSet", lambda masks: (
+            stacks.append(masks) or MaskSet(masks=masks)))
         pred = cli.predict_masks(model, head, volume)
         (view,) = views
         assert list(view.tensors) == list(model.tensors)
@@ -147,7 +150,8 @@ class TestPredictMasks:
         assert len(params) == 9 * 2 + 4 * 2 and all(
             any(np.shares_memory(p.data, t.data)
                 for t in model.tensors.values()) for p in params)
-        assert pred is not None and np.shares_memory(pred.stack, pred.masks)
+        # the pixel stack predict_masks builds is the set's, not a copy
+        assert pred is not None and pred.masks is stacks[0]
 
         # the graph-recording forward on the marked entries gives the same
         # masks bit for bit
@@ -163,7 +167,7 @@ class TestPredictMasks:
         want = cli.predict_masks(model, head, volume)
         assert recorded == [True]
         assert pred.ids == want.ids
-        assert pred.stack.tobytes() == want.stack.tobytes()
+        assert pred.masks.tobytes() == want.masks.tobytes()
 
 
 class TestEvalMaskDirs:
@@ -338,6 +342,28 @@ class TestSynthAndVoxelize:
         assert tensors["volume"].shape == (32, 32, 3)
         assert meta["bins"] == 3
         assert 0 <= tensors["volume"].min() and tensors["volume"].max() <= 1.0
+
+    def test_voxelize_events_all_at_t_start(self, tmp_path, capsys):
+        # t_end defaulted to the last event's t, which is t_start here, so
+        # a valid file exited 1 with "empty window" for a t_end never given
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text("# H=4 W=4\n0,1,1,1\n0,2,2,0\n")
+        out = tmp_path / "v.evdt"
+        assert main(["voxelize", "--events", str(ev_path),
+                     "--out", str(out)]) == 0
+        tensors, meta = read_dump(out)
+        assert meta["window"] == [0, 1]
+        assert tensors["volume"].sum() == 2
+        # an empty stream keeps its one-microsecond window
+        ev_path.write_text("# H=4 W=4\n")
+        assert main(["voxelize", "--events", str(ev_path), "--out", str(out),
+                     "--t-start", "7"]) == 0
+        assert read_dump(out)[1]["window"] == [7, 8]
+        # a t_start past int64 is no int64 bound in the default
+        big = 10 ** 20
+        assert main(["voxelize", "--events", str(ev_path), "--out", str(out),
+                     "--t-start", str(big)]) == 0
+        assert read_dump(out)[1]["window"] == [big, big + 1]
 
 
 class TestParamsAndGradcheck:
@@ -565,6 +591,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == "error: scene.height must be >= 1\n"
         assert not (tmp_path / "s").exists()
+
+    def test_scene_spec_built_whole(self):
+        # the scene section is frozen, so each sample's spec takes its seed
+        # and shapes when it is built, and is checked then
+        scene = RunConfig().scene
+        with pytest.raises(FrozenInstanceError):
+            scene.height = 4
+        spec = cli._scene_spec(scene, seed=5)
+        assert type(spec) is synth.SceneSpec and spec.seed == 5
+        assert len(spec.shapes) == scene.num_shapes
 
     @pytest.mark.parametrize("text", ["0\n", "false\n", '""\n'])
     def test_falsy_document_not_a_mapping(self, tmp_path, capsys, text):

@@ -13,6 +13,7 @@ from evadapt.events import (EventFormatError, EventStream, read_events,
                             write_events)
 from evadapt.io import (MAGIC, ConfigError, DumpFormatError, from_doc,
                         read_dump, read_masks, write_dump, write_masks)
+from evadapt.metrics import MaskSet
 
 
 def raw_dump(meta: bytes = b"", entries=(), tail: bytes = b"") -> bytes:
@@ -178,6 +179,17 @@ class TestMaskFiles:
         assert ids == [4, 0, 2]
         for a, b in zip(masks, got):
             assert np.array_equal(a, b)
+
+    def test_read_returns_one_stack(self, tmp_path):
+        # the masks came back as a list of row views, which MaskSet then
+        # copied into a new stack
+        masks = np.random.default_rng(3).random((3, 6, 7)) < 0.4
+        p = tmp_path / "m.rle"
+        write_masks(p, masks, ids=[4, 0, 2], shape=(6, 7))
+        got, _, _ = read_masks(p)
+        assert isinstance(got, np.ndarray) and got.dtype == bool
+        assert got.shape == (3, 6, 7) and np.array_equal(got, masks)
+        assert np.shares_memory(MaskSet(masks=got).masks, got)
 
     def test_empty_set_round_trips(self, tmp_path):
         # shape is required: without it an empty set used to be written

@@ -203,13 +203,13 @@ class TestMaskSet:
     def test_bool_stack_kept_without_copy(self):
         stack = np.stack([block(4, 4, 0, 0, 2, 2), block(4, 4, 2, 1, 2, 3)])
         masks = MaskSet(masks=stack)
-        assert np.shares_memory(masks.stack, stack)
+        assert masks.masks is stack
         assert len(masks) == 2 and masks.ids == [0, 1]
 
     def test_list_and_int_stack_stacked(self):
         masks = [block(4, 4, 0, 0, 2, 2), block(4, 4, 2, 1, 2, 3)]
         for given in (masks, np.stack(masks).astype(np.uint8)):
             got = MaskSet(masks=given)
-            assert got.stack.dtype == bool
-            assert np.array_equal(got.stack, np.stack(masks))
-            assert not any(np.shares_memory(got.stack, m) for m in given)
+            assert got.masks.dtype == bool
+            assert np.array_equal(got.masks, np.stack(masks))
+            assert not any(np.shares_memory(got.masks, m) for m in given)

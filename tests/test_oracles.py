@@ -29,7 +29,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from evadapt import (autodiff, cli, distill, encoder, events, io, metrics,
                      significance, synth, trainer)
@@ -567,6 +568,15 @@ class TestSceneRender:
 
     @settings(max_examples=200, deadline=None)
     @given(scenes(), st.floats(0.0, 1.0))
+    # a later rectangle that covers an earlier one whole
+    @example(synth.SceneSpec(height=8, width=8, shapes=[
+        synth.Shape("rectangle", (4.0, 4.0), (2.0, 2.0)),
+        synth.Shape("rectangle", (4.0, 4.0), (6.0, 6.0), intensity=0.5)]),
+        0.0)
+    # a disk wholly off the grid, next to a rectangle on it
+    @example(synth.SceneSpec(height=8, width=8, shapes=[
+        synth.Shape("rectangle", (3.0, 3.0), (2.0, 2.0)),
+        synth.Shape("disk", (-20.0, 30.0), (3.0, 0.0), (0.1, 0.0))]), 1.0)
     def test_frame_and_masks_match_full_grid(self, spec, at):
         self.assert_matches_full_grid(spec, spec.window_ms * at)
 

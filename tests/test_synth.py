@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -45,11 +46,12 @@ class TestRenderFrame:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             Shape(kind="triangle", position=(4, 4), size=(2, 2))
-        # a shape is mutable after it is built
-        spec = simple_scene()
-        spec.shapes[0].kind = "triangle"
-        with pytest.raises(ValueError, match="shape kind"):
-            render_frame(spec, 0.0)
+        # a shape is frozen, so no unknown kind can reach the renderer
+        shape = simple_scene().shapes[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shape.kind = "triangle"
+        with pytest.raises(ValueError, match="kind must be one of"):
+            dataclasses.replace(shape, kind="triangle")
 
     @pytest.mark.parametrize("field", ["position", "size", "velocity"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
@@ -163,10 +165,12 @@ class TestGenerateEvents:
     def test_non_positive_threshold_rejected(self, theta):
         with pytest.raises(ValueError, match="threshold must be > 0"):
             simple_scene(threshold=theta)
+        # a spec is frozen, so no such threshold can reach the simulator
         spec = simple_scene()
-        spec.threshold = theta
-        with pytest.raises(ValueError, match="threshold"):
-            generate_events(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.threshold = theta
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            dataclasses.replace(spec, threshold=theta)
 
     @pytest.mark.parametrize("window_ms", [0.0, -1.0, float("inf"),
                                            float("nan")])
@@ -181,20 +185,29 @@ class TestGenerateEvents:
             Shape(kind="disk", position=(4, 4), size=(2, 2), intensity=level)
         with pytest.raises(ValueError, match="background must be finite"):
             simple_scene(background=level)
+        # shapes and specs are frozen, so no such level can reach the
+        # simulator
         spec = simple_scene()
-        spec.shapes[0].intensity = level
-        with pytest.raises(ValueError, match="intensities"):
-            generate_events(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.shapes[0].intensity = level
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.background = level
+        with pytest.raises(ValueError, match="intensity must be finite"):
+            dataclasses.replace(spec.shapes[0], intensity=level)
+        with pytest.raises(ValueError, match="background must be finite"):
+            dataclasses.replace(spec, background=level)
 
     def test_sort_key_overflow_rejected(self):
         # only the swept box is painted, so no (T, H, W) stack fails to
-        # allocate first: the (t, y, x) key's range is checked up front,
-        # also for a spec edited after it was built
+        # allocate first: the (t, y, x) key's range is checked when the
+        # spec is built, and a built spec is frozen
         spec = simple_scene()
-        spec.height = spec.width = 10 ** 5
-        spec.window_ms = 1e6
+        for name in ("height", "width", "window_ms"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, 10 ** 6)
         with pytest.raises(ValueError, match="overflows the int64 event"):
-            generate_events(spec)
+            dataclasses.replace(spec, height=10 ** 5, width=10 ** 5,
+                                window_ms=1e6)
 
     @pytest.mark.parametrize("H, W, window_ms", [
         (10 ** 5, 10 ** 5, 1e6), (2 ** 29, 2 ** 29, 40.0),
