@@ -262,8 +262,9 @@ def attention(qkv: Tensor, num_heads: int, samples: int = 1):
             head_sum if m > 1 else head_sum[0])
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Layer normalization over the last axis with learned gain and bias."""
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer normalization over the last axis with learned gain and bias;
+    the variance takes an epsilon of 1e-6."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     n = x.data.shape[-1]
     # the reduce and in-place divide ndarray.mean makes, without its
@@ -274,7 +275,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     xc = x.data - mu
     var = np.add.reduce(xc ** 2, axis=-1, keepdims=True)
     var /= n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 

@@ -29,7 +29,8 @@ from .encoder import (CHANNELS, TrainablePlan, ViTConfig, count_trainable,
                       forward_capture, init_params, trainable_shapes)
 from .io import (ConfigError, DumpFormatError, from_doc, read_dump,
                  read_masks, write_dump, write_masks)
-from .metrics import MaskSet, MetricsReport, compute_report, report_to_dict
+from .metrics import (MEANS, MaskSet, MetricsReport, compute_report,
+                      report_to_dict, rounded)
 from .significance import (convergence_diagnostic, token_significance,
                            transition_stack)
 from .trainer import (TrainConfig, TrainState, load_checkpoint,
@@ -140,9 +141,10 @@ def init_head(embed_dim: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def predict_masks(params, head: dict[str, np.ndarray],
-                  volume: np.ndarray) -> MaskSet | None:
-    """Threshold per-token logits, rasterize to patches, label components.
-    The forward runs on params.frozen(), so it records no graph."""
+                  volume: np.ndarray) -> MaskSet:
+    """Threshold per-token logits, rasterize to patches, label components;
+    with no foreground token the set is an empty (0, H, W) stack. The
+    forward runs on params.frozen(), so it records no graph."""
     cfg = params.config
     capture = forward_capture(params.frozen(), volume)
     final = capture.embeddings[-1].data
@@ -152,8 +154,6 @@ def predict_masks(params, head: dict[str, np.ndarray],
     # components first appear, so token-grid labels upsample to the
     # pixel-grid labels.
     labels, count = _label_components(grid)
-    if not count:
-        return None
     ps = cfg.patch_size
     pixel = np.kron(labels, np.ones((ps, ps), dtype=np.int64))
     return MaskSet(masks=pixel == np.arange(1, count + 1)[:, None, None])
@@ -186,19 +186,13 @@ def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _aggregate(reports: list[MetricsReport]) -> dict:
-    agg = {
-        "frames": len(reports),
-        "mP": float(np.mean([r.mP for r in reports])),
-        "mR": float(np.mean([r.mR for r in reports])),
-        "mIoU": float(np.mean([r.mIoU for r in reports])),
-        "aIoU": float(np.mean([r.aIoU for r in reports])),
-        "tp": int(sum(r.tp for r in reports)),
-        "fp": int(sum(r.fp for r in reports)),
-        "fn": int(sum(r.fn for r in reports)),
-    }
-    for k in ("mP", "mR", "mIoU", "aIoU"):
-        agg[k] = float(f"{agg[k]:.6f}")
-    return agg
+    """Means of the unrounded per-frame aggregates, then rounded; summed
+    counts."""
+    return {"frames": len(reports),
+            **{k: rounded(np.mean([getattr(r, k) for r in reports]))
+               for k in MEANS},
+            **{k: sum(getattr(r, k) for r in reports)
+               for k in ("tp", "fp", "fn")}}
 
 
 # -- subcommands ------------------------------------------------------------
@@ -299,7 +293,7 @@ def _eval_mask_dirs(args) -> int:
             gt, shape = mask_set(gpath)
             if not len(gt):
                 raise ValueError(f"{gpath}: ground-truth mask set is empty")
-            pred = None
+            pred = MaskSet(masks=[])
             if os.path.exists(ppath):
                 pred, pshape = mask_set(ppath)
                 if pshape != shape:
@@ -312,12 +306,13 @@ def _eval_mask_dirs(args) -> int:
 
 
 def _write_report(path, frames):
-    """Score (frame, gt, pred or None) triples; write the JSON report to
-    `path`, or print it when no path is given."""
+    """Score (frame, gt, pred) triples; write the JSON report to `path`,
+    or print it when no path is given. Every number is rounded to 6
+    decimals (metrics.rounded); see docs/FORMATS.md."""
     reports = []
     per_frame = []
     for frame, gt, pred in frames:
-        r = compute_report(gt, pred if pred is not None else MaskSet(masks=[]))
+        r = compute_report(gt, pred)
         reports.append(r)
         per_frame.append({"frame": frame, **report_to_dict(r)})
     text = json.dumps({"aggregate": _aggregate(reports), "frames": per_frame},

@@ -106,20 +106,15 @@ def layer_weights(cfg: DistillConfig,
     if not n:
         raise ValueError(f"the {cfg.attention_source!r} source rolls out an "
                          f"empty attention-map list")
-    if cfg.attention_source == "teacher_single_layer":
-        # layer 0..n-1 indexes attention of the block leaving that layer;
-        # the terminal layer falls back to its own incoming attention
-        sigs = {layer: token_significance(
-                    transition_stack([attentions[min(layer, n - 1)]]), 1,
-                    cfg.beta) for layer in cfg.layers if layer}
-    else:
-        stack = transition_stack(attentions)
-        # rolling out from the terminal layer is an empty product: uniform
-        sigs = {layer: token_significance(stack, layer + 1, cfg.beta,
-                                          horizon=cfg.rollout_horizon)
-                for layer in cfg.layers if 0 < layer < n}
-    return [sigs[layer].values.reshape(-1) if layer in sigs else None
-            for layer in cfg.layers]
+    # the single-layer source is the rollout cut to one block; rolling out
+    # from the terminal layer is an empty product (uniform), so there it
+    # takes its own incoming block instead
+    single = cfg.attention_source == "teacher_single_layer"
+    stack = transition_stack(attentions)
+    horizon = 1 if single else cfg.rollout_horizon
+    return [token_significance(stack, min(s, n - 1) + 1, cfg.beta,
+                               horizon=horizon).values.reshape(-1)
+            if s and (single or s < n) else None for s in cfg.layers]
 
 
 def distill_loss(teacher: EmbeddingCapture, student: EmbeddingCapture,

@@ -150,8 +150,8 @@ def param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTParams:
-    """Weights and pos ~ N(0, scale^2) drawn in order, gains 1, biases 0.
+def init_params(config: ViTConfig, seed: int = 0) -> ViTParams:
+    """Weights and pos ~ N(0, 0.02^2) drawn in order, gains 1, biases 0.
 
     Every array is read-only, so copies share it (see ViTParams.copy) and
     an in-place write raises ValueError instead of editing them all.
@@ -164,7 +164,7 @@ def init_params(config: ViTConfig, seed: int = 0, scale: float = 0.02) -> ViTPar
         elif name.endswith(".b"):
             a = np.zeros(shape)
         else:
-            a = rng.normal(0.0, scale, shape)
+            a = rng.normal(0.0, 0.02, shape)
         a.flags.writeable = False
         p.tensors[name] = Tensor(a)
     return p

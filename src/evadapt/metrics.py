@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class MaskSet:
     """Instance masks as one (n, H, W) bool array, with an id each.
 
@@ -36,6 +36,9 @@ class MaskSet:
 
     def __len__(self):
         return len(self.masks)
+
+
+MEANS = ("mP", "mR", "mIoU", "aIoU")  # a report's four aggregates
 
 
 @dataclass
@@ -116,30 +119,20 @@ def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
     pairs = _greedy_match(inter, ga, pa)
     by_gt = {g: (p, v) for g, p, v in pairs}
     instances = []
-    ps, rs, ious, areas = [], [], [], []
     for g in range(len(gt)):
-        area = int(ga[g])
-        if g in by_gt:
-            p, v = by_gt[g]
-            it = float(inter[g, p])
-            prec = it / float(pa[p])
-            rec = it / float(area)
-        else:
-            p, v, prec, rec = None, 0.0, 0.0, 0.0
-        instances.append({"gt": gt.ids[g],
-                          "pred": pred.ids[p] if p is not None else None,
-                          "p": prec, "r": rec, "iou": v, "area": area})
-        ps.append(prec)
-        rs.append(rec)
-        ious.append(v)
-        areas.append(area)
-    areas = np.asarray(areas, dtype=np.float64)
-    ious_a = np.asarray(ious)
+        p, v = by_gt.get(g, (None, 0.0))
+        hit = p is not None
+        it = float(inter[g, p]) if hit else 0.0
+        instances.append({"gt": gt.ids[g], "pred": pred.ids[p] if hit else None,
+                          "p": it / float(pa[p]) if hit else 0.0,
+                          "r": it / float(ga[g]), "iou": v, "area": int(ga[g])})
+    ious = np.array([i["iou"] for i in instances])
+    areas = np.array([i["area"] for i in instances], dtype=np.float64)
     return MetricsReport(
-        mP=float(np.mean(ps)),
-        mR=float(np.mean(rs)),
-        mIoU=float(np.mean(ious_a)),
-        aIoU=float((areas * ious_a).sum() / areas.sum()),
+        mP=float(np.mean([i["p"] for i in instances])),
+        mR=float(np.mean([i["r"] for i in instances])),
+        mIoU=float(np.mean(ious)),
+        aIoU=float((areas * ious).sum() / areas.sum()),
         tp=len(pairs),
         fp=len(pred) - len(pairs),
         fn=len(gt) - len(pairs),
@@ -147,16 +140,13 @@ def compute_report(gt: MaskSet, pred: MaskSet) -> MetricsReport:
     )
 
 
-def report_to_dict(r: MetricsReport) -> dict:
-    def f6(x):
-        return float(f"{x:.6f}")
+def rounded(x) -> float:
+    """A report's number as it is written: rounded to 6 decimals."""
+    return float(f"{x:.6f}")
 
-    return {
-        "mP": f6(r.mP), "mR": f6(r.mR), "mIoU": f6(r.mIoU), "aIoU": f6(r.aIoU),
-        "tp": r.tp, "fp": r.fp, "fn": r.fn,
-        "instances": [
-            {"gt": i["gt"], "pred": i["pred"], "p": f6(i["p"]), "r": f6(i["r"]),
-             "iou": f6(i["iou"]), "area": i["area"]}
-            for i in r.instances
-        ],
-    }
+
+def report_to_dict(r: MetricsReport) -> dict:
+    return {**{k: rounded(getattr(r, k)) for k in MEANS},
+            "tp": r.tp, "fp": r.fp, "fn": r.fn,
+            "instances": [i | {k: rounded(i[k]) for k in ("p", "r", "iou")}
+                          for i in r.instances]}

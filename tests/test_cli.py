@@ -17,7 +17,7 @@ from evadapt.cli import _PARAM_ROWS, RunConfig, load_config, load_run, main
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, init_params,
                              param_shapes, trainable_shapes)
 from evadapt.io import ConfigError, from_doc, read_dump, write_dump, write_masks
-from evadapt.metrics import MaskSet
+from evadapt.metrics import MaskSet, compute_report
 from evadapt.trainer import TrainState, load_checkpoint, save_checkpoint
 
 TINY_DOC = {
@@ -151,7 +151,7 @@ class TestPredictMasks:
             any(np.shares_memory(p.data, t.data)
                 for t in model.tensors.values()) for p in params)
         # the pixel stack predict_masks builds is the set's, not a copy
-        assert pred is not None and pred.masks is stacks[0]
+        assert pred.masks is stacks[0]
 
         # the graph-recording forward on the marked entries gives the same
         # masks bit for bit
@@ -168,6 +168,19 @@ class TestPredictMasks:
         assert recorded == [True]
         assert pred.ids == want.ids
         assert pred.masks.tobytes() == want.masks.tobytes()
+
+    def test_no_foreground_token_is_an_empty_set(self):
+        # a head that marks no token returned None, which each caller had
+        # to turn into an empty set before scoring it
+        config = ViTConfig(img_size=16, patch_size=4, embed_dim=8, depth=2,
+                           num_heads=2, mlp_hidden=16)
+        head = {"head.w": np.zeros(8), "head.b": np.array([-1.0])}
+        volume = np.random.default_rng(4).normal(size=(16, 16, 3))
+        pred = cli.predict_masks(init_params(config, seed=3), head, volume)
+        assert pred.masks.shape == (0, 16, 16) and pred.ids == []
+        gt = MaskSet(masks=[np.eye(16, dtype=bool), ~np.eye(16, dtype=bool)])
+        r = compute_report(gt, pred)
+        assert (r.tp, r.fp, r.fn) == (0, 0, len(gt))
 
 
 class TestEvalMaskDirs:
@@ -187,6 +200,28 @@ class TestEvalMaskDirs:
         got = json.loads(out.read_text())
         assert got["aggregate"]["frames"] == 2
         assert got["aggregate"]["mIoU"] == pytest.approx(0.5)
+
+    def test_header_only_pred_file_scores_as_missing(self, tmp_path):
+        # both score every ground-truth instance as a false negative
+        m = np.zeros((4, 4), dtype=bool)
+        m[:2, :2] = True
+        reports = []
+        for case in ("missing", "header-only"):
+            gt_dir, pred_dir = tmp_path / case / "gt", tmp_path / case / "pred"
+            gt_dir.mkdir(parents=True)
+            pred_dir.mkdir()
+            write_masks(gt_dir / "a.rle", [m, ~m], [0, 1], m.shape)
+            if case == "header-only":
+                write_masks(pred_dir / "a.rle", [], [], m.shape)
+                assert (pred_dir / "a.rle").read_text() == "# H=4 W=4\n"
+            out = tmp_path / case / "r.json"
+            assert main(["eval", "--gt-dir", str(gt_dir),
+                         "--pred-dir", str(pred_dir), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["aggregate"] == {
+            "frames": 1, "mP": 0.0, "mR": 0.0, "mIoU": 0.0, "aIoU": 0.0,
+            "tp": 0, "fp": 0, "fn": 2}
 
     def test_no_masks_found(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()

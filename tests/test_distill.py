@@ -303,6 +303,16 @@ def test_single_layer_source_rolls_out_once_per_weighted_layer(monkeypatch):
         want = rollout(transition_stack([cap.attentions[min(layer, 2)]]), 1,
                        cfg.beta).values
         assert w.tobytes() == want.tobytes()
+    # it is the rollout cut to one block: each non-terminal weighted layer
+    # is the teacher source's at horizon 1, and the terminal layer, uniform
+    # under a rollout, is the one-block rollout of its incoming block 3
+    cut = layer_weights(DistillConfig(layers=cfg.layers, gammas=cfg.gammas,
+                                      rollout_horizon=1), cap.attentions)
+    for w, want in zip(weights[1:-1], cut[1:-1]):
+        assert w.tobytes() == want.tobytes()
+    assert cut[-1] is None
+    want = rollout(transition_stack(cap.attentions), 3, cfg.beta, horizon=1)
+    assert weights[-1].tobytes() == want.values.tobytes()
 
 
 class TestDistillConfig:

@@ -213,3 +213,11 @@ class TestMaskSet:
             assert got.masks.dtype == bool
             assert np.array_equal(got.masks, np.stack(masks))
             assert not any(np.shares_memory(got.masks, m) for m in given)
+
+    def test_equality_is_identity(self):
+        # the generated __eq__ compared the mask arrays inside a tuple and
+        # raised "truth value of an array ... is ambiguous"
+        m = [block(4, 4, 0, 0, 2, 2), block(4, 4, 2, 1, 2, 3)]
+        a, b = MaskSet(masks=m), MaskSet(masks=m)
+        assert a == a
+        assert a != b and not a == b

@@ -2,11 +2,13 @@ import hashlib
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from evadapt import distill, encoder, trainer
+from evadapt import cli, distill, encoder, trainer
 from evadapt.autodiff import NonFiniteError
 from evadapt.distill import DistillConfig
 from evadapt.encoder import (PLAN_MODES, TrainablePlan, ViTConfig,
@@ -17,6 +19,7 @@ from evadapt.trainer import (TrainConfig, TrainState,
                              pipeline_grad_check, save_checkpoint, train)
 from test_oracles import dot, flat_grad, held_bytes, state_bytes
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
                  num_heads=2, mlp_hidden=16)
 PLAN = TrainablePlan(mode="embed+mlps", layers=(1, 2))
@@ -701,3 +704,51 @@ def test_backward_frees_the_graph_and_keeps_leaf_grads():
     assert [r() for r in refs] == [None] * len(refs)
     entries = state.params.tensors
     assert all(entries[n].grad is not None for n in state.m)
+
+
+def test_embed_only_layer0_run_reaches_its_lad_optimum():
+    # Distilling layer 0 alone, with no mixing, into a trainable embed
+    # is c least-absolute-deviation regressions over all N·k rows: the
+    # teacher's image tokens less the shared, frozen pos, on the event
+    # patches and a ones column. A full batch of 32 (two chunks of 16)
+    # logs the objective at each step's parameters, so no logged loss may
+    # lie below the optimum L*. IRLS approaches L* from above; any s with
+    # Aᵀs = 0 and |s| <= 1 bounds it from below by yᵀs (the LP dual).
+    doc = yaml.safe_load((ROOT / "configs" / "tiny.yaml").read_text())
+    config = ViTConfig(**doc["model"])
+    data = [(img, vol) for img, vol, _ in cli.make_dataset(doc, 32, seed=0)]
+    teacher = init_params(config, seed=0)
+    images, volumes = (np.stack(x) for x in zip(*data))
+    n = len(data) * config.tokens
+    y = (encoder.embed_image(teacher, images).data.reshape(
+        len(data), config.tokens, -1) - teacher.tensors["pos"].data
+         ).reshape(n, -1)
+    A = np.hstack([encoder.patch_tokens(config, volumes), np.ones((n, 1))])
+
+    def objective(X):
+        return np.abs(y - A @ X).sum() / y.size
+
+    X = np.linalg.lstsq(A, y, rcond=None)[0]
+    for _ in range(100):  # IRLS, one weighted solve per column
+        AtW = A.T / np.maximum(np.abs(y - A @ X), 1e-10).T[:, None, :]
+        X = np.linalg.solve(AtW @ A, AtW @ y.T[:, :, None])[..., 0].T
+    upper = objective(X)
+    s = np.sign(y - A @ X)
+    s -= A @ np.linalg.lstsq(A, s, rcond=None)[0]
+    s /= np.abs(s).max(axis=0)
+    assert np.abs(A.T @ s).max() < 1e-9
+    lower = (y * s).sum() / y.size
+    assert 0 < lower < upper
+
+    dcfg = DistillConfig(layers=(0,), gammas=(), mixing_ratio=0.0)
+    tcfg = TrainConfig(epochs=2, steps_per_epoch=300, batch_size=32,
+                       lr=1e-2, decay_factor=0.1, decay_epoch=2)
+    assert trainer.chunk_size(config) == 16
+    state = TrainState.create(teacher.copy(), TrainablePlan(mode="embed"))
+    _, history = train(teacher, state, data, tcfg, dcfg)
+    losses = [row["total"] for row in history]
+    start = np.vstack([teacher.tensors["embed.w"].data,
+                       teacher.tensors["embed.b"].data])
+    assert losses[0] == pytest.approx(objective(start), rel=1e-12)
+    assert losses[-1] <= 1.01 * upper
+    assert min(losses) >= lower
