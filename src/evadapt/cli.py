@@ -293,7 +293,7 @@ def _eval_mask_dirs(args) -> int:
             gt, shape = mask_set(gpath)
             if not len(gt):
                 raise ValueError(f"{gpath}: ground-truth mask set is empty")
-            pred = MaskSet(masks=[])
+            pred = MaskSet(masks=np.zeros((0, *shape), bool))
             if os.path.exists(ppath):
                 pred, pshape = mask_set(ppath)
                 if pshape != shape:
@@ -460,8 +460,7 @@ def cmd_gradcheck(args) -> int:
         mode="embed+mlps", layers=(1, 2))
     dcfg = run.distill if doc.get("distill") else DistillConfig(
         layers=(0, 1, 2), gammas=(0.5, 1.0), mixing_ratio=0.25)
-    err = pipeline_grad_check(config, plan, dcfg, seed=args.seed,
-                              step=args.step)
+    err = pipeline_grad_check(config, plan, dcfg, seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     return 0 if err <= 1e-4 else 1
 
@@ -515,7 +514,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("gradcheck", help="full-pipeline gradient check")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
     p.set_defaults(fn=cmd_gradcheck)
 
     args = ap.parse_args(argv)

@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import re
 import struct
@@ -162,71 +163,73 @@ def write_masks(path, masks, ids, shape):
         fh.write(f"# H={shape[0]} W={shape[1]}\n{body}")
 
 
-def read_masks(path) -> tuple[np.ndarray | list, list[int], tuple[int, int]]:
+def read_masks(path) -> tuple[np.ndarray, list[int], tuple[int, int]]:
     """Parse an RLE mask file into one (n, H, W) bool array, its ids and
-    its (H, W) grid; an empty set reads as ([], [], shape). Errors raise
+    its (H, W) grid; an empty set reads as a (0, H, W) array. Errors raise
     DumpFormatError naming the line.
 
-    Lines are parsed and checked one at a time, the runs of all lines in
-    one array pass; a bad run raises before the error of any later line.
+    Each line is parsed and checked in turn, so the first bad line in the
+    file is the one named.
     """
     shape = None
     lines = {}  # id -> the line that gave it
-    # every run's ints, each run's comma count and each line's run count
-    fields, commas, counts = [], [], []
+    fields, counts = [], []  # every run's start and length; runs per line
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise DumpFormatError(f"byte {e.start}: not UTF-8") from None
-    try:
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _MASK_HEADER.fullmatch(line)
-                if m is None or shape is not None:
-                    raise DumpFormatError(
-                        f"line {lineno}: expected one '# H=.. W=..' header")
-                try:
-                    shape = (int(m.group(1)), int(m.group(2)))
-                except ValueError:  # beyond int()'s 4300-digit limit
-                    raise DumpFormatError(f"line {lineno}: header dimension "
-                                          "has too many digits") from None
-                header = lineno
-                continue
-            if shape is None:
-                raise DumpFormatError("mask file missing '# H=.. W=..' header")
-            head, _, body = line.partition(":")
-            runs = body.split()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _MASK_HEADER.fullmatch(line)
+            if m is None or shape is not None:
+                raise DumpFormatError(
+                    f"line {lineno}: expected one '# H=.. W=..' header")
             try:
-                mid = int(head)
-                vals = list(map(int, ",".join(runs).split(","))) if runs \
-                    else []
-            except ValueError:
-                raise DumpFormatError(
-                    f"line {lineno}: expected 'id: start,len ...'") from None
-            if mid in lines:
-                raise DumpFormatError(
-                    f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
-            if not lines:
-                _grid(shape, header, 1)  # a grid too large fails here
-            lines[mid] = lineno
-            fields += vals
-            commas += map(str.count, runs, itertools.repeat(","))
-            counts.append(len(runs))
-    except DumpFormatError:
-        if counts:  # a bad run on an earlier line comes first
-            _mask_runs(fields, commas, counts, list(lines.values()), shape)
-        raise
+                shape = (int(m.group(1)), int(m.group(2)))
+            except ValueError:  # beyond int()'s 4300-digit limit
+                raise DumpFormatError(f"line {lineno}: header dimension "
+                                      "has too many digits") from None
+            header, size = lineno, shape[0] * shape[1]
+            continue
+        if shape is None:
+            raise DumpFormatError("mask file missing '# H=.. W=..' header")
+        head, _, body = line.partition(":")
+        runs = body.split()
+        try:
+            mid = int(head)
+            vals = list(map(int, ",".join(runs).split(","))) if runs else []
+        except ValueError:
+            raise DumpFormatError(
+                f"line {lineno}: expected 'id: start,len ...'") from None
+        if mid in lines:
+            raise DumpFormatError(
+                f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
+        if not lines:
+            _grid(shape, header, 1)  # a grid too large fails here
+        # the line's runs at once; only a line that fails is walked run by
+        # run, to name its first bad run
+        starts, lengths = vals[0::2], vals[1::2]
+        if runs and (set(map(str.count, runs, itertools.repeat(","))) != {1}
+                     or min(starts) < 0 or min(lengths) < 1
+                     or max(map(operator.add, starts, lengths)) > size):
+            for run in runs:
+                run = list(map(int, run.split(",")))
+                if len(run) != 2 or run[0] < 0 or run[1] < 1 or \
+                        sum(run) > size:
+                    raise DumpFormatError(
+                        f"line {lineno}: run {run} is not a nonempty "
+                        f"start,len inside the {shape[0]}x{shape[1]} grid")
+        lines[mid] = lineno
+        fields += vals
+        counts.append(len(runs))
     if shape is None:
         raise DumpFormatError("empty mask file")
-    if not lines:
-        return [], [], shape
-    starts, lengths = _mask_runs(fields, commas, counts, list(lines.values()),
-                                 shape)
     cells = _grid(shape, header, len(lines))
+    starts, lengths = np.array(fields, dtype=np.int64).reshape(-1, 2).T
     # runs as stretches of the flat stack, overlapping ones merged, so the
     # index below holds each set cell once however the runs overlap
     firsts = np.repeat(np.arange(len(lines)), counts) * cells.shape[1] + starts
@@ -250,30 +253,6 @@ def _grid(shape, header: int, n: int) -> np.ndarray:
     except (ValueError, MemoryError):  # numpy cannot hold it
         raise DumpFormatError(f"line {header}: the {shape[0]}x{shape[1]} grid "
                               "is too large to hold") from None
-
-
-def _mask_runs(fields, commas, counts, linenos, shape):
-    """The runs' starts and lengths; the first run, in file order, that is
-    not a nonempty start,len inside the grid raises, naming its line."""
-    width = np.array(commas, dtype=np.int64) + 1  # each run's field count
-    at = np.cumsum(width) - width  # each run's first field
-    try:
-        vals = np.array(fields, dtype=np.int64)
-    except OverflowError:  # clipped, a field past int64 still fails its run
-        vals = np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in fields],
-                        dtype=np.int64)
-    starts = vals[at]
-    lengths = vals[np.minimum(at + 1, vals.size - 1)]
-    size = shape[0] * shape[1]
-    bad = np.flatnonzero((width != 2) | (starts < 0) | (lengths < 1)
-                         | (lengths > size - np.maximum(starts, 0)))
-    if bad.size:
-        i = bad[0]
-        line = linenos[np.searchsorted(np.cumsum(counts), i, side="right")]
-        raise DumpFormatError(
-            f"line {line}: run {fields[at[i]:at[i] + width[i]]} is not a "
-            f"nonempty start,len inside the {shape[0]}x{shape[1]} grid")
-    return starts, lengths
 
 
 # -- run configuration ------------------------------------------------------

@@ -223,6 +223,25 @@ class TestEvalMaskDirs:
             "frames": 1, "mP": 0.0, "mR": 0.0, "mIoU": 0.0, "aIoU": 0.0,
             "tp": 0, "fp": 0, "fn": 2}
 
+    @pytest.mark.parametrize("case", ["missing", "header-only"])
+    def test_empty_prediction_is_a_0_h_w_stack(self, tmp_path, monkeypatch,
+                                                case):
+        # both were (0,) stacks while predict_masks gave (0, H, W)
+        m = np.zeros((4, 5), dtype=bool)
+        m[:2, :2] = True
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "pred").mkdir()
+        write_masks(tmp_path / "gt" / "a.rle", [m], [0], m.shape)
+        if case == "header-only":
+            write_masks(tmp_path / "pred" / "a.rle", [], [], m.shape)
+        seen = []
+        monkeypatch.setattr(cli, "_write_report",
+                            lambda path, frames: seen.extend(frames))
+        assert main(["eval", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred")]) == 0
+        (_, _, pred), = seen
+        assert pred.masks.dtype == bool and pred.masks.shape == (0, 4, 5)
+
     def test_no_masks_found(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()

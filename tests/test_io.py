@@ -198,7 +198,10 @@ class TestMaskFiles:
         with pytest.raises(TypeError):
             write_masks(p, [], [])
         write_masks(p, [], [], shape=(3, 5))
-        assert read_masks(p) == ([], [], (3, 5))
+        masks, ids, shape = read_masks(p)
+        # the (0, H, W) stack a nonempty set's form gives, not a list
+        assert isinstance(masks, np.ndarray) and masks.dtype == bool
+        assert masks.shape == (0, 3, 5) and ids == [] and shape == (3, 5)
 
     def test_known_encoding(self, tmp_path):
         m = np.zeros((2, 3), dtype=bool)
@@ -319,6 +322,18 @@ class TestMaskFiles:
                            match=f"^line 2: the {H}x{W} grid is too large "
                                  f"to hold$"):
             read_masks(p)
+
+    def test_header_only_grid_past_index_names_header_line(self, tmp_path):
+        # an empty set needs no cells, but its (0, H, W) stack still needs
+        # an H * W numpy can index; it read as [] whatever the header said
+        p = tmp_path / "m.rle"
+        p.write_text(f"\n# H={10 ** 10} W={10 ** 10}\n")
+        with pytest.raises(DumpFormatError,
+                           match=f"^line 2: the {10 ** 10}x{10 ** 10} grid "
+                                 f"is too large to hold$"):
+            read_masks(p)
+        p.write_text(f"# H={2 ** 30} W={2 ** 30}\n")  # indexable, no cell
+        assert read_masks(p)[0].shape == (0, 2 ** 30, 2 ** 30)
 
 
 # bytes the text formats give meaning to, plus any byte at all

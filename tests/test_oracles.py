@@ -1057,16 +1057,32 @@ class TestMaskIdentity:
         "0: 1,1\n1: 0,5\n# H=2 W=2\n", "0: 0,4 1\n1: 0,1\n",
         f"0: 0,{2 ** 64}\n1: x\n", f"0: {-2 ** 70},1 0,{2 ** 63}\n",
         f"0: {2 ** 62},{2 ** 62}\n", "0: 0,1 1,0\n", "0: 1,1 -1,2\n",
-        "0: 3,1 0,2 1,2\n1:\n2: 0,4\n",
+        "0: 3,1 0,2 1,2\n1:\n2: 0,4\n", "0: 9,1 0,1,1\n", "0: 1 0,1,1\n",
+        "0: 1 1,1,1\n",
     ], ids=["bad-run-before-parse", "bad-run-before-repeat",
             "bad-run-before-header", "one-field-run", "past-int64-length",
             "past-int64-fields", "sum-past-int64", "zero-length",
-            "negative-start", "overlapping-runs"])
+            "negative-start", "overlapping-runs", "off-grid-before-3-fields",
+            "commas-total-run-count", "commas-total-run-count-in-grid"])
     def test_run_errors_in_file_order(self, tmp_path, text):
         p = tmp_path / "m.rle"
         p.write_text("# H=2 W=2\n" + text)
         assert masks_outcome(io.read_masks, p) == masks_outcome(
             ref_read_masks, p)
+
+    def test_many_masks_read_as_one_loop_reader(self, tmp_path):
+        # fourteen instances of one 128x128 scene, the eval benchmark's size
+        rng = np.random.default_rng(5)
+        masks = [np.zeros((128, 128), dtype=bool) for _ in range(14)]
+        for m in masks:
+            r, c, h, w = rng.integers(0, 96, 2).tolist() + \
+                rng.integers(4, 33, 2).tolist()
+            m[r:r + h, c:c + w] = rng.random((h, w)) < 0.9
+        p = tmp_path / "m.rle"
+        io.write_masks(p, masks, list(range(14)), shape=(128, 128))
+        got = masks_outcome(io.read_masks, p)
+        assert got == masks_outcome(ref_read_masks, p)
+        assert got[0] == [m.tolist() for m in masks]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
