@@ -187,8 +187,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # Elements in one cache-resident tile: 2**16 float64 values, 512 KiB.
-# attention and gelu run their elementwise passes tile by tile, so each
-# pass reads and writes cache instead of memory.
+# attention and mlp's GELU run their elementwise passes tile by tile, so
+# each pass reads and writes cache instead of memory.
 TILE = 1 << 16
 
 
@@ -300,57 +300,90 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU; the backward differentiates the approximation.
+def _gelu(x: np.ndarray, d: np.ndarray | None = None):
+    """Overwrite the C-contiguous x with its tanh-approximation GELU, and
+    write its derivative into d if given, on tiles of TILE elements.
 
-    Both directions evaluate 0.5 x (1 + th), th = tanh(c (x + 0.044715 x³)),
-    and its derivative in the textbook operation order, through in-place
-    temporaries. The forward runs on tiles of TILE elements. Backward
-    keeps x² and th whole; a frozen input keeps nothing.
+    Both evaluate 0.5 x (1 + th), th = tanh(c (x + 0.044715 x³)), and
+    d = 0.5 (1 + th) + 0.5 x (1 - th²) du, du = c (1 + 3 · 0.044715 x²),
+    in the textbook operation order; d is computed while the tile is in
+    cache. d is a C-contiguous array of x's shape.
     """
-    x = _wrap(x)
-    xd = x.data
-    # the output outlives the scratch; allocated first, it does not pin
-    # the heap above the freed scratch (eval-pipeline's peak RSS read
-    # 3.5 MB higher the other way round)
-    out_data = np.empty(xd.shape)
-    keep = x.requires_grad          # backward reads x² and th whole
-    tile = min(TILE, xd.size)
-    x2 = np.empty(xd.shape if keep else tile)
-    th = np.empty(xd.shape if keep else tile)
-    th1 = np.empty(tile)
-    xf, of = xd.reshape(-1), out_data.reshape(-1)
-    x2f, thf = x2.reshape(-1), th.reshape(-1)
+    tile = min(TILE, x.size)
+    x2, th, th1, half = (np.empty(tile) for _ in range(4))
+    xf = x.reshape(-1)
+    df = None if d is None else d.reshape(-1)
     for i in range(0, xf.size, TILE):
-        xt, ot = xf[i:i + TILE], of[i:i + TILE]
-        j, n = (i if keep else 0), xt.size
-        a, t = x2f[j:j + n], thf[j:j + n]
+        xt = xf[i:i + TILE]
+        n = xt.size
+        a, t, t1, hx = x2[:n], th[:n], th1[:n], half[:n]
         np.multiply(xt, xt, out=a)  # cube as x2 * x: numpy's pow is slow
         np.multiply(a, xt, out=t)
         t *= 0.044715
         t += xt
         t *= _GELU_C
         np.tanh(t, out=t)
-        np.multiply(xt, 0.5, out=ot)
-        ot *= np.add(t, 1.0, out=th1[:n])
+        np.add(t, 1.0, out=t1)
+        np.multiply(xt, 0.5, out=hx)
+        np.multiply(hx, t1, out=xt)  # xt is read for the last time above
+        if df is None:
+            continue
+        a *= 3 * 0.044715           # du
+        a += 1.0
+        a *= _GELU_C
+        np.square(t, out=t)         # 1 - th²
+        np.subtract(1.0, t, out=t)
+        hx *= t
+        hx *= a
+        dt = df[i:i + n]
+        np.multiply(t1, 0.5, out=dt)
+        dt += hx
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node: (n, in) rows, an (in,
+    hidden) and a (hidden, out) map with their biases.
+
+    The numpy operations of affine, GELU (see _gelu) and affine, in
+    their order, so forward and gradients are bitwise those of the three
+    nodes. GELU overwrites the hidden layer in place. Backward keeps
+    GELU's derivative when x, w1 or b1 trains and GELU's output when w2
+    trains; a frozen node keeps neither. See docs/EQUATIONS.md.
+    """
+    x, w1, b1, w2, b2 = map(_wrap, (x, w1, b1, w2, b2))
+    if x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 \
+            or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:] \
+            or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]:
+        raise ValueError(
+            f"mlp shape mismatch: {x.shape} x {w1.shape} + {b1.shape} "
+            f"x {w2.shape} + {b2.shape}")
+    # the output outlives the scratch; allocated first, it does not pin
+    # the heap above the freed scratch (eval-pipeline's peak RSS read
+    # 3.5 MB higher the other way round)
+    out_data = np.empty((x.shape[0], w2.shape[1]))
+    u = x.data @ w1.data
+    u += b1.data
+    # backward reads GELU's derivative when a gradient passes through
+    # GELU, and its output when w2 trains
+    d = np.empty(u.shape) if (x.requires_grad or w1.requires_grad
+                              or b1.requires_grad) else None
+    _gelu(u, d)
+    np.matmul(u, w2.data, out=out_data)
+    out_data += b2.data
+    act = u if w2.requires_grad else None
 
     def bw(g):
-        # d = 0.5 (1 + th) + 0.5 x (1 - th²) du,  du = c (1 + 3 · 0.044715 x²)
-        du = x2 * (3 * 0.044715)
-        du += 1.0
-        du *= _GELU_C
-        right = xd * 0.5
-        sech2 = np.square(th)
-        np.subtract(1.0, sech2, out=sech2)
-        right *= sech2
-        right *= du
-        d = th + 1.0
-        d *= 0.5
-        d += right
-        d *= g
-        return (d,)
+        gu = None
+        if d is not None:
+            gu = g @ w2.data.T
+            gu *= d
+        return (gu @ w1.data.T if x.requires_grad else None,
+                x.data.T @ gu if w1.requires_grad else None,
+                gu.sum(axis=0) if b1.requires_grad else None,
+                act.T @ g if w2.requires_grad else None,
+                g.sum(axis=0) if b2.requires_grad else None)
 
-    return Tensor._from_op(out_data, (x,), bw)
+    return Tensor._from_op(out_data, (x, w1, b1, w2, b2), bw)
 
 
 def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],

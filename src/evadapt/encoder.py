@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, affine, attention, gelu, layernorm, matmul
+from .autodiff import Tensor, affine, attention, layernorm, matmul, mlp
 
 # input channels: the teacher's RGB frame, the student's 3-bin voxel grid
 CHANNELS = 3
@@ -122,7 +122,8 @@ class ViTParams:
     def frozen(self) -> "ViTParams":
         """New Tensors over the same arrays, none requiring grad, so a
         forward through them records no graph and keeps no backward
-        state (attention's per-head probabilities, gelu's x² and th)."""
+        state (attention's per-head probabilities, the MLP's GELU
+        derivative)."""
         return ViTParams(self.config, {
             k: Tensor._from_op(v.data, (), None)
             for k, v in self.tensors.items()})
@@ -312,8 +313,10 @@ def forward_tokens(params: ViTParams, tokens: Tensor) -> EmbeddingCapture:
         a_out, head_avg = _attention(params, i, h, samples)
         x = x + a_out
         h = layernorm(x, t[f"block.{i}.ln2.g"], t[f"block.{i}.ln2.b"])
-        m = _affine(params, f"block.{i}.mlp2", gelu(_affine(params, f"block.{i}.mlp1", h)))
-        x = x + m
+        x = x + mlp(h, _effective_weight(params, f"block.{i}.mlp1"),
+                    t[f"block.{i}.mlp1.b"],
+                    _effective_weight(params, f"block.{i}.mlp2"),
+                    t[f"block.{i}.mlp2.b"])
         embeddings.append(x)
         attentions.append(head_avg)
     return EmbeddingCapture(embeddings=embeddings, attentions=attentions)

@@ -173,12 +173,13 @@ def adam_step(state: TrainState, g: np.ndarray, lr: float):
     p -= step
 
 
-# Elements of one sample's (k, c) token matrix below which a step stacks
-# samples into one graph: 2**12 float64 values. One numpy call costs a
+# Float64 elements of (k, c) token rows that one graph stacks: 2**15, so
+# a chunk holds max(1, STACK // (k·c)) samples. One numpy call costs a
 # few microseconds against about 0.6 ns per element, so a small sample's
-# step is all call overhead; a large one's graph is all memory (see
+# step is all call overhead; a large one's graph is all memory, and past
+# two train-mid samples glibc trims and refaults it every chunk (see
 # docs/EQUATIONS.md, "Stacked student step").
-STACK = 1 << 12
+STACK = 1 << 15
 
 
 def chunk_size(config: ViTConfig) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evadapt import autodiff
-from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, affine,
-                              attention, gelu, grad_check, layernorm, matmul,
+from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, _gelu, affine,
+                              attention, grad_check, layernorm, matmul, mlp,
                               weighted_l1)
 from test_oracles import dot
 
@@ -73,6 +74,24 @@ def gelu_chain(x, g):
     du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
     d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du
     return 0.5 * x * (1.0 + th), g * d
+
+
+def gelu_node(x):
+    """The separate GELU node the fused mlp node replaced, out of place."""
+    return Tensor._from_op(gelu_chain(x.data, 1.0)[0], (x,),
+                           lambda g: (gelu_chain(x.data, g)[1],))
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    """affine -> GELU -> affine as three nodes."""
+    return affine(gelu_node(affine(x, w1, b1)), w2, b2)
+
+
+def gelu_of(x):
+    """(GELU of x, its derivative) from the tiled helper, on a copy."""
+    out, d = np.array(x, order="C"), np.empty(x.shape)
+    _gelu(out, d)
+    return out, d
 
 
 def traced_peak(f):
@@ -337,10 +356,12 @@ class TestMatmul:
 
 
 class TestGelu:
+    """The tiled GELU pass of the mlp node, on its own."""
+
     def test_close_to_pow_formula(self):
         x = np.concatenate([np.random.default_rng(6).uniform(-10, 10, 20000),
                             [0.0, -0.0, 1e-300, -3.0, 1e3, -1e3]])
-        got = gelu(Tensor(x)).data
+        got = gelu_of(x)[0]
         want = 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x ** 3)))
         err = np.abs(got - want)
         # in the negative tail 1 + tanh cancels, so the output's own ulp is
@@ -354,21 +375,108 @@ class TestGelu:
         x = np.concatenate([rng.uniform(-10, 10, 500), [0.0, -0.0, -3.0]])
         g = rng.standard_normal(x.shape)
         want, want_grad = gelu_chain(x, g)
-        t = Tensor(x, requires_grad=True)
-        out = gelu(t)
-        assert out.data.tobytes() == want.tobytes()
-        dot(out, g).backward()
-        assert t.grad.tobytes() == want_grad.tobytes()
+        out, d = gelu_of(x)
+        assert out.tobytes() == want.tobytes()
+        assert (g * d).tobytes() == want_grad.tobytes()
+        _gelu(x)                        # without the derivative
+        assert x.tobytes() == want.tobytes()
 
     def test_gradient(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.uniform(-4, 4, (3, 5)), requires_grad=True)
-        w = rng.standard_normal((3, 5))
-        assert grad_check(lambda: dot(gelu(x), w), [x]) <= 1e-8
+        # the derivative against central differences of the value
+        x = np.random.default_rng(7).uniform(-4, 4, (3, 5))
+        step = 1e-6
+        num = (gelu_of(x + step)[0] - gelu_of(x - step)[0]) / (2 * step)
+        assert np.abs(gelu_of(x)[1] - num).max() <= 1e-8
+
+
+def mlp_inputs(rng, n, c_in, hidden, c_out):
+    return [rng.uniform(-2, 2, s) for s in
+            ((n, c_in), (c_in, hidden), (hidden,), (hidden, c_out), (c_out,))]
+
+
+class TestMlp:
+    NAMES = ("x", "w1", "b1", "w2", "b2")
+
+    @staticmethod
+    def run(node, arrays, trained, g):
+        """node's output and each trained input's gradient for upstream g."""
+        ts = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trained)]
+        out = node(*ts)
+        assert out.requires_grad == any(trained)
+        if any(trained):
+            dot(out, g).backward()
+        return out.data, [t.grad for t in ts]
+
+    def assert_bitwise_chain(self, arrays, trained, seed):
+        g = np.random.default_rng(seed).standard_normal(
+            (arrays[0].shape[0], arrays[3].shape[1]))
+        got, got_grads = self.run(mlp, arrays, trained, g)
+        want, want_grads = self.run(mlp_chain, arrays, trained, g)
+        assert got.tobytes() == want.tobytes()
+        for name, t, a, b in zip(self.NAMES, trained, got_grads, want_grads):
+            assert (a is None) == (b is None) == (not t), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("trained", list(itertools.product(
+        (False, True), repeat=5)), ids=lambda t: "".join(
+            "T" if x else "f" for x in t))
+    def test_bitwise_equal_to_three_nodes(self, monkeypatch, trained):
+        # TILE 7 splits the (5, 11) hidden layer into 8 tiles
+        monkeypatch.setattr(autodiff, "TILE", 7)
+        arrays = mlp_inputs(np.random.default_rng(30), 5, 3, 11, 4)
+        self.assert_bitwise_chain(arrays, trained, 31)
+
+    @pytest.mark.parametrize("trained", [(True,) * 5, (True, False, False,
+                                                       False, False),
+                                         (False,) * 5])
+    def test_bitwise_equal_across_real_tiles(self, trained):
+        # a (70, 1000) hidden layer is 70 000 elements: two TILE tiles
+        arrays = mlp_inputs(np.random.default_rng(32), 70, 6, 1000, 5)
+        assert arrays[0].shape[0] * arrays[1].shape[1] > autodiff.TILE
+        self.assert_bitwise_chain(arrays, trained, 33)
+
+    def test_non_leaf_weights_bitwise_equal_to_three_nodes(self):
+        # LoRA-style maps: a frozen base plus (B A)ᵀ, so w1 and w2 are
+        # nodes whose gradients reach the factors
+        rng = np.random.default_rng(34)
+        x, w1, b1, w2, b2 = mlp_inputs(rng, 6, 4, 9, 3)
+        factors = [rng.standard_normal(s) for s in ((9, 2), (2, 4),
+                                                    (3, 2), (2, 9))]
+        g = rng.standard_normal((6, 3))
+        results = []
+        for node in (mlp, mlp_chain):
+            fs = [Tensor(f, requires_grad=True) for f in factors]
+            xt = Tensor(x, requires_grad=True)
+            out = node(xt, Tensor(w1) + matmul(fs[0], fs[1]).T, Tensor(b1),
+                       Tensor(w2) + matmul(fs[2], fs[3]).T, Tensor(b2))
+            dot(out, g).backward()
+            results.append([out.data, xt.grad] + [f.grad for f in fs])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+
+    def test_gradient(self):
+        rng = np.random.default_rng(35)
+        ts = [Tensor(a, requires_grad=True)
+              for a in mlp_inputs(rng, 4, 3, 6, 2)]
+        u = rng.standard_normal((4, 2))
+        assert grad_check(lambda: dot(mlp(*ts), u), ts) <= 1e-8
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 3), (2, 6), (6,), (6, 2), (2,)),     # x against w1
+        ((4, 3), (3, 6), (5,), (6, 2), (2,)),     # b1
+        ((4, 3), (3, 6), (6,), (5, 2), (2,)),     # w2 against w1
+        ((4, 3), (3, 6), (6,), (6, 2), (3,)),     # b2
+        ((4, 3), (3, 6), (1, 6), (6, 2), (2,)),   # a 2-d b1
+        ((2, 4, 3), (3, 6), (6,), (6, 2), (2,)),  # a batched x
+        ((4, 3), (3, 6), (6,), (6,), ()),         # a 1-d w2
+    ], ids=["x-w1", "b1", "w2-w1", "b2", "b1-2d", "x-3d", "w2-1d"])
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ValueError, match="mlp shape mismatch"):
+            mlp(*(Tensor(np.ones(s)) for s in shapes))
 
 
 class TestTiling:
-    """attention and gelu run their forward on tiles of autodiff.TILE
+    """attention and mlp's GELU run their forward on tiles of autodiff.TILE
     elements. A small TILE makes tiny inputs span several head groups and
     row tiles; the results must be those of the untiled chains, bit for
     bit."""
@@ -444,18 +552,20 @@ class TestTiling:
         x = rng.uniform(-6, 6, shape)
         g = rng.standard_normal(shape)
         want, want_grad = gelu_chain(x, g)
-        assert gelu(Tensor(x)).data.tobytes() == want.tobytes()
-        t = Tensor(x, requires_grad=True)
-        out = gelu(t)
-        assert out.data.tobytes() == want.tobytes()
-        dot(out, g).backward()
-        assert t.grad.tobytes() == want_grad.tobytes()
+        out, d = gelu_of(x)
+        assert out.tobytes() == want.tobytes()
+        assert (g * d).tobytes() == want_grad.tobytes()
+        _gelu(x)                        # without the derivative
+        assert x.tobytes() == want.tobytes()
 
     def test_gelu_of_a_strided_view(self, monkeypatch):
+        # an mlp node over transposed rows: GELU runs in place on the
+        # node's own C-contiguous hidden layer, never on a strided view
         monkeypatch.setattr(autodiff, "TILE", 7)
-        x = np.random.default_rng(21).uniform(-6, 6, (6, 4)).T
-        assert gelu(Tensor(x)).data.tobytes() == \
-            gelu_chain(x, x)[0].tobytes()
+        arrays = mlp_inputs(np.random.default_rng(21), 6, 4, 5, 3)
+        arrays[0] = np.ascontiguousarray(arrays[0].T).T
+        assert not arrays[0].flags.c_contiguous
+        TestMlp().assert_bitwise_chain(arrays, (True,) * 5, 21)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_logit_in_last_tile_rejected(self, monkeypatch):
@@ -484,19 +594,44 @@ class TestTilingMemory:
             (k, 3 * nh * dh)), requires_grad=True)
         assert traced_peak(lambda: attention(qkv, nh)) >= nh * k * k * 8
 
-    def test_frozen_gelu_keeps_no_full_size_temporaries(self):
-        # x² and th are each as large as x: keeping either one whole would
-        # take the peak past twice x's size
-        x = Tensor(np.random.default_rng(24).uniform(-6, 6, (512, 1024)))
-        out = []
-        peak = traced_peak(lambda: out.append(gelu(x)))
-        assert peak < 2 * x.data.nbytes
-        assert out[0]._backward is None
+    # (512, 1024) hidden layers, 4 MiB each, against (512, 32) ends
+    N, C, HIDDEN = 512, 32, 1024
 
-    def test_trained_gelu_keeps_its_temporaries(self):
-        x = Tensor(np.random.default_rng(24).uniform(-6, 6, (512, 1024)),
-                   requires_grad=True)
-        assert traced_peak(lambda: gelu(x)) >= 3 * x.data.nbytes
+    def held_hidden_arrays(self, trained):
+        """The (n, hidden) arrays an mlp node holds once it has returned,
+        counted from the bytes still allocated beside its output."""
+        arrays = mlp_inputs(np.random.default_rng(24), self.N, self.C,
+                            self.HIDDEN, self.C)
+        ts = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trained)]
+        out = []
+        tracemalloc.start()
+        try:
+            out.append(mlp(*ts))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hidden = self.N * self.HIDDEN * 8
+        held -= out[0].data.nbytes
+        count = round(held / hidden)
+        assert abs(held - count * hidden) < hidden // 8
+        return count, peak / hidden
+
+    def test_frozen_gelu_keeps_no_full_size_temporaries(self):
+        # the hidden layer is GELU's input and output, and its x² and th
+        # are tiles: at the peak one hidden layer and its scratch exist
+        count, peak = self.held_hidden_arrays((False,) * 5)
+        assert count == 0
+        assert peak < 1.75
+
+    @pytest.mark.parametrize("trained, kept", [
+        ("x", 1), ("w1", 1), ("b1", 1), ("w2", 1), ("b2", 0),
+        ("x w2", 2), ("x b2", 1), ("x w1 b1 w2 b2", 2)])
+    def test_trained_mlp_keeps_only_what_backward_reads(self, trained, kept):
+        # GELU's derivative when the gradient passes through it, GELU's
+        # output when w2 trains
+        count, _ = self.held_hidden_arrays(
+            [n in trained.split() for n in TestMlp.NAMES])
+        assert count == kept
 
 
 def test_vitb_block_shape_bitwise_equal_to_untiled():
@@ -609,7 +744,8 @@ class TestBackwardFrees:
         ln_g, ln_b = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))
         h = affine(x, w, b)
         out, _ = attention(h, 2)
-        y = layernorm(gelu(out), ln_g, ln_b)
+        y = layernorm(mlp(out, np.ones((4, 8)), np.zeros(8),
+                          np.ones((8, 4)), np.zeros(4)), ln_g, ln_b)
         loss = dot(y, rng.standard_normal(y.shape))
         refs = [weakref.ref(t) for t in (h, out, y)]
         del h, out, y

@@ -127,7 +127,7 @@ class TestPredictMasks:
         volume = np.random.default_rng(4).normal(size=(16, 16, 3))
 
         calls, inputs, params = [], [], []
-        for name in ("attention", "gelu", "affine", "layernorm"):
+        for name in ("attention", "mlp", "affine", "layernorm"):
             def spy(*args, _name=name, _op=getattr(encoder, name), **kwargs):
                 calls.append(_name)
                 inputs.append(args[0])
@@ -145,9 +145,9 @@ class TestPredictMasks:
         assert all(t.data is model.tensors[k].data and not t.requires_grad
                    for k, t in view.tensors.items())
         assert collections.Counter(calls) == {
-            "attention": 2, "gelu": 2, "affine": 9, "layernorm": 4}
+            "attention": 2, "mlp": 2, "affine": 5, "layernorm": 4}
         assert not any(x.requires_grad for x in inputs + params)
-        assert len(params) == 9 * 2 + 4 * 2 and all(
+        assert len(params) == 5 * 2 + 2 * 4 + 4 * 2 and all(
             any(np.shares_memory(p.data, t.data)
                 for t in model.tensors.values()) for p in params)
         # the pixel stack predict_masks builds is the set's, not a copy

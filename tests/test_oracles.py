@@ -317,12 +317,7 @@ def ref_read_masks(path):
                 raise io.DumpFormatError(
                     f"line {lineno}: mask id {mid} repeats line {lines[mid]}")
             lines[mid] = lineno
-            try:
-                flat = np.zeros(shape[0] * shape[1], dtype=bool)
-            except (ValueError, MemoryError):
-                raise io.DumpFormatError(
-                    f"line {header}: the {shape[0]}x{shape[1]} grid is too "
-                    "large to hold") from None
+            flat = ref_grid(shape, header, 1)[0]
             for run in runs:
                 if (len(run) != 2 or run[0] < 0 or run[1] < 1
                         or sum(run) > flat.size):
@@ -333,7 +328,19 @@ def ref_read_masks(path):
             masks.append(flat.reshape(shape))
     if shape is None:
         raise io.DumpFormatError("empty mask file")
+    if not masks:
+        ref_grid(shape, header, 0)  # an empty set still has its grid
     return masks, list(lines), shape
+
+
+def ref_grid(shape, header, n):
+    """n clear flat masks of the grid, or the error naming the header."""
+    try:
+        return np.zeros((n, shape[0] * shape[1]), dtype=bool)
+    except (ValueError, MemoryError):
+        raise io.DumpFormatError(
+            f"line {header}: the {shape[0]}x{shape[1]} grid is too "
+            "large to hold") from None
 
 
 def ref_overlap_table(gt, pred):
@@ -1069,6 +1076,19 @@ class TestMaskIdentity:
         p.write_text("# H=2 W=2\n" + text)
         assert masks_outcome(io.read_masks, p) == masks_outcome(
             ref_read_masks, p)
+
+    @pytest.mark.parametrize("text, held", [
+        ("# H=2 W=2\n", True), ("\n# H=3 W=1\n\n", True),
+        ("# H=10000000000 W=10000000000\n", False),
+        ("# H=4294967296 W=4294967296\n", False),
+    ], ids=["small", "blank-lines", "past-int64-cells", "2^64-cells"])
+    def test_header_only_file_reads_as_one_loop_reader(self, tmp_path, text,
+                                                       held):
+        p = tmp_path / "m.rle"
+        p.write_text(text)
+        got = masks_outcome(io.read_masks, p)
+        assert got == masks_outcome(ref_read_masks, p)
+        assert held == ("grid is too large to hold" not in got)
 
     def test_many_masks_read_as_one_loop_reader(self, tmp_path):
         # fourteen instances of one 128x128 scene, the eval benchmark's size

@@ -199,19 +199,20 @@ MID_PROFILE = ViTConfig(img_size=32, patch_size=4, embed_dim=192, depth=12,
                         num_heads=3, mlp_hidden=768)
 
 
-@pytest.mark.parametrize("stack", [512, trainer.STACK, 12287])
+@pytest.mark.parametrize("stack", [24576, trainer.STACK, 36863])
 def test_chunk_rule(monkeypatch, stack):
-    # the tiny profile's batch of 2 shares one graph; a train-mid sample
-    # (64 tokens of width 192) gets its own
+    # the tiny profile's batch of 2 shares one graph; two train-mid
+    # samples (64 tokens of width 192) share one
     monkeypatch.setattr(trainer, "STACK", stack)
     assert trainer.chunk_size(TINY_PROFILE) >= 2
-    assert trainer.chunk_size(MID_PROFILE) == 1
+    assert trainer.chunk_size(MID_PROFILE) == 2
 
 
 def test_chunk_size_values():
-    assert trainer.chunk_size(TINY_PROFILE) == 16
-    assert trainer.chunk_size(TINY) == 128
-    assert trainer.chunk_size(MID_PROFILE) == 1
+    assert trainer.chunk_size(TINY_PROFILE) == 128
+    assert trainer.chunk_size(TINY) == 1024
+    assert trainer.chunk_size(MID_PROFILE) == 2
+    assert trainer.chunk_size(encoder.VIT_B) == 1
 
 
 @pytest.mark.parametrize("source", distill.ATTENTION_SOURCES)
@@ -706,14 +707,15 @@ def test_backward_frees_the_graph_and_keeps_leaf_grads():
     assert all(entries[n].grad is not None for n in state.m)
 
 
-def test_embed_only_layer0_run_reaches_its_lad_optimum():
+def test_embed_only_layer0_run_reaches_its_lad_optimum(monkeypatch):
     # Distilling layer 0 alone, with no mixing, into a trainable embed
     # is c least-absolute-deviation regressions over all N·k rows: the
     # teacher's image tokens less the shared, frozen pos, on the event
-    # patches and a ones column. A full batch of 32 (two chunks of 16)
-    # logs the objective at each step's parameters, so no logged loss may
-    # lie below the optimum L*. IRLS approaches L* from above; any s with
-    # Aᵀs = 0 and |s| <= 1 bounds it from below by yᵀs (the LP dual).
+    # patches and a ones column. A full batch of 32, as two chunks of 16
+    # and as the one chunk of the production STACK, logs the objective at
+    # each step's parameters, so no logged loss may lie below the optimum
+    # L*. IRLS approaches L* from above; any s with Aᵀs = 0 and |s| <= 1
+    # bounds it from below by yᵀs (the LP dual).
     doc = yaml.safe_load((ROOT / "configs" / "tiny.yaml").read_text())
     config = ViTConfig(**doc["model"])
     data = [(img, vol) for img, vol, _ in cli.make_dataset(doc, 32, seed=0)]
@@ -743,12 +745,14 @@ def test_embed_only_layer0_run_reaches_its_lad_optimum():
     dcfg = DistillConfig(layers=(0,), gammas=(), mixing_ratio=0.0)
     tcfg = TrainConfig(epochs=2, steps_per_epoch=300, batch_size=32,
                        lr=1e-2, decay_factor=0.1, decay_epoch=2)
-    assert trainer.chunk_size(config) == 16
-    state = TrainState.create(teacher.copy(), TrainablePlan(mode="embed"))
-    _, history = train(teacher, state, data, tcfg, dcfg)
-    losses = [row["total"] for row in history]
     start = np.vstack([teacher.tensors["embed.w"].data,
                        teacher.tensors["embed.b"].data])
-    assert losses[0] == pytest.approx(objective(start), rel=1e-12)
-    assert losses[-1] <= 1.01 * upper
-    assert min(losses) >= lower
+    for stack, chunk in ((1 << 12, 16), (trainer.STACK, 32)):
+        monkeypatch.setattr(trainer, "STACK", stack)
+        assert min(trainer.chunk_size(config), 32) == chunk
+        state = TrainState.create(teacher.copy(), TrainablePlan(mode="embed"))
+        _, history = train(teacher, state, data, tcfg, dcfg)
+        losses = [row["total"] for row in history]
+        assert losses[0] == pytest.approx(objective(start), rel=1e-12)
+        assert losses[-1] <= 1.01 * upper
+        assert min(losses) >= lower
