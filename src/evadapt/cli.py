@@ -7,7 +7,7 @@ thresholded, and split into instances by connected-component labeling.
 It exists so the metric pipeline runs end to end; it is not a trained
 decoder and its absolute numbers carry no meaning. Prediction runs the
 encoder on a frozen view of the checkpoint's arrays (ViTParams.frozen),
-so it records no autodiff graph, though `load_checkpoint` marks the
+so it records no autodiff graph, though the loaded TrainState marks the
 plan's entries trainable.
 """
 
@@ -249,8 +249,11 @@ def cmd_eval(args) -> int:
         return 2
     doc, run = _load_model_run(args.config)
     state, meta, extra = load_checkpoint(args.checkpoint)
-    if run.model != state.params.config:
-        raise ConfigError("config/checkpoint model shapes differ")
+    saved = asdict(state.params.config)
+    for key, value in asdict(run.model).items():
+        if value != saved[key]:
+            raise ConfigError(f"model.{key} of config and checkpoint differ: "
+                              f"{value} and {saved[key]}")
     if "head.w" not in extra or "head.b" not in extra:
         raise DumpFormatError("checkpoint lacks the mask head head.w/head.b")
     head = {k: extra[k].astype(np.float64) for k in ("head.w", "head.b")}

@@ -178,7 +178,7 @@ def apply_lora(params: ViTParams, shapes: dict[str, tuple[int, ...]],
     `shapes` are the plan's trainable_shapes; each site's (r, in) A is
     drawn from N(0, 0.01^2) in plan order, and its (out, r) B is zero, so
     the function computed by the model is unchanged until training moves
-    B. Base weights at adapted sites are frozen by mark_trainable.
+    B. The trainer.TrainState built on the copy freezes the adapted weights.
     """
     rng = np.random.default_rng(seed)
     out = params.copy()
@@ -225,17 +225,6 @@ def adapter_shapes(shapes: dict[str, tuple[int, ...]]
 def count_trainable(config: ViTConfig, plan: TrainablePlan) -> int:
     """Exact number of scalars trainable under the plan."""
     return sum(math.prod(s) for s in trainable_shapes(config, plan).values())
-
-
-def mark_trainable(params: ViTParams, plan: TrainablePlan):
-    """Set requires_grad exactly on the plan's entries; clears all others."""
-    wanted = set(trainable_shapes(params.config, plan))
-    for name, t in params.tensors.items():
-        t.requires_grad = name in wanted
-        t.grad = None
-    missing = wanted - set(params.tensors)
-    if missing:
-        raise ValueError(f"plan references absent parameters: {sorted(missing)}")
 
 
 @dataclass

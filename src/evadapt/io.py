@@ -97,7 +97,7 @@ def read_dump(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise DumpFormatError(f"entry {i} repeats the name '{name}'")
             code, rank = struct.unpack("<BB", read(2, f"dtype of '{name}'"))
             if code not in _DTYPES:
-                raise DumpFormatError(f"unknown dtype code {code}")
+                raise DumpFormatError(f"unknown dtype code {code} of '{name}'")
             dims = struct.unpack(f"<{rank}Q",
                                  read(8 * rank, f"dims of '{name}'"))
             dt = _DTYPES[code]

@@ -24,8 +24,8 @@ from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
 from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
                       ViTParams, adapter_shapes, apply_lora, embed_image,
-                      forward_tokens, init_params, mark_trainable,
-                      param_shapes, trainable_shapes)
+                      forward_tokens, init_params, param_shapes,
+                      trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -75,6 +75,8 @@ class TrainState:
     array to its view, so the arrays the state was built from are never
     written. `create` packs at once, while no graph holds memory; a loaded
     state packs at its first update, so a checkpoint only read costs no copy.
+    Building a state sets requires_grad on exactly the layout's entries of
+    `params` and clears every .grad: the state alone decides what trains.
     """
     params: ViTParams
     plan: TrainablePlan
@@ -93,6 +95,12 @@ class TrainState:
             end = self.size + math.prod(shape)
             self.layout[name] = (slice(self.size, end), shape)
             self.size = end
+        entries = self.params.tensors
+        absent = [n for n in self.layout if n not in entries]
+        if absent:
+            raise ValueError(f"moments of absent entries: {', '.join(absent)}")
+        for name, t in entries.items():
+            t.requires_grad, t.grad = name in self.layout, None
 
     @classmethod
     def create(cls, params: ViTParams, plan: TrainablePlan,
@@ -102,7 +110,6 @@ class TrainState:
         shapes = trainable_shapes(params.config, plan)
         if plan.lora_rank is not None:
             params = apply_lora(params, shapes, seed=seed)
-        mark_trainable(params, plan)
         state = cls(params=params, plan=plan,
                     m={n: np.zeros(s) for n, s in shapes.items()},
                     v={n: np.zeros(s) for n, s in shapes.items()})
@@ -383,7 +390,6 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     params = ViTParams(config, {w.removeprefix("param."): Tensor(a)
                                 for w, a in got.items()
                                 if w.startswith("param.")})
-    mark_trainable(params, plan)
     return (TrainState(params=params, plan=plan,
                        m={n: got[f"adam.m.{n}"] for n in shapes},
                        v={n: got[f"adam.v.{n}"] for n in shapes},

@@ -106,7 +106,9 @@ class TestTrainEval:
         p2.write_text(yaml.safe_dump(other))
         assert main(["eval", "--config", str(p2),
                      "--checkpoint", str(out / "checkpoint.evdt")]) == 1
-        assert "differ" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: model.mlp_hidden of config and checkpoint differ: "
+            "32 and 16\n")
 
 
 class TestPredictMasks:
@@ -200,6 +202,11 @@ class TestEvalMaskDirs:
         got = json.loads(out.read_text())
         assert got["aggregate"]["frames"] == 2
         assert got["aggregate"]["mIoU"] == pytest.approx(0.5)
+        # without --out the same report goes to stdout
+        capsys.readouterr()
+        assert main(["eval", "--gt-dir", str(gt_dir),
+                     "--pred-dir", str(pred_dir)]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_header_only_pred_file_scores_as_missing(self, tmp_path):
         # both score every ground-truth instance as a false negative
@@ -322,6 +329,15 @@ class TestSignificance:
                 if l.startswith("prefix_gap")]
         assert len(gaps) == 3 and gaps[-1] == 0.0
 
+    def test_layer_past_the_stack_named(self, tmp_path, capsys):
+        dump = tmp_path / "attn.evdt"
+        write_dump(dump, {f"block.{i}": np.full((4, 4), 0.25)
+                          for i in (1, 2, 3)})
+        assert main(["significance", "--attn", str(dump),
+                     "--layer", "4"]) == 1
+        assert capsys.readouterr().err == \
+            "error: source layer 4 out of range 1..3\n"
+
     def test_non_square_rejected(self, tmp_path, capsys):
         dump = tmp_path / "attn.evdt"
         write_dump(dump, {"x": np.zeros((2, 3))})
@@ -397,6 +413,16 @@ class TestSynthAndVoxelize:
         assert meta["bins"] == 3
         assert 0 <= tensors["volume"].min() and tensors["volume"].max() <= 1.0
 
+    def test_voxelize_headerless_needs_grid_flags(self, tmp_path, capsys):
+        ev_path = tmp_path / "events.txt"
+        ev_path.write_text("1,1,1,1\n")
+        for flags in ([], ["--height", "4"], ["--width", "4"]):
+            assert main(["voxelize", "--events", str(ev_path),
+                         "--out", str(tmp_path / "v.evdt")] + flags) == 2
+            assert capsys.readouterr().err == (
+                "voxelize: need --height/--width or a '# H= W=' header\n")
+        assert not (tmp_path / "v.evdt").exists()
+
     def test_voxelize_events_all_at_t_start(self, tmp_path, capsys):
         # t_end defaulted to the last event's t, which is t_start here, so
         # a valid file exited 1 with "empty window" for a t_end never given
@@ -429,6 +455,15 @@ class TestParamsAndGradcheck:
         assert "590592" in out
         assert "57259776" in out
         assert "1082112" in out
+
+    def test_params_leaves_out_rows_the_model_lacks(self, capsys):
+        # the tiny profile has 2 blocks: no "Four" row's block 3 exists
+        config = Path(__file__).resolve().parents[1] / "configs" / "tiny.yaml"
+        assert main(["params", "--config", str(config)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r[:36].rstrip() for r in rows] == [
+            "Embed", "Embed + All MLPs", "All"]
+        assert rows[-1].split()[1:] == ["5488", "100.0%"]
 
     def test_lora_rows_train_the_sites_they_name(self):
         # each paper LoRA row is its plan row plus a rank: the embed map
@@ -563,6 +598,8 @@ class TestErrorHandling:
          "distill.gamma0 must be >= 0 and finite, got inf"),
         ("distill.gamma0", float("nan"),
          "distill.gamma0 must be >= 0 and finite, got nan"),
+        ("model.embed_dim", 7,
+         "model.embed_dim must be divisible by num_heads"),
     ])
     def test_out_of_range_rejected_at_load(self, tmp_path, capsys, key,
                                            value, message):

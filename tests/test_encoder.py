@@ -5,8 +5,9 @@ from evadapt import autodiff
 from evadapt.autodiff import Tensor
 from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
-                             forward_tokens, init_params, mark_trainable,
-                             param_shapes, patch_tokens, trainable_shapes)
+                             forward_tokens, init_params, param_shapes,
+                             patch_tokens, trainable_shapes)
+from evadapt.trainer import TrainState
 from test_oracles import dot
 
 TINY = ViTConfig(img_size=8, patch_size=4, embed_dim=8, depth=2,
@@ -235,19 +236,20 @@ class TestLora:
 
 
 class TestMarkTrainable:
+    # building a state marks its entries; the encoder itself marks nothing
     def test_exact_marking(self, params):
         plan = TrainablePlan(mode="embed+mlps", layers=(2,))
-        mark_trainable(params, plan)
+        state = TrainState.create(params, plan)
         wanted = set(trainable_shapes(TINY, plan))
-        for name, t in params.tensors.items():
+        for name, t in state.params.tensors.items():
             assert t.requires_grad == (name in wanted)
 
     def test_frozen_get_no_gradients(self, params):
-        mark_trainable(params, TrainablePlan(mode="embed"))
+        state = TrainState.create(params, TrainablePlan(mode="embed"))
         img = np.random.default_rng(6).random((8, 8, 3))
-        cap = forward_capture(params, img)
+        cap = forward_capture(state.params, img)
         last = cap.embeddings[-1]
         dot(last, last.data).backward()
-        assert params.tensors["embed.w"].grad is not None
-        assert params.tensors["block.1.mlp1.w"].grad is None
-        assert params.tensors["pos"].grad is None
+        assert state.params.tensors["embed.w"].grad is not None
+        assert state.params.tensors["block.1.mlp1.w"].grad is None
+        assert state.params.tensors["pos"].grad is None

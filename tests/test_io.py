@@ -128,9 +128,13 @@ class TestTensorDump:
         (raw_dump(entries=[(b"x", (1,) * 65)]), "dims .* of 'x'"),
         (raw_dump(entries=[(b"x", (0, 2 ** 63))]), "dims .* of 'x'"),
         (raw_dump(entries=[(b"x", (1,))], tail=b"\0"), "1 bytes after"),
+        # the dtype byte of entry 'w' set to 7: the error named no entry
+        (raw_dump(entries=[(b"v", (1,)), (b"w", (1,))]).replace(
+            b"w\x01\x01", b"w\x07\x01"), "^unknown dtype code 7 of 'w'$"),
     ], ids=["meta-not-utf8", "meta-not-json", "meta-not-object",
             "meta-too-deep", "name-not-utf8", "duplicate-name",
-            "rank-65", "zero-size-too-big", "trailing-bytes"])
+            "rank-65", "zero-size-too-big", "trailing-bytes",
+            "unknown-dtype-code"])
     def test_malformed_dump_names_part(self, tmp_path, raw, match):
         p = tmp_path / "d.evdt"
         p.write_bytes(raw)

@@ -169,6 +169,26 @@ class TestTrainLoop:
         assert row["total"] == pytest.approx(
             row["layer_0"] + 0.5 * row["layer_1"] + row["layer_2"], rel=1e-12)
 
+    def test_non_finite_loss_names_step_and_breakdown(self, monkeypatch):
+        step_loss, calls = trainer.student_step_loss, []
+
+        def poisoned(*args, **kwargs):
+            loss, breakdown = step_loss(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:  # step 2's one chunk
+                loss.data, breakdown[2] = np.array(np.nan), float("nan")
+            return loss, breakdown
+
+        monkeypatch.setattr(trainer, "student_step_loss", poisoned)
+        state = tiny_state()
+        with pytest.raises(NonFiniteError, match=(
+                r"^non-finite loss at step 2; "
+                r"layer breakdown: \{0: [\d.e-]+, 1: [\d.e-]+, 2: nan\}$")):
+            train(init_params(TINY, seed=0), state, tiny_data(),
+                  TrainConfig(epochs=1, steps_per_epoch=5, decay_epoch=1),
+                  DCFG)
+        assert state.step == 2
+
     def test_frozen_params_never_change(self):
         data = tiny_data()
         teacher = init_params(TINY, seed=0)
@@ -452,12 +472,38 @@ class TestPackedState:
 ] + [TrainablePlan(mode=f"embed+{k}", layers=(1, 2), lora_rank=2)
      for k in ("mlps", "blocks")],
     ids=[f"{m}-mlps" for m in PLAN_MODES] + ["lora-mlps", "lora-blocks"])
-def test_create_marks_exactly_the_moment_entries(plan):
-    state = TrainState.create(init_params(TINY, seed=0), plan)
-    entries = state.params.tensors
-    assert [n for n, t in entries.items() if t.requires_grad] == \
-        [n for n in entries if n in state.m]
-    assert all(state.m[n].shape == entries[n].data.shape for n in state.m)
+def test_create_marks_exactly_the_moment_entries(plan, tmp_path):
+    # a created state and its reload: requires_grad on exactly the layout's
+    # entries, every .grad cleared, and a backward reaches only those
+    params = init_params(TINY, seed=0)
+    for t in params.tensors.values():  # stale marks the state must clear
+        t.requires_grad, t.grad = True, np.ones(t.data.shape)
+    state = TrainState.create(params, plan)
+    save_checkpoint(tmp_path / "ck.evdt", state)
+    for state in (state, load_checkpoint(tmp_path / "ck.evdt")[0]):
+        entries = state.params.tensors
+        assert list(state.layout) == sorted(state.m)
+        assert [n for n, t in entries.items() if t.requires_grad] == \
+            [n for n in entries if n in state.layout]
+        assert all(t.grad is None for t in entries.values())
+        assert all(state.m[n].shape == entries[n].data.shape
+                   for n in state.m)
+        last = forward_capture(state.params, np.random.default_rng(6)
+                               .random((8, 8, 3))).embeddings[-1]
+        dot(last, last.data).backward()
+        assert {n for n, t in entries.items() if t.grad is not None} == \
+            set(state.layout)
+
+
+def test_moments_of_absent_entries_named():
+    params = init_params(TINY, seed=0)
+    shapes = encoder.trainable_shapes(TINY, PLAN)
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    m["block.9.mlp1.w"], m["block.1.qkv.lora_a"] = np.zeros(2), np.zeros(2)
+    with pytest.raises(ValueError, match=r"^moments of absent entries: "
+                       r"block\.1\.qkv\.lora_a, block\.9\.mlp1\.w$"):
+        TrainState(params=params, plan=PLAN, m=m, v=m)
+    assert not any(t.requires_grad for t in params.tensors.values())
 
 
 def test_create_draws_adapters_from_seed():
