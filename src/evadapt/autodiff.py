@@ -448,14 +448,15 @@ def where_rows(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Select rows of `a` where mask is set, rows of `b` elsewhere.
 
     mask is a constant boolean vector over rows; gradients route to the
-    selected source only.
+    selected source only, and an operand that requires none gets None.
     """
     a, b = _wrap(a), _wrap(b)
     m = np.asarray(mask, dtype=bool).reshape(-1, 1)
     out_data = np.where(m, a.data, b.data)
 
     def bw(g):
-        return (np.where(m, g, 0.0), np.where(m, 0.0, g))
+        return (np.where(m, g, 0.0) if a.requires_grad else None,
+                np.where(m, 0.0, g) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), bw)
 

@@ -67,10 +67,7 @@ class RunConfig:
         for name in ("seed", "teacher_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        try:
-            trainable_shapes(self.model, self.plan)
-        except ValueError as e:  # a layer the model does not have
-            raise ConfigError(f"plan.{e}") from None
+        trainable_shapes(self.model, self.plan)  # a block the model lacks
 
 
 def load_config(path) -> dict:

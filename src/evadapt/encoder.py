@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tensor, affine, attention, layernorm, matmul, mlp
+from .io import ConfigError
 
 # input channels: the teacher's RGB frame, the student's 3-bin voxel grid
 CHANNELS = 3
@@ -61,18 +62,16 @@ class ViTConfig:
 VIT_B = ViTConfig()  # the defaults are ViT-B
 
 
-# the block parts each group kind trains; LoRA adapts only the affine ones
-GROUPS = {"mlps": ("mlp1", "mlp2"),
-          "blocks": ("qkv", "proj", "mlp1", "mlp2", "ln1", "ln2")}
-
-# mode -> (whole-model entries, group kind, layer set): the layer set is
-# none, the plan's `layers`, or every block
+# mode -> (whole-model entries, block parts, whether `layers` chooses the
+# blocks, else every block); LoRA adapts only the affine block parts
 PLAN_MODES = {
-    "embed": (("embed",), None, "none"),
-    "embed+mlps": (("embed",), "mlps", "layers"),
-    "embed+blocks": (("embed",), "blocks", "layers"),
-    "embed+all_mlps": (("embed",), "mlps", "every"),
-    "all": (("pos", "embed"), "blocks", "every"),
+    "embed": (("embed",), (), False),
+    "embed+mlps": (("embed",), ("mlp1", "mlp2"), True),
+    "embed+blocks": (("embed",),
+                     ("qkv", "proj", "mlp1", "mlp2", "ln1", "ln2"), True),
+    "embed+all_mlps": (("embed",), ("mlp1", "mlp2"), False),
+    "all": (("pos", "embed"), ("qkv", "proj", "mlp1", "mlp2", "ln1", "ln2"),
+            False),
 }
 
 
@@ -80,7 +79,7 @@ PLAN_MODES = {
 class TrainablePlan:
     """Which parameters a training run may update (see PLAN_MODES).
 
-    layers: 1-based block indices for embed+mlps / embed+blocks.
+    layers: distinct 1-based block indices for embed+mlps / embed+blocks.
     lora_rank: if set, each affine block part of the mode trains rank-r
     adapter factors instead of .w/.b and its block layernorms stay frozen;
     the whole-model entries (embed, pos) still train in full.
@@ -93,8 +92,10 @@ class TrainablePlan:
         if self.mode not in PLAN_MODES:
             raise ValueError(f"mode must be one of {', '.join(PLAN_MODES)}, "
                              f"got {self.mode!r}")
+        if len(set(self.layers)) != len(self.layers):
+            raise ValueError(f"layers must be distinct, got {list(self.layers)}")
         r = self.lora_rank
-        if r is not None and (r < 1 or PLAN_MODES[self.mode][1] is None):
+        if r is not None and (r < 1 or not PLAN_MODES[self.mode][1]):
             raise ValueError(f"lora_rank must be >= 1 under a mode with block "
                              f"parts, got {r} under {self.mode!r}")
 
@@ -102,7 +103,7 @@ class TrainablePlan:
 @dataclass
 class ViTParams:
     """Every entry by name: the base entries in param_shapes order, then
-    any adapter factors in adapter_shapes order (the checkpoint order)."""
+    any adapter factors in trainable_shapes order (the checkpoint order)."""
     config: ViTConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
 
@@ -175,35 +176,38 @@ def apply_lora(params: ViTParams, shapes: dict[str, tuple[int, ...]],
                seed: int = 0) -> ViTParams:
     """A copy of `params` with additive low-rank adapters attached.
 
-    `shapes` are the plan's trainable_shapes; each site's (r, in) A is
-    drawn from N(0, 0.01^2) in plan order, and its (out, r) B is zero, so
+    `shapes` are the plan's trainable_shapes; the entries of it that
+    `params` lacks are added in its order: each site's (r, in) A drawn from
+    N(0, 0.01^2), sites in plan order, then each (out, r) B as zeros, so
     the function computed by the model is unchanged until training moves
     B. The trainer.TrainState built on the copy freezes the adapted weights.
     """
     rng = np.random.default_rng(seed)
     out = params.copy()
-    for name, shape in adapter_shapes(shapes).items():
-        out.tensors[name] = Tensor(rng.normal(0.0, 0.01, shape)
-                                   if name.endswith(".lora_a")
-                                   else np.zeros(shape))
+    for name, shape in shapes.items():
+        if name not in out.tensors:
+            out.tensors[name] = Tensor(rng.normal(0.0, 0.01, shape)
+                                       if name.endswith(".lora_a")
+                                       else np.zeros(shape))
     return out
 
 
 def trainable_shapes(config: ViTConfig,
                      plan: TrainablePlan) -> dict[str, tuple[int, ...]]:
-    """Shape of every entry the plan trains, adapter factors included.
+    """Shape of every entry the plan trains, adapter factors included, in
+    the one order of a state's entries and of a checkpoint's.
 
     With a LoRA rank, the affine block parts train (rank, in) `.lora_a` and
     (out, rank) `.lora_b` factors instead: the whole entries, every A, every B.
+    A block the model lacks raises ConfigError naming `plan.layers`.
     """
-    whole, kind, layer_set = PLAN_MODES[plan.mode]
-    layers = {"none": (), "layers": plan.layers,
-              "every": range(1, config.depth + 1)}[layer_set]
-    for i in layers:
+    whole, block_parts, chosen = PLAN_MODES[plan.mode]
+    blocks = plan.layers if chosen else range(1, config.depth + 1)
+    for i in blocks:
         if not 1 <= i <= config.depth:
-            raise ValueError(f"layers: layer {i} out of range "
-                             f"1..{config.depth}")
-    parts = [f"block.{i}.{part}" for i in layers for part in GROUPS[kind]]
+            raise ConfigError(f"plan.layers: layer {i} out of range "
+                              f"1..{config.depth}")
+    parts = [f"block.{i}.{part}" for i in blocks for part in block_parts]
     shapes, r = param_shapes(config), plan.lora_rank
     sites = [s for s in parts if f"{s}.w" in shapes] if r else []
     # a part is `pos` itself, or an affine map (.w, .b) or layernorm (.g, .b)
@@ -212,14 +216,6 @@ def trainable_shapes(config: ViTConfig,
                if n in shapes},
             **{f"{s}.lora_a": (r, shapes[f"{s}.w"][0]) for s in sites},
             **{f"{s}.lora_b": (shapes[f"{s}.w"][1], r) for s in sites}}
-
-
-def adapter_shapes(shapes: dict[str, tuple[int, ...]]
-                   ) -> dict[str, tuple[int, ...]]:
-    """The adapter entries among trainable_shapes' result: each site's
-    `.lora_a` then its `.lora_b`, sites in plan order."""
-    sites = [n.removesuffix(".lora_a") for n in shapes if n.endswith(".lora_a")]
-    return {n: shapes[n] for s in sites for n in (f"{s}.lora_a", f"{s}.lora_b")}
 
 
 def count_trainable(config: ViTConfig, plan: TrainablePlan) -> int:

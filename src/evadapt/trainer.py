@@ -23,9 +23,8 @@ import numpy as np
 from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
 from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
-                      ViTParams, adapter_shapes, apply_lora, embed_image,
-                      forward_tokens, init_params, param_shapes,
-                      trainable_shapes)
+                      ViTParams, apply_lora, embed_image, forward_tokens,
+                      init_params, param_shapes, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -367,7 +366,7 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
     shapes = trainable_shapes(config, plan)
     # entry -> shape, in the model's entry order and then the moments' order
     wanted = {f"param.{n}": s for n, s in
-              {**param_shapes(config), **adapter_shapes(shapes)}.items()}
+              {**param_shapes(config), **shapes}.items()}
     wanted.update({f"adam.{mv}.{n}": s for mv in "mv"
                    for n, s in shapes.items()})
     missing = [w for w in wanted if w not in tensors]

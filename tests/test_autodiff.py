@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from evadapt import autodiff
 from evadapt.autodiff import (_GELU_C, NonFiniteError, Tensor, _gelu, affine,
                               attention, grad_check, layernorm, matmul, mlp,
-                              weighted_l1)
+                              weighted_l1, where_rows)
 from test_oracles import dot
 
 
@@ -199,6 +199,35 @@ class TestWeightedL1:
         rng = np.random.default_rng(33)
         with pytest.raises(ValueError, match=match):
             weighted_l1(*bad(*self.case(rng)))
+
+
+class TestWhereRows:
+    def case(self, rng, trained=(True, True)):
+        mask = rng.random(6) < 0.5
+        a, b = (Tensor(rng.standard_normal((6, 3)), requires_grad=r)
+                for r in trained)
+        return mask, a, b
+
+    def test_bitwise_equal_to_np_where(self):
+        mask, a, b = self.case(np.random.default_rng(40))
+        out = where_rows(mask, a, b)
+        assert out.data.tobytes() == \
+            np.where(mask[:, None], a.data, b.data).tobytes()
+
+    def test_each_row_gradient_goes_to_its_source_only(self):
+        rng = np.random.default_rng(41)
+        mask, a, b = self.case(rng)
+        g = rng.standard_normal((6, 3))
+        dot(where_rows(mask, a, b), g).backward()
+        assert np.array_equal(a.grad[mask], g[mask])
+        assert np.array_equal(b.grad[~mask], g[~mask])
+        assert not a.grad[~mask].any() and not b.grad[mask].any()
+
+    @pytest.mark.parametrize("trained", [(True, False), (False, True)])
+    def test_frozen_operand_gets_no_gradient_work(self, trained):
+        mask, a, b = self.case(np.random.default_rng(42), trained)
+        grads = where_rows(mask, a, b)._backward(np.ones((6, 3)))
+        assert [g is None for g in grads] == [not r for r in trained]
 
 
 class TestAttention:

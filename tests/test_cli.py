@@ -451,10 +451,19 @@ class TestParamsAndGradcheck:
         # without a config the table is the run default's: ViT-B
         assert ViTConfig() == VIT_B == RunConfig().model
         assert main(["params"]) == 0
-        out = capsys.readouterr().out
-        assert "590592" in out
-        assert "57259776" in out
-        assert "1082112" in out
+        rows = capsys.readouterr().out.splitlines()[1:]
+        # each row's label, then its count: the paper's nine rows at ViT-B
+        assert {r[:36].rstrip(): int(r[36:].split()[0]) for r in rows} == {
+            "Embed": 590592,
+            "Embed + Four MLPs": 19480320,
+            "Embed + Four Blocks": 28942080,
+            "Embed + All MLPs": 57259776,
+            "All": 86431488,
+            "LoRA(Embed + Four MLPs, r=16)": 1082112,
+            "LoRA(Embed + Four MLPs, r=64)": 2556672,
+            "LoRA(Embed + Four MLPs, r=256)": 8454912,
+            "LoRA(Embed + All Blocks, r=16)": 2949888}
+        assert len(rows) == len(_PARAM_ROWS) == 9
 
     def test_params_leaves_out_rows_the_model_lacks(self, capsys):
         # the tiny profile has 2 blocks: no "Four" row's block 3 exists
@@ -549,6 +558,7 @@ class TestErrorHandling:
         ("distill.beta", 1.5),
         ("train.decay_factor", -1.0),
         ("distill.layers", [0, 1, 5]),      # deeper than model.depth 2
+        ("plan.layers", [1, 1]),
     ])
     def test_malformed_config_names_key(self, tmp_path, capsys, key, value):
         doc = copy.deepcopy(TINY_DOC)
@@ -781,6 +791,27 @@ class TestErrorHandling:
         assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
         assert capsys.readouterr().err == \
             "error: unknown config key: plan.lora_sites\n"
+
+    @pytest.mark.parametrize("layers, message", [
+        ([5], "plan.layers: layer 5 out of range 1..2"),
+        ([1, 1], "plan.layers must be distinct, got [1, 1]"),
+    ])
+    def test_checkpoint_plan_errors_name_the_key(self, tmp_path, config,
+                                                 capsys, layers, message):
+        # as a run configuration's would: a block past the depth used to
+        # print a bare "layers: ...", and a repeated one loaded silently
+        ck = tmp_path / "ck.evdt"
+        save_checkpoint(ck, TrainState.create(
+            init_params(load_run(config)[1].model),
+            TrainablePlan(mode="embed+mlps", layers=(1,))))
+        tensors, meta = read_dump(ck)
+        write_dump(ck, tensors, meta={**meta, "plan": {
+            "mode": "embed+mlps", "layers": layers}})
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(ck)
+        assert str(exc.value) == message
+        assert main(["eval", "--config", config, "--checkpoint", str(ck)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_checkpoint_magic(self, tmp_path, config, capsys):
         ck = tmp_path / "bad.evdt"
@@ -1068,6 +1099,15 @@ class TestRunConfig:
             from_doc(RunConfig, doc)
         assert str(exc.value) == ("plan.lora_rank must be >= 1 under a mode "
                                   f"with block parts, {message}")
+
+    @pytest.mark.parametrize("mode", ["embed+mlps", "embed+all_mlps"])
+    def test_plan_layers_must_be_distinct(self, mode):
+        # the shapes dropped the repeat, but the checkpoint kept [1, 1]
+        doc = {"model": TINY_DOC["model"],
+               "plan": {"mode": mode, "layers": [1, 1]}}
+        with pytest.raises(ConfigError) as exc:
+            from_doc(RunConfig, doc)
+        assert str(exc.value) == "plan.layers must be distinct, got [1, 1]"
 
     def test_plan_that_trains_nothing_rejected(self):
         # `none` was a mode that trained no entry

@@ -7,6 +7,7 @@ from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, param_shapes,
                              patch_tokens, trainable_shapes)
+from evadapt.io import ConfigError
 from evadapt.trainer import TrainState
 from test_oracles import dot
 
@@ -123,8 +124,10 @@ class TestCountTrainable:
             t.data.size for t in p.tensors.values())
 
     def test_layer_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
+        # named by its key, wherever the plan came from
+        with pytest.raises(ConfigError) as exc:
             count_trainable(TINY, TrainablePlan(mode="embed+mlps", layers=(9,)))
+        assert str(exc.value) == "plan.layers: layer 9 out of range 1..2"
 
 
 class TestParamShapes:
@@ -185,12 +188,27 @@ class TestLora:
         after = forward_capture(lp, img).embeddings[-1].data
         assert np.max(np.abs(before - after)) <= 1e-12
 
-    def test_entries_are_base_then_each_sites_factors(self, params):
-        lp = apply_lora(params, trainable_shapes(TINY, LORA))
+    def test_entries_are_base_then_every_a_then_every_b(self, params):
+        # trainable_shapes' order, the one order of a state and a checkpoint
+        shapes = trainable_shapes(TINY, LORA)
+        lp = apply_lora(params, shapes)
         sites = [f"block.{i}.{part}" for i in (2, 1)
                  for part in ("qkv", "proj", "mlp1", "mlp2")]
-        assert list(lp.tensors) == list(param_shapes(TINY)) + [
-            f"{site}.{f}" for site in sites for f in ("lora_a", "lora_b")]
+        adapters = [f"{site}.{f}" for f in ("lora_a", "lora_b")
+                    for site in sites]
+        assert list(lp.tensors) == list(param_shapes(TINY)) + adapters
+        assert list(shapes) == ["embed.w", "embed.b"] + adapters
+
+    def test_a_factors_drawn_in_site_order(self, params):
+        # only the A factors are drawn, one site after another, so the
+        # order of the B entries changes no value
+        lp = apply_lora(params, trainable_shapes(TINY, LORA), seed=5)
+        rng = np.random.default_rng(5)
+        for i in (2, 1):
+            for part in ("qkv", "proj", "mlp1", "mlp2"):
+                a = lp.tensors[f"block.{i}.{part}.lora_a"].data
+                assert a.tobytes() == rng.normal(0.0, 0.01, a.shape).tobytes()
+                assert not lp.tensors[f"block.{i}.{part}.lora_b"].data.any()
 
     def test_copy_shares_no_adapter_array(self, params):
         # adapters are writable and copied; base entries are read-only and

@@ -467,11 +467,34 @@ class TestPackedState:
         assert state.step == 0
 
 
-@pytest.mark.parametrize("plan", [
+# every mode dense, and LoRA over both kinds of block parts
+EVERY_PLAN = pytest.mark.parametrize("plan", [
     TrainablePlan(mode=m, layers=(2,)) for m in PLAN_MODES
 ] + [TrainablePlan(mode=f"embed+{k}", layers=(1, 2), lora_rank=2)
      for k in ("mlps", "blocks")],
     ids=[f"{m}-mlps" for m in PLAN_MODES] + ["lora-mlps", "lora-blocks"])
+
+
+@EVERY_PLAN
+def test_every_entry_order_is_the_plans(plan, tmp_path):
+    # the entries a state adds after the base ones, its moments, and its
+    # checkpoint's param. and adam.m. entries all follow trainable_shapes
+    shapes = list(encoder.trainable_shapes(TINY, plan))
+    base = list(encoder.param_shapes(TINY))
+    state = TrainState.create(init_params(TINY, seed=0), plan, seed=1)
+    save_checkpoint(tmp_path / "ck.evdt", state)
+    for state in (state, load_checkpoint(tmp_path / "ck.evdt")[0]):
+        assert list(state.params.tensors) == \
+            base + [n for n in shapes if n not in base]
+        assert list(state.m) == list(state.v) == shapes
+    names = list(read_dump(tmp_path / "ck.evdt")[0])
+    assert [n for n in names if n.startswith("param.")] == \
+        [f"param.{n}" for n in state.params.tensors]
+    assert [n for n in names if n.startswith("adam.m.")] == \
+        [f"adam.m.{n}" for n in shapes]
+
+
+@EVERY_PLAN
 def test_create_marks_exactly_the_moment_entries(plan, tmp_path):
     # a created state and its reload: requires_grad on exactly the layout's
     # entries, every .grad cleared, and a backward reaches only those
@@ -556,8 +579,8 @@ class TestCheckpointResume:
         plan = TrainablePlan(mode="embed+mlps", layers=(1,), lora_rank=2)
         state = TrainState.create(init_params(TINY, seed=2), plan, seed=2)
         assert [n for n in state.params.tensors if ".lora_" in n] == [
-            f"block.1.{m}.{f}" for m in ("mlp1", "mlp2")
-            for f in ("lora_a", "lora_b")]
+            f"block.1.{m}.{f}" for f in ("lora_a", "lora_b")
+            for m in ("mlp1", "mlp2")]
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, state)
         assert [n.removeprefix("param.") for n in read_dump(ck)[0]
@@ -566,6 +589,44 @@ class TestCheckpointResume:
         for name, t in state.params.tensors.items():
             assert np.array_equal(loaded.params.tensors[name].data,
                                   t.data), name
+
+    def test_per_site_lora_checkpoint_loads_and_resumes(self, tmp_path):
+        # a file written while each site's A was followed by its own B
+        # loads to the same state, since entries are found by name
+        data, teacher = tiny_data(), init_params(TINY, seed=0)
+        plan = TrainablePlan(mode="embed+blocks", layers=(2, 1), lora_rank=2)
+        tcfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=2,
+                           lr=1e-3, decay_epoch=1, seed=9)
+        runs = [train(teacher, TrainState.create(teacher.copy(), plan, seed=3),
+                      data, tcfg, DCFG, total_steps=n) for n in (6, 2)]
+        (full, hist_full), (part, hist_a) = runs
+        ck, old = tmp_path / "ck.evdt", tmp_path / "old.evdt"
+        save_checkpoint(ck, part)
+        tensors, meta = read_dump(ck)
+        sites = [n.removesuffix(".lora_a") for n in tensors
+                 if n.startswith("param.") and n.endswith(".lora_a")]
+        per_site = [f"{s}.{f}" for s in sites for f in ("lora_a", "lora_b")]
+        base = [n for n in tensors
+                if n.startswith("param.") and n not in per_site]
+        rest = [n for n in tensors if n not in base + per_site]
+        write_dump(old, {n: tensors[n] for n in base + per_site + rest},
+                   meta=meta)
+        assert old.read_bytes() != ck.read_bytes()
+        new, loaded = (load_checkpoint(p)[0] for p in (ck, old))
+        assert loaded.step == new.step == 2
+        for got, want in ((loaded.params.tensors, new.params.tensors),
+                          (loaded.m, new.m), (loaded.v, new.v)):
+            assert list(got) == list(want)
+            for name in want:
+                a, b = (getattr(x, "data", x) for x in (got[name], want[name]))
+                assert a.tobytes() == b.tobytes(), name
+        resumed, hist_b = train(teacher, loaded, data, tcfg, DCFG,
+                                total_steps=4)
+        for name, t in full.params.tensors.items():
+            assert t.data.tobytes() == \
+                resumed.params.tensors[name].data.tobytes(), name
+        assert [r["total"] for r in hist_full] == \
+            [r["total"] for r in hist_a + hist_b]
 
     @pytest.mark.parametrize("layers", [(1,), (2, 1)])
     def test_lora_resave_byte_identical(self, tmp_path, layers):
@@ -722,8 +783,8 @@ class TestPipelineGradCheck:
         plan = TrainablePlan(mode=mode, layers=(1, 2))
         assert pipeline_grad_check(TINY, plan, DCFG, seed=2) <= 1e-4
 
-    @pytest.mark.parametrize("mode", [m for m, (_, kind, _) in
-                                      PLAN_MODES.items() if kind])
+    @pytest.mark.parametrize("mode", [m for m, (_, parts, _) in
+                                      PLAN_MODES.items() if parts])
     def test_every_plan_mode_with_rank(self, mode):
         # ... and so do blocks trained through adapters
         plan = TrainablePlan(mode=mode, layers=(1, 2), lora_rank=2)
