@@ -78,7 +78,6 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _wrap(other)
         out_data = self.data + other.data
 
         def bw(g):
@@ -145,15 +144,10 @@ class Tensor:
         self.grad = None
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- free-function ops ------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b for 2-d operands."""
-    a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
@@ -170,7 +164,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: (n, in) rows, an (in, out) map, an (out,) bias."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
             or b.shape != w.shape[1:]:
         raise ValueError(
@@ -206,7 +199,6 @@ def attention(qkv: Tensor, num_heads: int, samples: int = 1):
     every head's (k, k) logits at once. See docs/EQUATIONS.md for the
     tiling and the backward formulas.
     """
-    qkv = _wrap(qkv)
     if qkv.ndim != 2 or num_heads < 1 or qkv.shape[1] % (3 * num_heads) \
             or samples < 1 or qkv.shape[0] % samples:
         raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v "
@@ -265,7 +257,6 @@ def attention(qkv: Tensor, num_heads: int, samples: int = 1):
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias;
     the variance takes an epsilon of 1e-6."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     n = x.data.shape[-1]
     # the reduce and in-place divide ndarray.mean makes, without its
     # Python wrapper (dividing into new arrays raised teacher-vitb peak
@@ -350,7 +341,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     GELU's derivative when x, w1 or b1 trains and GELU's output when w2
     trains; a frozen node keeps neither. See docs/EQUATIONS.md.
     """
-    x, w1, b1, w2, b2 = map(_wrap, (x, w1, b1, w2, b2))
     if x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 \
             or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:] \
             or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]:
@@ -396,12 +386,12 @@ def weighted_l1(targets: list[np.ndarray], xs: list[Tensor],
     with them, weights per-row (k,) vectors or None for uniform rows.
     When the rows stack `samples` samples, each term is the sum of the
     samples' means: the weighted sum over (k / samples)·c. Returns the
-    total and each unscaled term. Forward and backward apply the numpy
-    operations of the Tensor chain ((target - x).abs() * w).mean() * gamma,
-    summed left to right, in the same order, so for one sample both are
-    bitwise equal to it (docs/EQUATIONS.md).
+    total and each unscaled term. Forward and backward apply, in order,
+    the numpy operations of the reference chain in tests/test_oracles.py
+    (ref_distill_loss: |target - x|, * w, mean, * gamma, summed left to
+    right), so for one sample both are bitwise equal to it
+    (docs/EQUATIONS.md).
     """
-    xs = [_wrap(x) for x in xs]
     if not xs or not len(targets) == len(xs) == len(weights) == len(gammas):
         raise ValueError("weighted_l1 needs inputs, each with one target, "
                          "weight and gamma")
@@ -450,7 +440,6 @@ def where_rows(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     mask is a constant boolean vector over rows; gradients route to the
     selected source only, and an operand that requires none gets None.
     """
-    a, b = _wrap(a), _wrap(b)
     m = np.asarray(mask, dtype=bool).reshape(-1, 1)
     out_data = np.where(m, a.data, b.data)
 
@@ -463,14 +452,14 @@ def where_rows(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 # -- gradient checking -------------------------------------------------------
 
-def grad_check(f, params: list[Tensor], step: float = 1e-5) -> float:
+def grad_check(f, params: list[Tensor]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     f is a scalar-valued function of no arguments that reads `params`;
-    error is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    each value is probed at ±1e-5, and the error is
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    if not (0.0 < step <= 1e-3):
-        raise ValueError("step must be in (0, 1e-3]")
+    step = 1e-5
     for p in params:
         p.zero_grad()
     loss = f()

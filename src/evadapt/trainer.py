@@ -2,12 +2,13 @@
 
 The teacher is frozen; the layers of its capture the loss reads, and the
 significance weights rolled out from its maps, are computed before the
-first step for every sample and kept in dataset order. Each step embeds its samples' event volumes with the
-student, replaces a seeded random subset of each sample's tokens with
-the teacher's layer-0 image tokens (fresh positions every step), runs
-the student, and minimizes the weighted distillation objective. A batch runs
-in chunks of chunk_size samples whose rows are stacked into one graph,
-and Adam updates one flat buffer of the trainable values and moments.
+first step for every sample and kept in dataset order. Each step embeds
+its samples' event volumes with the student, replaces a seeded random
+subset of each sample's tokens with the teacher's layer-0 image tokens
+(fresh positions every step), runs the student, and minimizes the
+weighted distillation objective. A batch runs in chunks of chunk_size
+samples whose rows are stacked into one graph, and Adam updates one
+flat buffer of the trainable values and moments.
 Per-step randomness derives from (seed, step, sample), so training is
 bitwise resumable from any checkpoint.
 """
@@ -397,8 +398,7 @@ def load_checkpoint(path) -> tuple[TrainState, dict, dict]:
 
 
 def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
-                        dcfg: DistillConfig, seed: int = 0,
-                        step: float = 1e-5) -> float:
+                        dcfg: DistillConfig, seed: int = 0) -> float:
     """grad_check of the full distillation loss of a two-sample stacked
     step on random inputs."""
     rng = np.random.default_rng(seed)
@@ -422,4 +422,4 @@ def pipeline_grad_check(config: ViTConfig, plan: TrainablePlan,
         return loss
 
     entries = student.tensors
-    return grad_check(f, [entries[n] for n in state.m], step=step)
+    return grad_check(f, [entries[n] for n in state.m])

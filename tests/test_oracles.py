@@ -1454,7 +1454,8 @@ def test_layernorm_matches_mean_form(shape):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     want = (x - mu) * (1.0 / np.sqrt(var + 1e-6)) * gain + bias
-    assert np.array_equal(autodiff.layernorm(x, gain, bias).data, want)
+    got = autodiff.layernorm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert np.array_equal(got, want)
 
 
 # -- flat Adam and the dataset-order teacher cache ----------------------------
