@@ -202,18 +202,23 @@ def _load_model_run(path) -> tuple[dict, RunConfig]:
     return doc, run
 
 
-def cmd_train(args) -> int:
-    doc, run = _load_model_run(args.config)
-    seed, config, plan = run.seed, run.model, run.plan
-    # not a RunConfig check: distill.layers defaults to ViT-B's depth
-    deep = [s for s in run.distill.layers if s > config.depth]
+def _check_depth(config: ViTConfig, dcfg: DistillConfig):
+    """Name the key of a distilled layer deeper than the model the command
+    runs. Not a RunConfig check: distill.layers defaults to ViT-B's depth."""
+    deep = [s for s in dcfg.layers if s > config.depth]
     if deep:
         raise ConfigError(f"distill.layers: layer {deep[0]} exceeds "
                           f"model.depth {config.depth}")
+
+
+def cmd_train(args) -> int:
+    doc, run = _load_model_run(args.config)
+    seed, config, plan = run.seed, run.model, run.plan
+    _check_depth(config, run.distill)
     data = [(img, vol) for img, vol, _ in
             make_dataset(doc, run.scene.num_samples, seed)]
     teacher = init_params(config, seed=run.teacher_seed)
-    state = TrainState.create(teacher.copy(), plan, seed=seed)
+    state = TrainState.create(teacher, plan, seed=seed)
     state, history = train(teacher, state, data, run.train, run.distill)
     head = init_head(config.embed_dim, seed)
     # made only now, so a run that fails leaves no empty directory
@@ -460,6 +465,7 @@ def cmd_gradcheck(args) -> int:
         mode="embed+mlps", layers=(1, 2))
     dcfg = run.distill if doc.get("distill") else DistillConfig(
         layers=(0, 1, 2), gammas=(0.5, 1.0), mixing_ratio=0.25)
+    _check_depth(config, dcfg)
     err = pipeline_grad_check(config, plan, dcfg, seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     return 0 if err <= 1e-4 else 1

@@ -110,9 +110,9 @@ class ViTParams:
     def copy(self) -> "ViTParams":
         """New Tensors over the same entries. A read-only array, as
         init_params draws them, is shared as it is; a writable one, such as
-        a packed state's trainable view or a fresh adapter factor, is
-        copied. So nothing that can change is shared, and a student copied
-        from its teacher owns only the entries TrainState packs
+        a packed state's trainable view, is copied. So nothing that can
+        change is shared, and under every plan the student TrainState.create
+        copies from its teacher owns only the entries it packs
         (docs/EQUATIONS.md, "Flat layout"). A shared entry was checked
         finite when its Tensor was built, so only a copy is scanned."""
         return ViTParams(self.config, {
@@ -170,26 +170,6 @@ def init_params(config: ViTConfig, seed: int = 0) -> ViTParams:
         a.flags.writeable = False
         p.tensors[name] = Tensor(a)
     return p
-
-
-def apply_lora(params: ViTParams, shapes: dict[str, tuple[int, ...]],
-               seed: int = 0) -> ViTParams:
-    """A copy of `params` with additive low-rank adapters attached.
-
-    `shapes` are the plan's trainable_shapes; the entries of it that
-    `params` lacks are added in its order: each site's (r, in) A drawn from
-    N(0, 0.01^2), sites in plan order, then each (out, r) B as zeros, so
-    the function computed by the model is unchanged until training moves
-    B. The trainer.TrainState built on the copy freezes the adapted weights.
-    """
-    rng = np.random.default_rng(seed)
-    out = params.copy()
-    for name, shape in shapes.items():
-        if name not in out.tensors:
-            out.tensors[name] = Tensor(rng.normal(0.0, 0.01, shape)
-                                       if name.endswith(".lora_a")
-                                       else np.zeros(shape))
-    return out
 
 
 def trainable_shapes(config: ViTConfig,

@@ -24,8 +24,8 @@ import numpy as np
 from .autodiff import NonFiniteError, Tensor, grad_check
 from .distill import DistillConfig, distill_loss, layer_weights, mix_tokens
 from .encoder import (CHANNELS, EmbeddingCapture, TrainablePlan, ViTConfig,
-                      ViTParams, apply_lora, embed_image, forward_tokens,
-                      init_params, param_shapes, trainable_shapes)
+                      ViTParams, embed_image, forward_tokens, init_params,
+                      param_shapes, trainable_shapes)
 from .io import DumpFormatError, from_doc, read_dump, write_dump
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -105,11 +105,18 @@ class TrainState:
     @classmethod
     def create(cls, params: ViTParams, plan: TrainablePlan,
                seed: int = 0) -> "TrainState":
-        """Zeroed Adam moments for the plan's entries; a plan with a rank first
-        attaches its adapters to a copy of `params`, drawn from `seed`."""
+        """A state training a copy of `params` (ViTParams.copy) under every
+        plan, so the caller's Tensors keep their arrays and marks. The plan's
+        entries the copy lacks are added in trainable_shapes order: each
+        .lora_a drawn from N(0, 0.01^2) by `seed`, each .lora_b zeros, so the
+        model is unchanged until B moves. The Adam moments start at zero."""
         shapes = trainable_shapes(params.config, plan)
-        if plan.lora_rank is not None:
-            params = apply_lora(params, shapes, seed=seed)
+        params, rng = params.copy(), np.random.default_rng(seed)
+        for name, shape in shapes.items():
+            if name not in params.tensors:
+                params.tensors[name] = Tensor(rng.normal(0.0, 0.01, shape)
+                                              if name.endswith(".lora_a")
+                                              else np.zeros(shape))
         state = cls(params=params, plan=plan,
                     m={n: np.zeros(s) for n, s in shapes.items()},
                     v={n: np.zeros(s) for n, s in shapes.items()})

@@ -221,7 +221,7 @@ def _smoke_setup():
 
 def _smoke_run(config, data, plan, dcfg, steps, batch_size):
     teacher = init_params(config, seed=0)
-    state = TrainState.create(teacher.copy(), plan)
+    state = TrainState.create(teacher, plan)
     tcfg = TrainConfig(epochs=1, steps_per_epoch=steps,
                        batch_size=batch_size, lr=1e-3, decay_epoch=1, seed=7)
     state, history = train(teacher, state, data, tcfg, dcfg)
@@ -294,9 +294,9 @@ def test_10_event_pipeline_and_resume(tmp_path):
     tcfg = TrainConfig(epochs=1, steps_per_epoch=10, batch_size=2,
                        lr=1e-3, decay_epoch=1, seed=11)
     teacher = init_params(TINY, seed=0)
-    full = TrainState.create(teacher.copy(), plan)
+    full = TrainState.create(teacher, plan)
     full, _ = train(teacher, full, data, tcfg, dcfg)
-    part = TrainState.create(teacher.copy(), plan)
+    part = TrainState.create(teacher, plan)
     part, _ = train(teacher, part, data, tcfg, dcfg, total_steps=4)
     ck = tmp_path / "ck.evdt"
     save_checkpoint(ck, part)

@@ -119,7 +119,7 @@ class TestPredictMasks:
         config = ViTConfig(img_size=16, patch_size=4, embed_dim=8, depth=2,
                            num_heads=2, mlp_hidden=16)
         plan = TrainablePlan(mode="embed+all_mlps")
-        state = TrainState.create(init_params(config, seed=3).copy(), plan)
+        state = TrainState.create(init_params(config, seed=3), plan)
         head = cli.init_head(config.embed_dim, 3)
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, state, extra_tensors=head)
@@ -577,6 +577,22 @@ class TestErrorHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
         assert not (tmp_path / "run").exists()
+
+    # gradcheck said only "layer 5 exceeds encoder depth 2", naming no key,
+    # where train names it (test_malformed_config_names_key); without a
+    # model section gradcheck checks against its built-in depth-2 model
+    @pytest.mark.parametrize("sections", [("model", "plan", "distill"),
+                                          ("distill",)],
+                             ids=["model", "built-in-model"])
+    def test_gradcheck_deep_distill_layer_named(self, tmp_path, capsys,
+                                                sections):
+        doc = {s: copy.deepcopy(TINY_DOC[s]) for s in sections}
+        doc["distill"]["layers"] = [0, 1, 5]
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["gradcheck", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            "error: distill.layers: layer 5 exceeds model.depth 2\n"
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be >= 0"),

@@ -3,7 +3,7 @@ import pytest
 
 from evadapt import autodiff
 from evadapt.autodiff import Tensor
-from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig, apply_lora,
+from evadapt.encoder import (VIT_B, TrainablePlan, ViTConfig,
                              count_trainable, embed_image, forward_capture,
                              forward_tokens, init_params, param_shapes,
                              patch_tokens, trainable_shapes)
@@ -184,14 +184,14 @@ class TestLora:
     def test_zero_init_preserves_function(self, params):
         img = np.random.default_rng(4).random((8, 8, 3))
         before = forward_capture(params, img).embeddings[-1].data
-        lp = apply_lora(params, trainable_shapes(TINY, LORA))
+        lp = TrainState.create(params, LORA).params
         after = forward_capture(lp, img).embeddings[-1].data
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_entries_are_base_then_every_a_then_every_b(self, params):
         # trainable_shapes' order, the one order of a state and a checkpoint
         shapes = trainable_shapes(TINY, LORA)
-        lp = apply_lora(params, shapes)
+        lp = TrainState.create(params, LORA).params
         sites = [f"block.{i}.{part}" for i in (2, 1)
                  for part in ("qkv", "proj", "mlp1", "mlp2")]
         adapters = [f"{site}.{f}" for f in ("lora_a", "lora_b")
@@ -202,7 +202,7 @@ class TestLora:
     def test_a_factors_drawn_in_site_order(self, params):
         # only the A factors are drawn, one site after another, so the
         # order of the B entries changes no value
-        lp = apply_lora(params, trainable_shapes(TINY, LORA), seed=5)
+        lp = TrainState.create(params, LORA, seed=5).params
         rng = np.random.default_rng(5)
         for i in (2, 1):
             for part in ("qkv", "proj", "mlp1", "mlp2"):
@@ -211,19 +211,21 @@ class TestLora:
                 assert not lp.tensors[f"block.{i}.{part}.lora_b"].data.any()
 
     def test_copy_shares_no_adapter_array(self, params):
-        # adapters are writable and copied; base entries are read-only and
-        # shared, so every entry of the copy equals the original's
-        lp = apply_lora(params, trainable_shapes(TINY, LORA))
+        # the entries the state trains are writable views of its flat block
+        # and copied; the frozen ones are read-only and shared, so every
+        # entry of the copy equals the original's
+        state = TrainState.create(params, LORA)
+        lp = state.params
         cp = lp.copy()
         assert list(cp.tensors) == list(lp.tensors)
         for name, t in lp.tensors.items():
             c = cp.tensors[name]
             assert c is not t and np.array_equal(c.data, t.data), name
-            adapter = name.endswith((".lora_a", ".lora_b"))
-            assert t.data.flags.writeable == adapter, name
-            assert np.shares_memory(c.data, t.data) != adapter, name
+            trained = name in state.layout
+            assert t.data.flags.writeable == trained, name
+            assert np.shares_memory(c.data, t.data) != trained, name
         with pytest.raises(ValueError, match="read-only"):
-            cp.tensors["embed.w"].data[0, 0] = 1.0
+            cp.tensors["block.1.qkv.w"].data[0, 0] = 1.0
 
     def test_copy_scans_only_writable_entries(self, params, monkeypatch):
         # a read-only entry was checked when its Tensor was built, so its
@@ -234,12 +236,12 @@ class TestLora:
                             lambda a, what="value": scanned.append(a))
         cp = params.copy()
         assert scanned == []
-        lp = apply_lora(params, trainable_shapes(TINY, LORA))
-        adapters = [n for n, t in lp.tensors.items() if t.data.flags.writeable]
+        lp = TrainState.create(params, LORA).params
+        trained = [n for n, t in lp.tensors.items() if t.data.flags.writeable]
         scanned.clear()
         cp = lp.copy()
-        assert len(scanned) == len(adapters) > 0
-        for a, name in zip(scanned, adapters):
+        assert len(scanned) == len(trained) > 0
+        for a, name in zip(scanned, trained):
             assert a is cp.tensors[name].data
         assert not any(t.requires_grad or t._parents
                        for t in cp.tensors.values())

@@ -1426,7 +1426,7 @@ class TestStackedStep:
                                    lr=1e-3, decay_epoch=1, seed=5)
 
         def run(fn):
-            state = trainer.TrainState.create(teacher.copy(), plan, seed=4)
+            state = trainer.TrainState.create(teacher, plan, seed=4)
             state, history = fn(teacher, state, data, tcfg, cfg)
             return history, {n: t.data for n, t in
                              state.params.tensors.items()}
@@ -1534,7 +1534,7 @@ def test_wrapping_chunk_matches_restacking_every_step(monkeypatch, source):
             caches.append(self)
 
     def run(fn, **kw):
-        state = trainer.TrainState.create(teacher.copy(), STEP_PLANS[0])
+        state = trainer.TrainState.create(teacher, STEP_PLANS[0])
         state, history = fn(teacher, state, data, tcfg, cfg, **kw)
         return history, state_bytes(state)
 
@@ -1638,7 +1638,7 @@ def test_unused_samples_change_no_step(monkeypatch, source):
     assert tcfg.steps_per_epoch * tcfg.batch_size < len(data)
 
     def run(fn, **kw):
-        state = trainer.TrainState.create(teacher.copy(), STEP_PLANS[0])
+        state = trainer.TrainState.create(teacher, STEP_PLANS[0])
         state, history = fn(teacher, state, data, tcfg, cfg, **kw)
         return history, state_bytes(state)
 

@@ -147,7 +147,7 @@ class TestTrainLoop:
     def test_loss_decreases(self):
         data = tiny_data()
         teacher = init_params(TINY, seed=0)
-        state = TrainState.create(teacher.copy(), PLAN)
+        state = TrainState.create(teacher, PLAN)
         tcfg = TrainConfig(epochs=1, steps_per_epoch=60, batch_size=2,
                            lr=1e-3, decay_epoch=1)
         state, history = train(teacher, state, data, tcfg, DCFG)
@@ -157,7 +157,7 @@ class TestTrainLoop:
     def test_history_row_fields(self):
         data = tiny_data()
         teacher = init_params(TINY, seed=0)
-        state = TrainState.create(teacher.copy(), PLAN)
+        state = TrainState.create(teacher, PLAN)
         tcfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=1,
                            lr=1e-3, decay_epoch=1)
         _, history = train(teacher, state, data, tcfg, DCFG)
@@ -192,7 +192,7 @@ class TestTrainLoop:
     def test_frozen_params_never_change(self):
         data = tiny_data()
         teacher = init_params(TINY, seed=0)
-        state = TrainState.create(teacher.copy(), PLAN)
+        state = TrainState.create(teacher, PLAN)
         sha0 = frozen_sha(state)
         tcfg = TrainConfig(epochs=1, steps_per_epoch=10, batch_size=1,
                            lr=1e-3, decay_epoch=1)
@@ -206,7 +206,7 @@ class TestTrainLoop:
                            lr=1e-3, decay_epoch=1, seed=4)
         outs = []
         for _ in range(2):
-            state = TrainState.create(teacher.copy(), PLAN)
+            state = TrainState.create(teacher, PLAN)
             state, history = train(teacher, state, data, tcfg, DCFG)
             outs.append((state.params.tensors["embed.w"].data.tobytes(),
                          [r["total"] for r in history]))
@@ -376,21 +376,42 @@ class TestPackedState:
     written."""
 
     def test_train_leaves_the_callers_arrays_alone(self):
+        # the state trains its own copy: the caller's Tensors keep their
+        # arrays, values and marks, and the state's entries moved
         teacher = init_params(TINY, seed=0)
-        params = teacher.copy()
-        given = {n: (t.data, t.data.copy()) for n, t in params.tensors.items()}
-        state = TrainState.create(params, PLAN)
+        given = {n: (t.data, t.data.copy())
+                 for n, t in teacher.tensors.items()}
+        state = TrainState.create(teacher, PLAN)
         tcfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=2,
                            decay_epoch=1)
         train(teacher, state, tiny_data(), tcfg, DCFG)
-        for a, copy in given.values():
-            assert a.tobytes() == copy.tobytes()
+        for name, t in teacher.tensors.items():
+            a, copy = given[name]
+            assert t.data is a and a.tobytes() == copy.tobytes(), name
+            assert not t.requires_grad and t.grad is None, name
         for name in state.m:
-            assert not np.array_equal(params.tensors[name].data,
-                                      given[name][1])
-            for a, flat in zip((params.tensors[name].data, state.m[name],
-                                state.v[name]), state.flat):
+            entry = state.params.tensors[name]
+            assert entry is not teacher.tensors[name]
+            assert not np.array_equal(entry.data, given[name][1])
+            for a, flat in zip((entry.data, state.m[name], state.v[name]),
+                               state.flat):
                 assert np.shares_memory(a, flat)
+
+    # a dense plan adopted the caller's Tensors: it marked them and rebound
+    # their arrays to the flat block, so each caller had to copy first
+    @pytest.mark.parametrize("plan", [
+        *(TrainablePlan(mode=mode, layers=(2,)) for mode in PLAN_MODES),
+        TrainablePlan(mode="embed+blocks", layers=(2, 1), lora_rank=2)],
+        ids=[*PLAN_MODES, "lora"])
+    def test_create_copies_the_model(self, plan):
+        teacher = init_params(TINY, seed=0)
+        given = {n: t.data for n, t in teacher.tensors.items()}
+        state = TrainState.create(teacher, plan)
+        assert list(teacher.tensors) == list(given)
+        for name, t in teacher.tensors.items():
+            assert t.data is given[name], name
+            assert not t.requires_grad and t.grad is None, name
+            assert state.params.tensors[name] is not t, name
 
     def test_train_leaves_the_loaded_arrays_alone(self, tmp_path,
                                                   monkeypatch):
@@ -438,7 +459,7 @@ class TestPackedState:
                   for n, t in teacher.tensors.items()}
         tracemalloc.start()
         try:
-            state = TrainState.create(teacher.copy(), plan)
+            state = TrainState.create(teacher, plan)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -544,11 +565,11 @@ class TestCheckpointResume:
                            lr=1e-3, decay_epoch=1, seed=9)
 
         # straight-through run
-        full = TrainState.create(teacher.copy(), PLAN)
+        full = TrainState.create(teacher, PLAN)
         full, hist_full = train(teacher, full, data, tcfg, DCFG)
 
         # run 5 steps, checkpoint, reload, run the remaining 7
-        part = TrainState.create(teacher.copy(), PLAN)
+        part = TrainState.create(teacher, PLAN)
         part, hist_a = train(teacher, part, data, tcfg, DCFG, total_steps=5)
         ck = tmp_path / "ck.evdt"
         save_checkpoint(ck, part)
@@ -597,7 +618,7 @@ class TestCheckpointResume:
         plan = TrainablePlan(mode="embed+blocks", layers=(2, 1), lora_rank=2)
         tcfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=2,
                            lr=1e-3, decay_epoch=1, seed=9)
-        runs = [train(teacher, TrainState.create(teacher.copy(), plan, seed=3),
+        runs = [train(teacher, TrainState.create(teacher, plan, seed=3),
                       data, tcfg, DCFG, total_steps=n) for n in (6, 2)]
         (full, hist_full), (part, hist_a) = runs
         ck, old = tmp_path / "ck.evdt", tmp_path / "old.evdt"
@@ -681,7 +702,7 @@ class TestCheckpointResume:
             raise AssertionError("load_checkpoint drew a throwaway model")
 
         monkeypatch.setattr(trainer, "init_params", drawn)
-        monkeypatch.setattr(trainer, "apply_lora", drawn)
+        monkeypatch.setattr(TrainState, "create", drawn)
         loaded, _, _ = load_checkpoint(ck)
         want = state.params.tensors
         got = loaded.params.tensors
@@ -866,7 +887,7 @@ def test_embed_only_layer0_run_reaches_its_lad_optimum(monkeypatch):
     for stack, chunk in ((1 << 12, 16), (trainer.STACK, 32)):
         monkeypatch.setattr(trainer, "STACK", stack)
         assert min(trainer.chunk_size(config), 32) == chunk
-        state = TrainState.create(teacher.copy(), TrainablePlan(mode="embed"))
+        state = TrainState.create(teacher, TrainablePlan(mode="embed"))
         _, history = train(teacher, state, data, tcfg, dcfg)
         losses = [row["total"] for row in history]
         assert losses[0] == pytest.approx(objective(start), rel=1e-12)
